@@ -27,6 +27,11 @@ from .errors import BudgetError, ConfigError, NumericsError
 BOX_BUDGET = 2**26
 EDGE_BUDGET = 2**30
 
+# an edge key packs (source index, destination index) as src << _KEY_BITS | dst,
+# so no graph may hold more than _MAX_BOXES boxes
+_KEY_BITS = 27
+_MAX_BOXES = 1 << _KEY_BITS
+
 _CHUNK_BOXES = 1024
 
 
@@ -59,6 +64,10 @@ class Domain:
         """Per-axis cell width at the given depth."""
         return self.widths / (1 << depth)
 
+    def max_box_width(self, depth: int) -> float:
+        """Largest cell width at the given depth: one box diameter in the max metric."""
+        return float(np.max(self.box_width(depth)))
+
     def wrap(self, pts: np.ndarray) -> np.ndarray:
         """Wrap periodic axes into [lower, upper); other axes pass through."""
         pts = np.array(pts, dtype=float, copy=True)
@@ -75,6 +84,15 @@ class Domain:
         lo = np.asarray(self.lower) - atol
         hi = np.asarray(self.upper) + atol
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
+
+    def signed_diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a - b per axis, taken the short way round on periodic axes."""
+        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        w = self.widths
+        for ax, per in enumerate(self.periodic):
+            if per:
+                d[..., ax] = (d[..., ax] + w[ax] / 2.0) % w[ax] - w[ax] / 2.0
+        return d
 
     def distance(self, a: np.ndarray, b: np.ndarray):
         """Max-metric distance, shortest way around on periodic axes."""
@@ -134,10 +152,6 @@ class BoxSet:
         _check_depth(domain, depth)
         n = 1 << (depth * domain.dim)
         return cls(domain, depth, np.arange(n, dtype=np.int64))
-
-    @classmethod
-    def from_points(cls, domain: Domain, depth: int, pts: np.ndarray) -> "BoxSet":
-        return cls(domain, depth, point_codes(domain, depth, pts))
 
     @classmethod
     def from_coords(cls, domain: Domain, depth: int, coords: np.ndarray) -> "BoxSet":
@@ -206,12 +220,7 @@ class BoxSet:
     def subdivide(self, budget: int = BOX_BUDGET) -> "BoxSet":
         """All children of all members, one level deeper."""
         dim = self.domain.dim
-        n_children = 1 << dim
-        if self.count * n_children > budget:
-            raise BudgetError(
-                f"subdivision would produce {self.count * n_children} boxes "
-                f"(budget {budget})"
-            )
+        _check_box_count(self.count << dim, budget)
         coords = self.coords()
         offs = _unit_offsets(dim)
         child = (coords[:, None, :] * 2 + offs[None, :, :]).reshape(-1, dim)
@@ -290,18 +299,18 @@ def point_codes(domain: Domain, depth: int, pts: np.ndarray) -> np.ndarray:
     return pack_coords(idx, depth, domain.dim)
 
 
+def _check_box_count(n: int, budget: int = _MAX_BOXES) -> None:
+    if n > budget:
+        raise BudgetError(f"{n} boxes exceed budget {budget}")
+    if n > _MAX_BOXES:
+        raise BudgetError(f"{n} boxes exceed the {_MAX_BOXES} that edge keys can index")
+
+
 def initial_cover(domain: Domain, depth: int, budget: int = BOX_BUDGET) -> BoxSet:
     """Full covering of the domain at the given depth, guarded by a budget."""
     _check_depth(domain, depth)
-    n = 1 << (depth * domain.dim)
-    if n > budget:
-        raise BudgetError(f"cover of {n} boxes exceeds budget {budget}")
+    _check_box_count(1 << (depth * domain.dim), budget)
     return BoxSet.full_cover(domain, depth)
-
-
-def subdivide(boxset: BoxSet, budget: int = BOX_BUDGET) -> BoxSet:
-    """One dyadic refinement of every member box."""
-    return boxset.subdivide(budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +350,9 @@ class TransitionGraph:
     def successors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def has_selfloop(self) -> np.ndarray:
-        """Boolean per node: does i -> i exist."""
-        out = np.zeros(self.n_boxes, dtype=bool)
-        for i in range(self.n_boxes):
-            row = self.successors(i)
-            j = np.searchsorted(row, i)
-            out[i] = j < len(row) and row[j] == i
-        return out
-
     def reverse(self) -> "TransitionGraph":
         """Edge-reversed graph (realizes inverse-map constructions)."""
-        n = self.n_boxes
-        counts = np.bincount(self.indices, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(self.indices, kind="stable")
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        indices = src[order]
-        # stable sort on destination keeps sources ascending within each row
+        indptr, indices = _transpose_csr(self.indptr, self.indices)
         return TransitionGraph(
             self.boxset,
             self.epsilon,
@@ -381,6 +374,16 @@ class TransitionGraph:
         """Edges as an (E, 2) array of node indices."""
         src = np.repeat(np.arange(self.n_boxes, dtype=np.int64), np.diff(self.indptr))
         return np.stack([src, self.indices], axis=1)
+
+
+def _transpose_csr(indptr: np.ndarray, indices: np.ndarray):
+    """(indptr, indices) of the transposed square CSR pattern, rows sorted."""
+    n = len(indptr) - 1
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n), out=out_ptr[1:])
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # stable sort on destination keeps sources ascending within each row
+    return out_ptr, src[np.argsort(indices, kind="stable")]
 
 
 def _sample_offsets(dim: int, samples_per_axis: int) -> np.ndarray:
@@ -416,7 +419,7 @@ def _chunk_edges(
     offsets: np.ndarray,
     samples_per_axis: int,
 ):
-    """Deterministic edge keys (src_idx << 27 | dst_idx) for one box chunk."""
+    """Deterministic edge keys (src_idx << _KEY_BITS | dst_idx) for one box chunk."""
     domain = system.domain
     depth = boxset.depth
     dim = domain.dim
@@ -435,18 +438,12 @@ def _chunk_edges(
     if system.lipschitz_hint is not None:
         # the sample grid covers the box with radius h/(2(n-1)) in the max
         # metric, so L times that radius is a sound image pad
-        cover_r = float(np.max(h)) / (2.0 * (samples_per_axis - 1))
+        cover_r = domain.max_box_width(depth) / (2.0 * (samples_per_axis - 1))
         pad = np.full(B, system.lipschitz_hint * cover_r)
     else:
         # covering radius of the image sample grid, estimated per box from the
-        # spread of its sampled images (periodic axes unwrapped first)
-        rel = img - img[:, :1, :]
-        w = domain.widths
-        for ax, per in enumerate(domain.periodic):
-            if per:
-                rel[..., ax] = (rel[..., ax] + w[ax] / 2.0) % w[ax] - w[ax] / 2.0
-        spread = rel.max(axis=1) - rel.min(axis=1)
-        pad = np.max(spread, axis=-1) / (2.0 * (samples_per_axis - 1))
+        # spread of its sampled images
+        pad = _image_spread(domain, img) / (2.0 * (samples_per_axis - 1))
 
     radius = epsilon + pad  # (B,)
     rad = np.repeat(radius, S)
@@ -483,7 +480,7 @@ def _chunk_edges(
     src = src[ok]
     dst = boxset.indices_of(code)
     good = dst >= 0
-    keys = (src[good] << 27) | dst[good]
+    keys = (src[good] << _KEY_BITS) | dst[good]
     return np.unique(keys)
 
 
@@ -523,6 +520,7 @@ def build_graph(
         raise ConfigError("system and box set dimensions differ")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    _check_box_count(boxset.count)
 
     dim = boxset.domain.dim
     offsets = _sample_offsets(dim, samples_per_axis)
@@ -564,15 +562,17 @@ def build_graph(
     if len(keys) > edge_budget:
         raise BudgetError(f"{len(keys)} edges exceed budget {edge_budget}")
 
-    src = keys >> 27
-    dst = keys & ((1 << 27) - 1)
+    src = keys >> _KEY_BITS
+    dst = keys & (_MAX_BOXES - 1)
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    # pad recorded for diagnostics: the max over boxes actually used
+    # pad recorded for diagnostics: the max over boxes actually used (the
+    # Lipschitz value rounds as L*h/k here and as L*(h/k) in _chunk_edges;
+    # the two can differ in the last bit, and both are kept as they were)
     if system.lipschitz_hint is not None:
-        hmax = float(np.max(boxset.domain.box_width(boxset.depth)))
+        hmax = boxset.domain.max_box_width(boxset.depth)
         pad_used = system.lipschitz_hint * hmax / (2.0 * (samples_per_axis - 1))
     else:
         pad_used = _empirical_pad_bound(system, boxset, samples_per_axis)
@@ -601,17 +601,17 @@ def _empirical_pad_bound(system, boxset: BoxSet, samples_per_axis: int) -> float
     coords = unpack_codes(boxset.codes[idx], boxset.depth, boxset.domain.dim)
     offsets = _sample_offsets(boxset.domain.dim, samples_per_axis)
     img = _eval_chunk(system, coords, boxset.depth, offsets)
-    rel = img - img[:, :1, :]
-    w = boxset.domain.widths
-    for ax, per in enumerate(boxset.domain.periodic):
-        if per:
-            rel[..., ax] = (rel[..., ax] + w[ax] / 2.0) % w[ax] - w[ax] / 2.0
-    finite = np.isfinite(rel).all(axis=(1, 2))
-    if not np.any(finite):
+    spread = _image_spread(boxset.domain, img)
+    spread = spread[np.isfinite(spread)]
+    if len(spread) == 0:
         return 0.0
-    good = rel[finite]
-    spread = (good.max(axis=1) - good.min(axis=1)).max(axis=-1)
     return float(np.median(spread) / (2.0 * (samples_per_axis - 1)))
+
+
+def _image_spread(domain: Domain, img: np.ndarray) -> np.ndarray:
+    """Largest per-axis extent of each box's sampled images (B, S, dim)."""
+    rel = domain.signed_diff(img, img[:, :1, :])
+    return (rel.max(axis=1) - rel.min(axis=1)).max(axis=-1)
 
 
 def image_of(graph: TransitionGraph, members) -> BoxSet:
@@ -635,10 +635,6 @@ def _member_indices(graph: TransitionGraph, members) -> np.ndarray:
     return idx
 
 
-def reverse(graph: TransitionGraph) -> TransitionGraph:
-    return graph.reverse()
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -651,28 +647,15 @@ def _header_bytes(d: dict) -> bytes:
 def save_boxset(path, bs: BoxSet, fmt: str = "binary") -> None:
     """Write a box set: a JSON header line plus little-endian codes, or a
     pure-JSON document when fmt="json"."""
+    header = {"kind": "boxset", "domain": bs.domain.to_dict(), "depth": bs.depth, "count": bs.count}
     if fmt == "json":
-        doc = {
-            "kind": "boxset",
-            "domain": bs.domain.to_dict(),
-            "depth": bs.depth,
-            "count": bs.count,
-            "codes": bs.codes.tolist(),
-        }
         with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            json.dump({**header, "codes": bs.codes.tolist()}, fh, sort_keys=True)
         return
     if fmt != "binary":
         raise ConfigError(f"unknown boxset format {fmt!r}")
-    header = {
-        "kind": "boxset",
-        "domain": bs.domain.to_dict(),
-        "depth": bs.depth,
-        "count": bs.count,
-        "encoding": "int64-le",
-    }
     with open(path, "wb") as fh:
-        fh.write(_header_bytes(header))
+        fh.write(_header_bytes({**header, "encoding": "int64-le"}))
         fh.write(bs.codes.astype("<i8").tobytes())
 
 

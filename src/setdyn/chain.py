@@ -8,18 +8,24 @@ no incoming condensation edge attracts nothing from outside and is a
 candidate reversible core.  ``core_scan`` tracks such a candidate through a
 refinement schedule and collects the dissipative attractors/repellers that
 split off inside the previous stage's absorbing neighbourhoods.
+
+Repellers are computed as the attractors of the reversed condensation: a
+repeller is an attractor of the inverse map, whose symbolic image is the
+reversed graph (Osipenko, Dynamical Systems, Graphs, and Algorithms, LNM
+1889, 2007).  The reversal keeps the SCC ids and leaves the box graph as it
+is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .boxdyn import BoxSet, TransitionGraph, build_graph, initial_cover, point_codes
+from .boxdyn import BoxSet, TransitionGraph, _transpose_csr, build_graph, initial_cover, point_codes
 from .errors import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -45,9 +51,6 @@ class ChainDecomposition:
     terminal: np.ndarray
     initial: np.ndarray
 
-    def nodes_of(self, s: int) -> np.ndarray:
-        return np.nonzero(self.scc_id == s)[0]
-
     def scc_boxes(self, s) -> BoxSet:
         s = np.atleast_1d(np.asarray(s, dtype=np.int64))
         mask = np.isin(self.scc_id, s)
@@ -62,6 +65,16 @@ class ChainDecomposition:
 
     def cond_successors(self, s: int) -> np.ndarray:
         return self.cond_indices[self.cond_indptr[s] : self.cond_indptr[s + 1]]
+
+
+def cover_graph(
+    system, depth: int, epsilon: float | None = None, samples_per_axis: int = 4, workers: int = 1
+) -> TransitionGraph:
+    """Transition graph of a system over the full cover of its domain at
+    ``depth``; ``epsilon`` defaults to one box diameter."""
+    cover = initial_cover(system.domain, depth)
+    epsilon = system.domain.max_box_width(depth) if epsilon is None else float(epsilon)
+    return build_graph(system, cover, epsilon, samples_per_axis=samples_per_axis, workers=workers)
 
 
 def decompose(graph: TransitionGraph) -> ChainDecomposition:
@@ -138,7 +151,7 @@ def reach_set(graph: TransitionGraph, members, forward: bool = True, min_steps: 
     from .boxdyn import _member_indices
 
     idx = _member_indices(graph, members)
-    g = graph if forward else graph.reverse()
+    g = graph if forward or len(idx) == 0 else graph.reverse()
     current = idx
     for _ in range(min_steps):
         parts = [g.successors(i) for i in current]
@@ -244,36 +257,23 @@ def _topo_order(dec: ChainDecomposition) -> np.ndarray:
     return order
 
 
-def _unique_terminal_dp(dec: ChainDecomposition, flip: bool = False):
-    """For each SCC, the unique sink it must end in, or -1 when mixed.
+def _reversed(dec: ChainDecomposition) -> ChainDecomposition:
+    """The same SCCs, with the same ids, and every condensation edge flipped:
+    its attractors are the repellers of ``dec``.  The box graph is kept."""
+    indptr, indices = _transpose_csr(dec.cond_indptr, dec.cond_indices)
+    return replace(dec, cond_indptr=indptr, cond_indices=indices,
+                   terminal=dec.initial, initial=dec.terminal)
 
-    With ``flip`` the DAG is traversed against the edges, giving the unique
-    source each SCC is fed from.
-    """
-    m = dec.n_scc
-    val = np.full(m, -1, dtype=np.int64)
-    order = _topo_order(dec)
-    if not flip:
-        sinks = dec.terminal
-        for s in order[::-1]:
-            succ = dec.cond_successors(s)
-            if sinks[s]:
-                val[s] = s
-                continue
-            vals = np.unique(val[succ])
-            val[s] = vals[0] if len(vals) == 1 and vals[0] >= 0 else -1
-    else:
-        sources = dec.initial
-        pred_lists: list[list[int]] = [[] for _ in range(m)]
-        for s in range(m):
-            for t in dec.cond_successors(s):
-                pred_lists[t].append(s)
-        for s in order:
-            if sources[s]:
-                val[s] = s
-                continue
-            vals = np.unique(val[np.asarray(pred_lists[s], dtype=np.int64)])
-            val[s] = vals[0] if len(vals) == 1 and vals[0] >= 0 else -1
+
+def _unique_terminal_dp(dec: ChainDecomposition):
+    """For each SCC, the unique sink it must end in, or -1 when mixed."""
+    val = np.full(dec.n_scc, -1, dtype=np.int64)
+    for s in _topo_order(dec)[::-1]:
+        if dec.terminal[s]:
+            val[s] = s
+            continue
+        vals = np.unique(val[dec.cond_successors(s)])
+        val[s] = vals[0] if len(vals) == 1 and vals[0] >= 0 else -1
     return val
 
 
@@ -281,43 +281,22 @@ def attractors(dec: ChainDecomposition, with_basins: bool = False) -> list[Recur
     """Recurrent terminal SCCs; with ``with_basins`` each carries the boxes
     whose every epsilon-future ends in it (a basin-of-uniqueness witness)."""
     ids = np.nonzero(dec.terminal & dec.recurrent_scc)[0]
-    val = _unique_terminal_dp(dec, flip=False) if with_basins else None
-    out = []
-    for s in ids:
-        witness = None
-        if val is not None:
-            witness = dec.scc_boxes(np.nonzero(val == s)[0])
-        out.append(
-            RecurrentSCC(
-                scc=int(s),
-                boxes=dec.scc_boxes(int(s)),
-                size=int(dec.scc_sizes[s]),
-                dissipative=not bool(dec.initial[s]),
-                witness=witness,
-            )
+    val = _unique_terminal_dp(dec) if with_basins else None
+    return [
+        RecurrentSCC(
+            scc=int(s),
+            boxes=dec.scc_boxes(int(s)),
+            size=int(dec.scc_sizes[s]),
+            dissipative=not bool(dec.initial[s]),
+            witness=None if val is None else dec.scc_boxes(np.nonzero(val == s)[0]),
         )
-    return out
+        for s in ids
+    ]
 
 
 def repellers(dec: ChainDecomposition, with_basins: bool = False) -> list[RecurrentSCC]:
     """Recurrent initial SCCs: attractors of the reversed graph."""
-    ids = np.nonzero(dec.initial & dec.recurrent_scc)[0]
-    val = _unique_terminal_dp(dec, flip=True) if with_basins else None
-    out = []
-    for s in ids:
-        witness = None
-        if val is not None:
-            witness = dec.scc_boxes(np.nonzero(val == s)[0])
-        out.append(
-            RecurrentSCC(
-                scc=int(s),
-                boxes=dec.scc_boxes(int(s)),
-                size=int(dec.scc_sizes[s]),
-                dissipative=not bool(dec.terminal[s]),
-                witness=witness,
-            )
-        )
-    return out
+    return attractors(_reversed(dec), with_basins)
 
 
 def full_attractor(dec: ChainDecomposition) -> BoxSet:
@@ -327,23 +306,16 @@ def full_attractor(dec: ChainDecomposition) -> BoxSet:
 
 
 def full_repeller(dec: ChainDecomposition) -> BoxSet:
-    ids = np.nonzero(dec.initial & dec.recurrent_scc)[0]
-    return dec.scc_boxes(ids)
+    return full_attractor(_reversed(dec))
 
 
 def ruelle_attractor(dec: ChainDecomposition) -> BoxSet:
     """Epsilon-reachable closure (prolongation) of the full attractor."""
-    bs = full_attractor(dec)
-    if bs.count == 0:
-        return bs
-    return reach_set(dec.graph, bs, forward=True, min_steps=0)
+    return reach_set(dec.graph, full_attractor(dec), forward=True)
 
 
 def ruelle_repeller(dec: ChainDecomposition) -> BoxSet:
-    bs = full_repeller(dec)
-    if bs.count == 0:
-        return bs
-    return reach_set(dec.graph, bs, forward=False, min_steps=0)
+    return reach_set(dec.graph, full_repeller(dec), forward=False)
 
 
 @dataclass
@@ -489,6 +461,34 @@ def _contained_with_slack(inner: BoxSet, outer_depth: int, outer: BoxSet) -> boo
     return inner.issubset(grown)
 
 
+def _reachable_attractors(dec: ChainDecomposition, s: int) -> BoxSet:
+    """Boxes of the attractors that SCC ``s`` reaches in the condensation."""
+    cond = csr_matrix(
+        (np.ones(len(dec.cond_indices), np.int8), dec.cond_indices, dec.cond_indptr),
+        shape=(dec.n_scc, dec.n_scc),
+    )
+    reached = breadth_first_order(cond, s, directed=True, return_predecessors=False)
+    return dec.scc_boxes(reached[dec.terminal[reached] & dec.recurrent_scc[reached]])
+
+
+def _new_witnesses(
+    dec: ChainDecomposition, s: int, depth: int, prev_depth: int, prev_abs: BoxSet, known: list
+) -> list[BoxSet]:
+    """Dissipative attractors other than SCC ``s`` that lie in the previous
+    stage's absorbing set and are disjoint from every ``known`` witness; they
+    are appended to ``known`` and returned."""
+    new = []
+    for cand in attractors(dec):
+        if cand.scc == s or not cand.dissipative:
+            continue
+        if not _contained_with_slack(cand.boxes, prev_depth, prev_abs):
+            continue
+        if all(_disjoint_at_common_depth(depth, cand.boxes, d0, w0) for d0, w0 in known):
+            known.append((depth, cand.boxes))
+            new.append(cand.boxes)
+    return new
+
+
 def core_scan(
     system,
     target,
@@ -496,7 +496,6 @@ def core_scan(
     samples_per_axis: int = 4,
     gap_factor: float = 4.0,
     workers: int = 1,
-    graph_provider=None,
 ) -> CoreCertificate:
     """Track a candidate reversible core through a refinement schedule.
 
@@ -523,18 +522,11 @@ def core_scan(
     stages: list[StageResult] = []
     att_wit: list[tuple[int, BoxSet]] = []
     rep_wit: list[tuple[int, BoxSet]] = []
-    prev_fwd: BoxSet | None = None
-    prev_bwd: BoxSet | None = None
 
     for depth, eps in schedule:
-        if graph_provider is not None:
-            g = graph_provider(system, depth, eps, samples_per_axis, workers)
-        else:
-            cover = initial_cover(system.domain, depth)
-            g = build_graph(
-                system, cover, eps, samples_per_axis=samples_per_axis, workers=workers
-            )
+        g = cover_graph(system, depth, eps, samples_per_axis, workers)
         dec = decompose(g)
+        rev = _reversed(dec)
         t_code = int(point_codes(system.domain, depth, target)[0])
         t_idx = int(g.boxset.indices_of(np.array([t_code]))[0])
         if t_idx < 0:
@@ -543,26 +535,14 @@ def core_scan(
         recurrent = bool(dec.recurrent_scc[s])
         terminal = bool(dec.terminal[s])
         init = bool(dec.initial[s])
-        core_boxes = dec.scc_boxes(s)
 
-        # attractors the target can reach, repellers that can reach it
-        cond = csr_matrix(
-            (np.ones(len(dec.cond_indices), np.int8), dec.cond_indices, dec.cond_indptr),
-            shape=(dec.n_scc, dec.n_scc),
-        )
-        fwd_scc = breadth_first_order(cond, s, directed=True, return_predecessors=False)
-        bwd_scc = breadth_first_order(cond.T.tocsr(), s, directed=True, return_predecessors=False)
-        A_ids = [int(t) for t in fwd_scc if dec.terminal[t] and dec.recurrent_scc[t]]
-        R_ids = [int(t) for t in bwd_scc if dec.initial[t] and dec.recurrent_scc[t]]
-        A_boxes = dec.scc_boxes(np.asarray(A_ids, dtype=np.int64))
-        R_boxes = dec.scc_boxes(np.asarray(R_ids, dtype=np.int64))
-
-        h_max = float(np.max(system.domain.box_width(depth)))
-        gap_tol = gap_factor * (eps + g.pad + h_max)
+        gap_tol = gap_factor * (eps + g.pad + system.domain.max_box_width(depth))
         if terminal and init:
             gap = 0.0
         else:
-            gap = _min_gap(system.domain, A_boxes, R_boxes)
+            # attractors the target can reach, repellers that can reach it
+            gap = _min_gap(system.domain, _reachable_attractors(dec, s),
+                           _reachable_attractors(rev, s))
 
         if not recurrent:
             ok, reason = False, "target box is not chain-recurrent"
@@ -576,36 +556,14 @@ def core_scan(
 
         fwd_abs = reach_set(g, np.array([t_idx]), forward=True, min_steps=0)
         bwd_abs = reach_set(g, np.array([t_idx]), forward=False, min_steps=0)
-
-        nested_fwd = prev_fwd is None or _contained_with_slack(fwd_abs, stages[-1].depth, prev_fwd)
-        nested_bwd = prev_bwd is None or _contained_with_slack(bwd_abs, stages[-1].depth, prev_bwd)
-
+        prev = stages[-1] if stages else None
+        nested_fwd = prev is None or _contained_with_slack(fwd_abs, prev.depth, prev.fwd_absorbing)
+        nested_bwd = prev is None or _contained_with_slack(bwd_abs, prev.depth, prev.bwd_absorbing)
         new_att: list[BoxSet] = []
         new_rep: list[BoxSet] = []
-        if prev_fwd is not None:
-            prev_depth = stages[-1].depth
-            for cand in attractors(dec):
-                if cand.scc == s or not cand.dissipative:
-                    continue
-                if not _contained_with_slack(cand.boxes, prev_depth, prev_fwd):
-                    continue
-                if all(
-                    _disjoint_at_common_depth(depth, cand.boxes, d0, w0)
-                    for d0, w0 in att_wit
-                ):
-                    att_wit.append((depth, cand.boxes))
-                    new_att.append(cand.boxes)
-            for cand in repellers(dec):
-                if cand.scc == s or not cand.dissipative:
-                    continue
-                if not _contained_with_slack(cand.boxes, prev_depth, prev_bwd):
-                    continue
-                if all(
-                    _disjoint_at_common_depth(depth, cand.boxes, d0, w0)
-                    for d0, w0 in rep_wit
-                ):
-                    rep_wit.append((depth, cand.boxes))
-                    new_rep.append(cand.boxes)
+        if prev is not None:
+            new_att = _new_witnesses(dec, s, depth, prev.depth, prev.fwd_absorbing, att_wit)
+            new_rep = _new_witnesses(rev, s, depth, prev.depth, prev.bwd_absorbing, rep_wit)
 
         stages.append(
             StageResult(
@@ -623,7 +581,7 @@ def core_scan(
                 gap_tol=gap_tol,
                 ok=ok,
                 reason=reason,
-                core_boxes=core_boxes,
+                core_boxes=dec.scc_boxes(s),
                 fwd_absorbing=fwd_abs,
                 bwd_absorbing=bwd_abs,
                 nested_fwd=nested_fwd,
@@ -632,8 +590,6 @@ def core_scan(
                 new_repellers=new_rep,
             )
         )
-        prev_fwd = fwd_abs
-        prev_bwd = bwd_abs
 
     return CoreCertificate(
         system=getattr(system, "name", "?"),

@@ -27,7 +27,9 @@ import sys
 import numpy as np
 
 from . import chain, flows, mapzoo, revcore
-from .boxdyn import BoxSet, build_graph, initial_cover, save_boxset, write_pgm, write_pgm_heat
+# build_graph is unused here but stays a module attribute: perfbench/traced.py
+# wraps cli.build_graph by name
+from .boxdyn import BoxSet, build_graph, save_boxset, write_pgm, write_pgm_heat  # noqa: F401
 from .errors import BudgetError, ConfigError, NumericsError, SetdynError
 
 ATTRACTOR_SHADE = 64
@@ -162,15 +164,12 @@ def cmd_classify(args) -> int:
     cfg = _load_config(args.config)
     system = _make_system(args, cfg)
     depth = int(_setting(args, cfg, "depth", 7))
-    h_max = float(np.max(system.domain.box_width(depth)))
-    eps_raw = _setting(args, cfg, "epsilon")
-    epsilon = h_max if eps_raw is None else float(eps_raw)
+    epsilon = _setting(args, cfg, "epsilon")
     samples = int(_setting(args, cfg, "samples", 4))
     workers = int(_setting(args, cfg, "workers", 1))
     out = _out_dir(args, cfg)
 
-    cover = initial_cover(system.domain, depth)
-    graph = build_graph(system, cover, epsilon, samples_per_axis=samples, workers=workers)
+    graph = chain.cover_graph(system, depth, epsilon, samples, workers)
     report = chain.classify(graph)
 
     doc = {
@@ -178,7 +177,7 @@ def cmd_classify(args) -> int:
         "system": system.name,
         "params": system.params,
         "depth": depth,
-        "epsilon": epsilon,
+        "epsilon": graph.epsilon,
         "samples_per_axis": samples,
         "n_boxes": report.n_boxes,
         "n_edges": graph.n_edges,
@@ -333,6 +332,7 @@ def cmd_merge_scan(args) -> int:
     depth = int(_setting(args, cfg, "depth", 7))
     samples = int(_setting(args, cfg, "samples", 4))
     workers = int(_setting(args, cfg, "workers", 1))
+    epsilon = _setting(args, cfg, "epsilon")
     out = _out_dir(args, cfg)
 
     rows = []
@@ -341,14 +341,7 @@ def cmd_merge_scan(args) -> int:
         params[pname] = v
         try:
             system = mapzoo.make_system(name, params)
-            h_max = float(np.max(system.domain.box_width(depth)))
-            eps_raw = _setting(args, cfg, "epsilon")
-            epsilon = h_max if eps_raw is None else float(eps_raw)
-            graph = build_graph(
-                system, initial_cover(system.domain, depth), epsilon,
-                samples_per_axis=samples, workers=workers,
-            )
-            rep = chain.classify(graph)
+            rep = chain.classify(chain.cover_graph(system, depth, epsilon, samples, workers))
             rows.append([
                 repr(float(v)), "ok", rep.classification, str(rep.n_scc),
                 str(len(rep.attractors)), str(len(rep.repellers)),

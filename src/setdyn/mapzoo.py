@@ -130,31 +130,22 @@ def newton_inverse_1d(
     return x
 
 
-def _clamped_time_map(field, T: float, step: float, rmax: float, center=0.0):
+def _clamped_time_map(field, T: float, step: float, rmax: float):
     """RK4 time-T map of a planar field with a per-step radial clamp.
 
     Works on complex arrays; the clamp rescales any point beyond |z| = rmax
     back onto that circle after each RK4 step, so balls around the origin of
     radius rmax are invariant by construction.
     """
-    n = max(1, math.ceil(abs(T) / step - 1e-12))
-    h = T / n
 
-    def run(z):
-        z = np.asarray(z, dtype=complex)
-        for _ in range(n):
-            k1 = field(z)
-            k2 = field(z + 0.5 * h * k1)
-            k3 = field(z + 0.5 * h * k2)
-            k4 = field(z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            r = np.abs(z)
-            over = r > rmax
-            if np.any(over):
-                z = np.where(over, z * (rmax / np.where(over, r, 1.0)), z)
+    def clamp(z):
+        r = np.abs(z)
+        over = r > rmax
+        if np.any(over):
+            z = np.where(over, z * (rmax / np.where(over, r, 1.0)), z)
         return z
 
-    return run
+    return lambda z: flows.flow_map(field, z, T, step, project=clamp)
 
 
 def _to_complex(pts: np.ndarray) -> np.ndarray:

@@ -94,16 +94,6 @@ class MultiplierReport:
         return max((p.pairing_error for p in self.pairs), default=math.inf)
 
 
-def _wrapped_diff(system: MapSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b per axis, shortest way around on periodic axes."""
-    d = a - b
-    for ax, per in enumerate(system.domain.periodic):
-        if per:
-            w = system.domain.upper[ax] - system.domain.lower[ax]
-            d[..., ax] = (d[..., ax] + w / 2.0) % w - w / 2.0
-    return d
-
-
 def _map_jacobian(system: MapSystem, x: np.ndarray, period: int) -> np.ndarray:
     """Richardson-extrapolated central-difference Jacobian of f^period."""
     dim = system.dim
@@ -116,7 +106,7 @@ def _map_jacobian(system: MapSystem, x: np.ndarray, period: int) -> np.ndarray:
             e[j] = h
             hi = system.iterate((x + e)[None, :], period)[0]
             lo = system.iterate((x - e)[None, :], period)[0]
-            cols.append(_wrapped_diff(system, hi, lo) / (2.0 * h))
+            cols.append(system.domain.signed_diff(hi, lo) / (2.0 * h))
         return np.stack(cols, axis=1)
 
     J1 = jac(_FD_STEP)
@@ -180,12 +170,7 @@ class FixedPoint:
 
 def _signed_displacement(system: MapSystem, x: np.ndarray) -> np.ndarray:
     """f(x) - x as a signed scalar, shortest way around on a periodic axis."""
-    d = system.forward(x[..., None])[..., 0] - x
-    lo, hi = system.domain.lower[0], system.domain.upper[0]
-    if system.domain.periodic[0]:
-        w = hi - lo
-        d = (d + w / 2.0) % w - w / 2.0
-    return d
+    return system.domain.signed_diff(system.forward(x[..., None]), x[..., None])[..., 0]
 
 
 def find_fixed_points(

@@ -164,6 +164,17 @@ def test_initial_cover_budget():
         initial_cover(UNIT_SQUARE, 14, budget=1000)
 
 
+def test_initial_cover_rejects_more_boxes_than_edge_keys_index(monkeypatch):
+    # 2^28 boxes fit the budget but not the 27-bit indices packed into edge
+    # keys; the check must come before the cover is allocated
+    def allocate(*args):
+        pytest.fail("the cover was allocated before the box count was checked")
+
+    monkeypatch.setattr(BoxSet, "full_cover", classmethod(allocate))
+    with pytest.raises(BudgetError):
+        initial_cover(Domain((0.0, 0.0), (1.0, 1.0), (False, False)), 14, budget=2**40)
+
+
 def test_reverse_transposes_edges():
     system = mapzoo.make_system("cat_map", {})
     g = build_graph(system, initial_cover(system.domain, 4), epsilon=0.05)

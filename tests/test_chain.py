@@ -121,6 +121,14 @@ def test_shared_box_forces_identical_terminal_initial_scc(graph_from_edges):
                     assert a.scc == r.scc
                     assert a.boxes == r.boxes
                     assert bool(dec.terminal[a.scc]) and bool(dec.initial[a.scc])
+        # repellers, basins included, are the attractors of the reversed graph
+        reps = chain.repellers(dec, with_basins=True)
+        rev_atts = chain.attractors(chain.decompose(g.reverse()), with_basins=True)
+        assert len(reps) == len(rev_atts)
+        for r, a in zip(reps, rev_atts):
+            assert r.boxes == a.boxes
+            assert r.witness == a.witness
+            assert r.dissipative == a.dissipative
 
 
 # ---------------------------------------------------------------------------

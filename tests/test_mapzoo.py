@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from setdyn import mapzoo
+from setdyn import flows, mapzoo
 from setdyn.errors import ConfigError
 
 ALL_SYSTEMS = mapzoo.list_systems()
@@ -115,6 +117,53 @@ def test_nested_rings_rim_is_clamped():
     pts = np.array([[1.2, 0.3], [-0.9, 0.9]])
     out = system.forward(pts)
     assert np.all(np.hypot(out[:, 0], out[:, 1]) <= 1.25 + 1e-9)
+
+
+def _reference_clamped_map(field, T, step, rmax):
+    """Clamped RK4 time-T map written out in full, as a bitwise oracle."""
+    n = max(1, math.ceil(abs(T) / step - 1e-12))
+    h = T / n
+
+    def run(z):
+        for _ in range(n):
+            k1 = field(z)
+            k2 = field(z + 0.5 * h * k1)
+            k3 = field(z + 0.5 * h * k2)
+            k4 = field(z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            r = np.abs(z)
+            over = r > rmax
+            if np.any(over):
+                z = np.where(over, z * (rmax / np.where(over, r, 1.0)), z)
+        return z
+
+    return run
+
+
+def _reference_maps(system):
+    step = system.params["step"]
+    if system.name == "nested_rings":
+        field, rmax = mapzoo._rings_field, mapzoo._RINGS_RMAX
+    else:
+        field, rmax = flows.nf_rhs(system.extras["normal_form"]), system.params["radius"]
+    fwd = _reference_clamped_map(field, 1.0, step, rmax)
+    bwd = _reference_clamped_map(field, -1.0, step, rmax)
+    if system.name == "nested_rings":
+        return fwd, bwd
+    ang = system.extras["normal_form"].rotation_angle
+    rot = complex(math.cos(ang), math.sin(ang))
+    return (lambda z: rot * fwd(z)), (lambda z: bwd(rot.conjugate() * z))
+
+
+@pytest.mark.parametrize("name", ["nested_rings", "nf_timeq"])
+def test_clamped_flow_maps_match_reference_rk4(name):
+    system = mapzoo.make_system(name, {})
+    # the whole domain, so the square's corners exercise the clamp
+    pts = system.sample_points(256, seed=8, region=system.domain)
+    z = pts[..., 0] + 1j * pts[..., 1]
+    for got, ref in zip((system.forward, system.inverse), _reference_maps(system)):
+        want = ref(z)
+        assert np.array_equal(got(pts), np.stack([want.real, want.imag], axis=-1))
 
 
 def test_nf_timeq_fixes_origin():
