@@ -11,10 +11,21 @@ in the max metric, which over-approximates the true transition relation of
 the map and hence the epsilon-orbit (pseudo-orbit) relation.  All graph
 construction is deterministic: fixed sample grids, integer arithmetic for
 cell ranges, and sorted CSR output.
+
+Edges are enumerated per box, not per sample.  The ball around one sample
+image meets a rectangle of cells, one integer range per axis.  A range is
+clipped to the grid on a non-periodic axis; on a periodic axis it is moved
+by whole periods next to the range of the box's first sample and capped at
+one period.  The box's destination cells are the union of its rectangles,
+taken with a difference array over the box's own window, so each
+(box, cell) pair comes out once.  Boxes are mapped in chunks of consecutive
+boxes, and each chunk's edges are sorted, so the chunks concatenate into the
+CSR without a global dedupe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -412,28 +423,28 @@ def _eval_chunk(system, chunk_coords: np.ndarray, depth: int, offsets: np.ndarra
 
 def _chunk_edges(
     system,
-    boxset: BoxSet,
-    chunk_lo: int,
-    chunk_hi: int,
+    depth: int,
+    codes: np.ndarray,
     epsilon: float,
     offsets: np.ndarray,
     samples_per_axis: int,
 ):
-    """Deterministic edge keys (src_idx << _KEY_BITS | dst_idx) for one box chunk."""
+    """Edges out of one chunk of boxes, given by their codes.
+
+    Returns (src, dst): the position of each edge's source box inside the
+    chunk and the code of its destination cell.  Every pair occurs once.
+    """
     domain = system.domain
-    depth = boxset.depth
     dim = domain.dim
     n_axis = 1 << depth
     h = domain.box_width(depth)
     lo = np.asarray(domain.lower)
-    coords = unpack_codes(boxset.codes[chunk_lo:chunk_hi], depth, dim)
-    img = _eval_chunk(system, coords, depth, offsets)
+    img = _eval_chunk(system, unpack_codes(codes, depth, dim), depth, offsets)
     B, S, _ = img.shape
 
     bad = ~np.isfinite(img).all(axis=(1, 2))
     if np.any(bad):
-        which = boxset.codes[chunk_lo:chunk_hi][bad][:8]
-        raise NumericsError(f"non-finite map image on boxes with codes {which.tolist()}")
+        raise NumericsError(f"non-finite map image on boxes with codes {codes[bad][:8].tolist()}")
 
     if system.lipschitz_hint is not None:
         # the sample grid covers the box with radius h/(2(n-1)) in the max
@@ -445,54 +456,122 @@ def _chunk_edges(
         # spread of its sampled images
         pad = _image_spread(domain, img) / (2.0 * (samples_per_axis - 1))
 
-    radius = epsilon + pad  # (B,)
-    rad = np.repeat(radius, S)
-    flat = img.reshape(B * S, dim)
-
-    lo_f = (flat - lo - rad[:, None]) / h
-    hi_f = (flat - lo + rad[:, None]) / h
-    lo_i = np.ceil(lo_f - 1.0).astype(np.int64)
-    hi_i = np.floor(hi_f).astype(np.int64)
-
-    spans = (hi_i - lo_i + 1).max(axis=0)
-    spans = np.minimum(spans, n_axis)
-    offs_nd = np.stack(
-        np.meshgrid(*[np.arange(int(s)) for s in spans], indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-
-    cand = lo_i[:, None, :] + offs_nd[None, :, :]  # (P, K, dim)
-    ok = np.all(cand <= hi_i[:, None, :], axis=-1)
+    # closed cells c with lo_i <= c <= hi_i meet the ball around a sample image
+    rad = (epsilon + pad)[:, None, None]
+    lo_i = np.ceil((img - lo - rad) / h - 1.0).astype(np.int64)  # (B, S, dim)
+    hi_i = np.floor((img - lo + rad) / h).astype(np.int64)
     for ax, per in enumerate(domain.periodic):
-        col = cand[..., ax]
+        first, last = lo_i[..., ax], hi_i[..., ax]
         if per:
-            cand[..., ax] = np.mod(col, n_axis)
+            # move each range by whole periods next to the box's first one,
+            # whose start is taken into [0, n); one period covers every cell
+            ref = first[:, :1] % n_axis
+            shift = (first - ref + n_axis // 2) // n_axis * n_axis
+            first -= shift
+            last -= shift
+            np.minimum(last, first + n_axis - 1, out=last)
         else:
-            ok &= (col >= 0) & (col < n_axis)
+            np.maximum(first, 0, out=first)
+            np.minimum(last, n_axis - 1, out=last)
+    # (B, S, 1): the sample's rectangle meets the grid
+    live = np.all(lo_i <= hi_i, axis=-1, keepdims=True)
+    boxes = np.flatnonzero(live.any(axis=(1, 2)))
+    if len(boxes) == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
 
-    P, K, _ = cand.shape
-    code = np.zeros((P, K), dtype=np.int64)
+    # each box's window is the bounding range of its live rectangles; in it
+    # a rectangle spans [a, b), and one that misses the grid spans nothing
+    unset = 4 * n_axis  # beyond every clipped or moved range
+    win_lo = np.where(live, lo_i, unset).min(axis=1)  # (B, dim)
+    width = np.where(live, hi_i, -unset).max(axis=1) - win_lo + 1
+    a = (lo_i - win_lo[:, None, :]) * live
+    b = (hi_i + 1 - win_lo[:, None, :]) * live
+
+    # boxes share a grid with the boxes of the same power-of-two window size
+    # per axis, so a few fat-pad boxes do not widen the grid of the others
+    size_class = np.ceil(np.log2(width[boxes])).astype(np.int64)
+    _, size_class = np.unique(size_class, axis=0, return_inverse=True)
+    size_class = size_class.ravel()
+    src_parts, dst_parts = [], []
+    for cls in range(size_class.max() + 1):
+        sel = boxes[size_class == cls]
+        hit = _window_union(a[sel], b[sel], width[sel].max(axis=0))
+        # codes of the window cells, wrapped on periodic axes
+        code = np.zeros((len(sel),) + (1,) * dim, dtype=np.int64)
+        for ax, per in enumerate(domain.periodic):
+            if per and hit.shape[ax + 1] > n_axis:
+                hit = _fold_axis(hit, ax + 1, n_axis)
+            along = [1] * (dim + 1)
+            along[ax + 1] = -1
+            cells = np.arange(hit.shape[ax + 1]).reshape(along)
+            c = win_lo[sel, ax].reshape((-1,) + (1,) * dim) + cells
+            code = (code << depth) | (c % n_axis if per else c)
+        src_parts.append(np.repeat(sel, hit.reshape(len(sel), -1).sum(axis=1)))
+        dst_parts.append(code[hit])
+    return np.concatenate(src_parts), np.concatenate(dst_parts)
+
+
+def _window_union(a, b, shape):
+    """Union of each box's rectangles [a, b) (G, S, dim), as a boolean array
+    (G, *shape) over the boxes' windows.
+
+    A difference array gets +1 on each rectangle's corners that take the far
+    end on an even number of axes and -1 on the others; its cumulative sums
+    along each axis count the rectangles over a cell.
+    """
+    G, S, dim = a.shape
+    grid = tuple(int(s) + 1 for s in shape)
+    cells = int(np.prod(grid))
+    strides = np.cumprod((1,) + grid[:0:-1])[::-1]
+    pos, neg = [np.repeat(np.arange(G, dtype=np.int64) * cells, S)], []
     for ax in range(dim):
-        code = (code << depth) | cand[..., ax]
-    src = np.repeat(np.arange(chunk_lo, chunk_hi, dtype=np.int64), S)
-    src = np.repeat(src[:, None], K, axis=1)
+        near = a[..., ax].ravel() * strides[ax]
+        far = b[..., ax].ravel() * strides[ax]
+        pos, neg = ([p + near for p in pos] + [q + far for q in neg],
+                    [q + near for q in neg] + [p + far for p in pos])
+    count = np.bincount(np.concatenate(pos), minlength=G * cells)
+    count -= np.bincount(np.concatenate(neg), minlength=G * cells)
+    count = count.reshape((G,) + grid)
+    for ax in range(dim):
+        np.cumsum(count, axis=ax + 1, out=count)
+    return count[(slice(None),) + tuple(slice(0, int(s)) for s in shape)] > 0
 
-    code = code[ok]
-    src = src[ok]
-    dst = boxset.indices_of(code)
-    good = dst >= 0
-    keys = (src[good] << _KEY_BITS) | dst[good]
-    return np.unique(keys)
+
+def _fold_axis(hit, axis: int, n_axis: int):
+    """Merge the cells of a window wider than one period that coincide
+    modulo the period along the given axis."""
+    k = -(-hit.shape[axis] // n_axis)
+    widths = [(0, 0)] * hit.ndim
+    widths[axis] = (0, k * n_axis - hit.shape[axis])
+    hit = np.pad(hit, widths)
+    return hit.reshape(hit.shape[:axis] + (k, n_axis) + hit.shape[axis + 1 :]).any(axis=axis)
 
 
 def _chunk_edges_by_name(args):
     """Worker entry: rebuild the system from its registry name, then chunk."""
-    (name, params, domain_dict, depth, codes, chunk_lo, chunk_hi, epsilon,
-     offsets, samples_per_axis) = args
+    name, params, *rest = args
     from . import mapzoo
 
-    system = mapzoo.make_system(name, params)
-    boxset = BoxSet(Domain.from_dict(domain_dict), depth, codes)
-    return _chunk_edges(system, boxset, chunk_lo, chunk_hi, epsilon, offsets, samples_per_axis)
+    return _chunk_edges(mapzoo.make_system(name, params), *rest)
+
+
+def _chunk_parts(system, boxset: BoxSet, chunks, epsilon, offsets, samples_per_axis, workers):
+    """(src, dst) of each chunk of boxes, in chunk order, mapped lazily."""
+    depth = boxset.depth
+    if workers == 1:
+        for lo, hi in chunks:
+            yield _chunk_edges(
+                system, depth, boxset.codes[lo:hi], epsilon, offsets, samples_per_axis
+            )
+        return
+    # each task carries only its own slice of the codes
+    args = [
+        (system.registry_name, system.params, depth, boxset.codes[lo:hi], epsilon, offsets,
+         samples_per_axis)
+        for lo, hi in chunks
+    ]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_chunk_edges_by_name, args, chunksize=1)
 
 
 def build_graph(
@@ -509,8 +588,14 @@ def build_graph(
     edge b -> b' is added whenever the max-metric ball of radius
     epsilon + pad around a sampled image point meets b'.  pad is
     lipschitz_hint * max_box_width / 2 when the system carries a hint, else
-    the empirical covering radius of the image sample grid.  Output is
-    independent of ``workers``.
+    the empirical covering radius of the image sample grid.
+
+    A box's edges are the union of its samples' cell rectangles, clipped on
+    non-periodic axes and wrapped on periodic ones (see the module
+    docstring).  Chunks of boxes are disjoint in source box and each one's
+    edges come out sorted, so the CSR needs no global dedupe.  The edge
+    budget is checked after every chunk, before the next one is mapped.
+    Output is independent of ``workers``.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}")
@@ -520,47 +605,34 @@ def build_graph(
         raise ConfigError("system and box set dimensions differ")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    if workers > 1 and getattr(system, "registry_name", None) is None:
+        raise ConfigError("parallel build requires a registry-buildable system")
     _check_box_count(boxset.count)
 
     dim = boxset.domain.dim
     offsets = _sample_offsets(dim, samples_per_axis)
     n = boxset.count
+    # on a full cover a cell's index is its code
+    full = n == 1 << (boxset.depth * dim)
     chunks = [(lo, min(lo + _CHUNK_BOXES, n)) for lo in range(0, n, _CHUNK_BOXES)]
 
     key_parts = []
-    if workers == 1:
-        for lo, hi in chunks:
-            key_parts.append(
-                _chunk_edges(system, boxset, lo, hi, epsilon, offsets, samples_per_axis)
-            )
-    else:
-        if getattr(system, "registry_name", None) is None:
-            raise ConfigError("parallel build requires a registry-buildable system")
-        args = [
-            (
-                system.registry_name,
-                system.params,
-                boxset.domain.to_dict(),
-                boxset.depth,
-                boxset.codes,
-                lo,
-                hi,
-                epsilon,
-                offsets,
-                samples_per_axis,
-            )
-            for lo, hi in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_chunk_edges_by_name, args, chunksize=1):
-                key_parts.append(part)
-
-    total = sum(len(p) for p in key_parts)
-    if total > edge_budget:
-        raise BudgetError(f"{total} candidate edges exceed budget {edge_budget}")
-    keys = np.unique(np.concatenate(key_parts)) if key_parts else np.empty(0, np.int64)
-    if len(keys) > edge_budget:
-        raise BudgetError(f"{len(keys)} edges exceed budget {edge_budget}")
+    total = 0
+    parts = _chunk_parts(system, boxset, chunks, epsilon, offsets, samples_per_axis, workers)
+    # closing the generator on a budget error cancels the pool's pending tasks
+    with contextlib.closing(parts):
+        for (lo, _), (src, dst) in zip(chunks, parts):
+            if not full:
+                dst = boxset.indices_of(dst)
+                keep = dst >= 0
+                src, dst = src[keep], dst[keep]
+            keys = ((src + lo) << _KEY_BITS) | dst
+            keys.sort()
+            total += len(keys)
+            if total > edge_budget:
+                raise BudgetError(f"{total} edges exceed budget {edge_budget}")
+            key_parts.append(keys)
+    keys = np.concatenate(key_parts)
 
     src = keys >> _KEY_BITS
     dst = keys & (_MAX_BOXES - 1)

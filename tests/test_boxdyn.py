@@ -150,6 +150,16 @@ def test_graph_workers_agree():
     assert np.array_equal(g1.indptr, g2.indptr)
     assert np.array_equal(g1.indices, g2.indices)
     assert g1.pad == g2.pad
+    # a partial set over several chunks: the parent resolves the indices
+    full = initial_cover(system.domain, 6)
+    keep = np.random.default_rng(1).random(full.count) < 0.6
+    part = BoxSet(system.domain, 6, full.codes[keep])
+    assert part.count > 2 * boxdyn._CHUNK_BOXES
+    p1 = build_graph(system, part, epsilon=0.01, samples_per_axis=3, workers=1)
+    p2 = build_graph(system, part, epsilon=0.01, samples_per_axis=3, workers=2)
+    assert p1.n_edges > 0
+    assert np.array_equal(p1.indptr, p2.indptr)
+    assert np.array_equal(p1.indices, p2.indices)
 
 
 def test_graph_edge_budget_enforced():
@@ -157,6 +167,23 @@ def test_graph_edge_budget_enforced():
     cover = initial_cover(system.domain, 5)
     with pytest.raises(BudgetError):
         build_graph(system, cover, epsilon=0.02, samples_per_axis=3, edge_budget=10)
+
+
+def test_graph_edge_budget_checked_after_each_chunk():
+    system = mapzoo.make_system("cat_map", {})
+    forward = system.forward
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return forward(pts)
+
+    system.forward = counted
+    cover = initial_cover(system.domain, 6)
+    assert cover.count > boxdyn._CHUNK_BOXES
+    with pytest.raises(BudgetError):
+        build_graph(system, cover, epsilon=0.02, samples_per_axis=3, edge_budget=10)
+    assert len(calls) == 1
 
 
 def test_initial_cover_budget():
