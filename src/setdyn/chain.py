@@ -25,7 +25,15 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .boxdyn import BoxSet, TransitionGraph, _transpose_csr, build_graph, initial_cover, point_codes
+from .boxdyn import (
+    BoxSet,
+    TransitionGraph,
+    _check_depth,
+    _transpose_csr,
+    build_graph,
+    initial_cover,
+    point_codes,
+)
 from .errors import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -634,43 +642,55 @@ def noisy_attractor(
 ) -> NoisyOrbitReport:
     """Visited-box histogram of orbits with uniform bounded noise.
 
-    Each trial draws its own stream seeded (seed, trial), so the histogram
-    is reproducible and independent of batching.  Orbits leaving the domain
-    on a non-periodic axis are counted as exits and stop contributing.
+    The trials run as one batch: each step maps all orbits still in the
+    domain with a single ``forward`` call.  Each trial still draws its own
+    kicks from a stream seeded (seed, trial), and every operation acts on
+    each point alone, so the histogram is reproducible and does not depend
+    on the batching.  Orbits leaving the domain on a non-periodic axis are
+    counted as exits and stop contributing; they are not mapped again.
     """
-    if noise < 0:
-        raise ConfigError("noise amplitude must be >= 0")
+    for name, n in (("n_steps", n_steps), ("n_trials", n_trials)):
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ConfigError(f"{name} must be a non-negative integer, got {n!r}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ConfigError(f"noise amplitude must be finite and >= 0, got {noise!r}")
     if not (0 <= burn_in < 1):
         raise ConfigError("burn_in must lie in [0, 1)")
+    domain = system.domain
+    _check_depth(domain, depth)
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     skip = int(burn_in * n_steps)
-    all_codes = []
-    n_exits = 0
+    kicks = np.empty((n_steps, n_trials, system.dim))
     for trial in range(n_trials):
         rng = np.random.default_rng((seed, trial))
-        kicks = rng.uniform(-noise, noise, size=(n_steps, system.dim))
-        x = x0.copy()
-        for k in range(n_steps):
-            x = system.forward(x) + kicks[k]
-            x = system.domain.wrap(x)
-            if not bool(system.domain.contains(x, atol=0.0)[0]):
-                n_exits += 1
-                break
-            if k >= skip:
-                all_codes.append(point_codes(system.domain, depth, x))
-    if all_codes:
-        codes, counts = np.unique(np.concatenate(all_codes), return_counts=True)
-    else:
-        codes = np.empty(0, np.int64)
-        counts = np.empty(0, np.int64)
+        kicks[:, trial] = rng.uniform(-noise, noise, size=(n_steps, system.dim))
+
+    states = np.empty_like(kicks)
+    exit_step = np.full(n_trials, n_steps)
+    live = np.arange(n_trials)
+    x = np.repeat(x0, n_trials, axis=0)
+    for k in range(n_steps):
+        if live.size == 0:
+            break
+        x = domain.wrap(system.forward(x) + kicks[k, live])
+        inside = domain.contains(x, atol=0.0)
+        if not inside.all():
+            exit_step[live[~inside]] = k
+            live = live[inside]
+            x = x[inside]
+        states[k, live] = x
+    # states at and after a trial's exit step are never written; kept skips them
+    steps = np.arange(n_steps)[:, None]
+    kept = (steps >= skip) & (steps < exit_step)
+    codes, counts = np.unique(point_codes(domain, depth, states[kept]), return_counts=True)
     return NoisyOrbitReport(
         codes=codes,
         counts=counts,
-        n_exits=n_exits,
+        n_exits=int(np.count_nonzero(exit_step < n_steps)),
         n_trials=n_trials,
         n_steps=n_steps,
         burn_in=skip,
-        boxset=BoxSet(system.domain, depth, codes),
+        boxset=BoxSet(domain, depth, codes),
     )
 
 

@@ -95,10 +95,13 @@ def _parse_schedule(raw) -> list[tuple[int, float]]:
 
 
 def _parse_point(raw, dim: int) -> tuple:
-    if isinstance(raw, str):
-        vals = [float(v) for v in raw.split(",")]
-    else:
-        vals = [float(v) for v in raw]
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    try:
+        vals = [float(v) for v in parts]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"cannot parse point {raw!r}: {e}") from e
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"point {raw!r} has a non-finite coordinate")
     if len(vals) != dim:
         raise ConfigError(f"expected {dim} coordinates, got {len(vals)}")
     return tuple(vals)

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from setdyn import chain, mapzoo
-from setdyn.boxdyn import Domain, build_graph, initial_cover
+from setdyn.boxdyn import Domain, build_graph, initial_cover, point_codes
 from setdyn.errors import ConfigError
 
 
@@ -169,6 +171,106 @@ def test_noisy_attractor_deterministic_and_batch_invariant():
     c = chain.noisy_attractor(system, (0.2, 0.7), noise=5e-3, n_steps=300,
                               n_trials=4, depth=5, seed=43)
     assert not (np.array_equal(a.codes, c.codes) and np.array_equal(a.counts, c.counts))
+
+
+def _reference_noisy_attractor(system, x0, noise, n_steps, n_trials, depth, seed=0, burn_in=0.1):
+    """The earlier per-trial loop, kept verbatim: one ``forward`` call per
+    trial and step, one ``point_codes`` call per kept state."""
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    skip = int(burn_in * n_steps)
+    all_codes = []
+    n_exits = 0
+    for trial in range(n_trials):
+        rng = np.random.default_rng((seed, trial))
+        kicks = rng.uniform(-noise, noise, size=(n_steps, system.dim))
+        x = x0.copy()
+        for k in range(n_steps):
+            x = system.forward(x) + kicks[k]
+            x = system.domain.wrap(x)
+            if not bool(system.domain.contains(x, atol=0.0)[0]):
+                n_exits += 1
+                break
+            if k >= skip:
+                all_codes.append(point_codes(system.domain, depth, x))
+    if all_codes:
+        codes, counts = np.unique(np.concatenate(all_codes), return_counts=True)
+    else:
+        codes = np.empty(0, np.int64)
+        counts = np.empty(0, np.int64)
+    return codes, counts, n_exits
+
+
+# (system, params, x0, noise, n_steps, n_trials, depth, seed, burn_in)
+NOISY_CASES = {
+    "cat_map": ("cat_map", {}, (0.2, 0.7), 5e-3, 300, 4, 5, 42, 0.1),
+    "circle_semistable": ("circle_semistable", {}, (1.0,), 0.05, 300, 4, 6, 1, 0.1),
+    # slow approach to the attracting end x = 1: trials exit at steps 80-173
+    "cubic_interval_exits": ("cubic_interval", {"a": 0.02}, (0.99,), 2e-4, 300, 6, 8, 0, 0.1),
+    # every trial exits within 12 steps, before the burn-in ends
+    "cubic_interval_all_exit": ("cubic_interval", {}, (0.999,), 2e-3, 400, 6, 6, 0, 0.1),
+    "nested_rings": ("nested_rings", {"step": 0.05}, (0.3, 0.1), 0.01, 100, 3, 5, 0, 0.1),
+    # coarse step; trials 1-3 exit at steps 85, 13 and 22
+    "nf_timeq_exits": ("nf_timeq", {"step": 0.05}, (0.14, 0.0), 4e-3, 200, 6, 5, 0, 0.1),
+    # trials 0, 1 and 5 exit at steps 57, 60 and 49
+    "periodic_spot_exits": ("periodic_spot", {}, (0.6, 0.0), 0.01, 200, 6, 5, 0, 0.1),
+    "no_trials": ("cat_map", {}, (0.2, 0.7), 5e-3, 50, 0, 5, 0, 0.1),
+    "no_steps": ("cat_map", {}, (0.2, 0.7), 5e-3, 0, 3, 5, 0, 0.1),
+    # 0.29 * 100 = 28.999999999999996, so the burn-in is 28 steps, not 29
+    "burn_in_rounds_down": ("cat_map", {}, (0.2, 0.7), 5e-3, 100, 3, 6, 3, 0.29),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISY_CASES))
+def test_noisy_attractor_matches_per_trial_loop(case):
+    name, params, x0, noise, n_steps, n_trials, depth, seed, burn_in = NOISY_CASES[case]
+    system = mapzoo.make_system(name, params)
+    rep = chain.noisy_attractor(system, x0, noise, n_steps, n_trials, depth,
+                                seed=seed, burn_in=burn_in)
+    codes, counts, n_exits = _reference_noisy_attractor(
+        system, x0, noise, n_steps, n_trials, depth, seed=seed, burn_in=burn_in)
+    assert rep.codes.dtype == codes.dtype and rep.counts.dtype == counts.dtype
+    assert np.array_equal(rep.codes, codes)
+    assert np.array_equal(rep.counts, counts)
+    assert rep.n_exits == n_exits
+    assert rep.burn_in == int(burn_in * n_steps)
+
+
+def _counting(system, sizes):
+    """The system with ``forward`` logging the batch size of every call."""
+
+    def forward(pts):
+        sizes.append(len(pts))
+        return system.forward(pts)
+
+    return dataclasses.replace(system, forward=forward)
+
+
+def test_noisy_attractor_maps_all_trials_in_one_call_per_step():
+    system = mapzoo.make_system("cubic_interval", {"a": 0.02})
+    args = ((0.99,), 2e-4, 300, 6, 8)
+    batched, per_trial = [], []
+    rep = chain.noisy_attractor(_counting(system, batched), *args)
+    _reference_noisy_attractor(_counting(system, per_trial), *args)
+    assert rep.n_exits == 6
+    assert 0 < len(batched) <= 300
+    # the same points are mapped: an exited trial is never mapped again
+    assert sum(batched) == sum(per_trial)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(n_steps=-1), dict(n_trials=-2), dict(n_steps=2.5), dict(depth=-1),
+    dict(noise=float("nan")), dict(noise=float("inf")), dict(noise=-0.1),
+    dict(burn_in=1.0),
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_noisy_attractor_rejects_bad_inputs_before_mapping(kw):
+    system = mapzoo.make_system("cat_map", {})
+
+    def forbidden(pts):
+        raise AssertionError("forward called before the inputs were checked")
+
+    args = dict(noise=1e-3, n_steps=10, n_trials=2, depth=5) | kw
+    with pytest.raises(ConfigError):
+        chain.noisy_attractor(dataclasses.replace(system, forward=forbidden), (0.2, 0.7), **args)
 
 
 def _rotation_system():

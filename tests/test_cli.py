@@ -3,6 +3,7 @@ import math
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from setdyn import cli
 from setdyn.errors import NumericsError
@@ -98,6 +99,26 @@ def test_bad_config_json_exits_2(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{nope")
     assert _run("classify", "--config", str(cfg)) == 2
+
+
+_NOISY = ("noisy", "--system", "cat_map", "--steps", "50", "--trials", "2", "--depth", "5")
+_CORE_SCAN = ("core-scan", "--system", "cat_map", "--schedule", "3:0.1")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_NOISY, "--steps", "-1"),
+    (*_NOISY, "--trials", "-2"),
+    (*_NOISY, "--depth", "-1"),
+    (*_NOISY, "--noise", "nan"),
+    (*_NOISY, "--x0", "0.2,abc"),
+    (*_NOISY, "--x0", "nan,0.5"),
+    (*_CORE_SCAN, "--target", "0.2,abc"),
+    (*_CORE_SCAN, "--target", "0.5,inf"),
+], ids=lambda argv: f"{argv[0]} {' '.join(argv[-2:])}")
+def test_bad_noisy_inputs_and_points_exit_2(argv, tmp_path, capsys):
+    assert _run(*argv, "--out", str(tmp_path)) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
