@@ -90,11 +90,16 @@ class Domain:
         return pts
 
     def contains(self, pts: np.ndarray, atol: float = 0.0):
-        """Boolean mask of points inside the closed rectangle (after wrap)."""
-        pts = self.wrap(np.asarray(pts, dtype=float))
-        lo = np.asarray(self.lower) - atol
-        hi = np.asarray(self.upper) + atol
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+        """Boolean mask of points inside the closed rectangle, grown by
+        ``atol`` on non-periodic axes.  A periodic axis wraps, so there any
+        finite coordinate is inside; a non-finite one is outside on every axis."""
+        pts = np.asarray(pts, dtype=float)
+        inside = np.isfinite(pts)
+        for ax, per in enumerate(self.periodic):
+            if not per:
+                x = pts[..., ax]
+                inside[..., ax] = (x >= self.lower[ax] - atol) & (x <= self.upper[ax] + atol)
+        return np.all(inside, axis=-1)
 
     def signed_diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a - b per axis, taken the short way round on periodic axes."""
@@ -374,18 +379,6 @@ class TransitionGraph:
             {**self.meta, "reversed": not self.meta.get("reversed", False)},
         )
 
-    def to_csr_matrix(self):
-        from scipy.sparse import csr_matrix
-
-        n = self.n_boxes
-        data = np.ones(len(self.indices), dtype=np.int8)
-        return csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (E, 2) array of node indices."""
-        src = np.repeat(np.arange(self.n_boxes, dtype=np.int64), np.diff(self.indptr))
-        return np.stack([src, self.indices], axis=1)
-
 
 def _transpose_csr(indptr: np.ndarray, indices: np.ndarray):
     """(indptr, indices) of the transposed square CSR pattern, rows sorted."""
@@ -409,18 +402,6 @@ def _sample_offsets(dim: int, samples_per_axis: int) -> np.ndarray:
     return grid
 
 
-def _eval_chunk(system, chunk_coords: np.ndarray, depth: int, offsets: np.ndarray):
-    """Map all samples of a chunk of boxes; returns images (B, S, dim)."""
-    domain = system.domain
-    h = domain.box_width(depth)
-    corners = np.asarray(domain.lower) + chunk_coords * h
-    pts = corners[:, None, :] + offsets[None, :, :] * h
-    B, S, dim = pts.shape
-    flat = domain.wrap(pts.reshape(-1, dim))
-    img = np.asarray(system.forward(flat), dtype=float).reshape(B, S, dim)
-    return img
-
-
 def _chunk_edges(
     system,
     depth: int,
@@ -431,16 +412,19 @@ def _chunk_edges(
 ):
     """Edges out of one chunk of boxes, given by their codes.
 
-    Returns (src, dst): the position of each edge's source box inside the
-    chunk and the code of its destination cell.  Every pair occurs once.
+    Returns (src, dst, spread): the position of each edge's source box
+    inside the chunk, the code of its destination cell, and each box's
+    image spread (None under a Lipschitz pad).  Every pair occurs once.
     """
     domain = system.domain
     dim = domain.dim
     n_axis = 1 << depth
     h = domain.box_width(depth)
     lo = np.asarray(domain.lower)
-    img = _eval_chunk(system, unpack_codes(codes, depth, dim), depth, offsets)
-    B, S, _ = img.shape
+    corners = lo + unpack_codes(codes, depth, dim) * h
+    pts = domain.wrap((corners[:, None, :] + offsets[None, :, :] * h).reshape(-1, dim))
+    B, S = len(codes), len(offsets)
+    img = np.asarray(system.forward(pts), dtype=float).reshape(B, S, dim)
 
     bad = ~np.isfinite(img).all(axis=(1, 2))
     if np.any(bad):
@@ -450,11 +434,13 @@ def _chunk_edges(
         # the sample grid covers the box with radius h/(2(n-1)) in the max
         # metric, so L times that radius is a sound image pad
         cover_r = domain.max_box_width(depth) / (2.0 * (samples_per_axis - 1))
+        spread = None
         pad = np.full(B, system.lipschitz_hint * cover_r)
     else:
         # covering radius of the image sample grid, estimated per box from the
         # spread of its sampled images
-        pad = _image_spread(domain, img) / (2.0 * (samples_per_axis - 1))
+        spread = _image_spread(domain, img)
+        pad = spread / (2.0 * (samples_per_axis - 1))
 
     # closed cells c with lo_i <= c <= hi_i meet the ball around a sample image
     rad = (epsilon + pad)[:, None, None]
@@ -477,7 +463,7 @@ def _chunk_edges(
     live = np.all(lo_i <= hi_i, axis=-1, keepdims=True)
     boxes = np.flatnonzero(live.any(axis=(1, 2)))
     if len(boxes) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        return np.empty(0, np.int64), np.empty(0, np.int64), spread
 
     # each box's window is the bounding range of its live rectangles; in it
     # a rectangle spans [a, b), and one that misses the grid spans nothing
@@ -508,7 +494,7 @@ def _chunk_edges(
             code = (code << depth) | (c % n_axis if per else c)
         src_parts.append(np.repeat(sel, hit.reshape(len(sel), -1).sum(axis=1)))
         dst_parts.append(code[hit])
-    return np.concatenate(src_parts), np.concatenate(dst_parts)
+    return np.concatenate(src_parts), np.concatenate(dst_parts), spread
 
 
 def _window_union(a, b, shape):
@@ -616,12 +602,17 @@ def build_graph(
     full = n == 1 << (boxset.depth * dim)
     chunks = [(lo, min(lo + _CHUNK_BOXES, n)) for lo in range(0, n, _CHUNK_BOXES)]
 
-    key_parts = []
+    # the empirical pad is reported from the spreads of up to 256 boxes
+    # spaced evenly over the set
+    probe = np.linspace(0, n - 1, min(n, 256)).astype(np.int64)
+    key_parts, spreads = [], []
     total = 0
     parts = _chunk_parts(system, boxset, chunks, epsilon, offsets, samples_per_axis, workers)
     # closing the generator on a budget error cancels the pool's pending tasks
     with contextlib.closing(parts):
-        for (lo, _), (src, dst) in zip(chunks, parts):
+        for (lo, hi), (src, dst, spread) in zip(chunks, parts):
+            if spread is not None:
+                spreads.append(spread[probe[(probe >= lo) & (probe < hi)] - lo])
             if not full:
                 dst = boxset.indices_of(dst)
                 keep = dst >= 0
@@ -640,14 +631,18 @@ def build_graph(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    # pad recorded for diagnostics: the max over boxes actually used (the
-    # Lipschitz value rounds as L*h/k here and as L*(h/k) in _chunk_edges;
-    # the two can differ in the last bit, and both are kept as they were)
+    # pad recorded for diagnostics and tolerance scaling.  The Lipschitz
+    # value rounds as L*h/k here and as L*(h/k) in _chunk_edges; the two can
+    # differ in the last bit, and both are kept as they were.  The empirical
+    # pad is the median, not the max: a few boxes on a boundary clamp can
+    # have much fatter image spreads, and those get their fat pads in the
+    # edges themselves, but they should not inflate resolution-scale
+    # tolerances derived from the graph.
     if system.lipschitz_hint is not None:
         hmax = boxset.domain.max_box_width(boxset.depth)
         pad_used = system.lipschitz_hint * hmax / (2.0 * (samples_per_axis - 1))
     else:
-        pad_used = _empirical_pad_bound(system, boxset, samples_per_axis)
+        pad_used = float(np.median(np.concatenate(spreads)) / (2.0 * (samples_per_axis - 1)))
 
     return TransitionGraph(
         boxset,
@@ -658,26 +653,6 @@ def build_graph(
         {"samples_per_axis": samples_per_axis, "corners": True, "center": True},
         meta={"system": getattr(system, "name", "?"), "workers_independent": True},
     )
-
-
-def _empirical_pad_bound(system, boxset: BoxSet, samples_per_axis: int) -> float:
-    """Typical per-box pad, for reporting and tolerance scaling.
-
-    The median over a slice of boxes is reported rather than the max: a few
-    boxes on a boundary clamp can have much fatter image spreads, and those
-    get their fat pads in the edge construction itself, but they should not
-    inflate resolution-scale tolerances derived from the graph.
-    """
-    take = min(boxset.count, 256)
-    idx = np.linspace(0, boxset.count - 1, take).astype(np.int64)
-    coords = unpack_codes(boxset.codes[idx], boxset.depth, boxset.domain.dim)
-    offsets = _sample_offsets(boxset.domain.dim, samples_per_axis)
-    img = _eval_chunk(system, coords, boxset.depth, offsets)
-    spread = _image_spread(boxset.domain, img)
-    spread = spread[np.isfinite(spread)]
-    if len(spread) == 0:
-        return 0.0
-    return float(np.median(spread) / (2.0 * (samples_per_axis - 1)))
 
 
 def _image_spread(domain: Domain, img: np.ndarray) -> np.ndarray:

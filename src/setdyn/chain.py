@@ -9,11 +9,16 @@ candidate reversible core.  ``core_scan`` tracks such a candidate through a
 refinement schedule and collects the dissipative attractors/repellers that
 split off inside the previous stage's absorbing neighbourhoods.
 
-Repellers are computed as the attractors of the reversed condensation: a
-repeller is an attractor of the inverse map, whose symbolic image is the
-reversed graph (Osipenko, Dynamical Systems, Graphs, and Algorithms, LNM
-1889, 2007).  The reversal keeps the SCC ids and leaves the box graph as it
-is.
+Reachability is read off the condensation: a box path from a box of SCC s
+to a box v exists exactly when a condensation path runs from s to the SCC
+of v, so every reach closure is a union of SCCs.  In particular the
+prolongations that ``classify`` reports (the ``ruelle_*`` sets) equal the
+full attractor and full repeller by construction.  Repellers are computed as
+the attractors of the reversed condensation: a repeller is an attractor of
+the inverse map, whose symbolic image is the reversed graph (Osipenko,
+Dynamical Systems, Graphs, and Algorithms, LNM 1889, 2007).  The reversal
+keeps the SCC ids and leaves the box graph as it is.  ``reach_set`` walks
+the box graph itself and serves library callers only.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ def cover_graph(
 def decompose(graph: TransitionGraph) -> ChainDecomposition:
     """SCCs, condensation DAG and terminal/initial flags of a graph."""
     n = graph.n_boxes
-    mat = graph.to_csr_matrix()
+    mat = csr_matrix((np.ones(graph.n_edges, np.int8), graph.indices, graph.indptr), shape=(n, n))
     _, labels = connected_components(mat, directed=True, connection="strong")
 
     # canonical ids: order components by first node occurrence
@@ -99,31 +104,20 @@ def decompose(graph: TransitionGraph) -> ChainDecomposition:
     m = len(first)
     sizes = np.bincount(scc, minlength=m)
 
-    edges = graph.edge_array()
-    s_u = scc[edges[:, 0]]
-    s_v = scc[edges[:, 1]]
-    selfloop_scc = np.zeros(m, dtype=bool)
-    same = s_u == s_v
-    # an intra-SCC edge is a self-loop certificate only for size-1 components;
-    # larger components are recurrent regardless
-    single = same & (edges[:, 0] == edges[:, 1])
-    selfloop_scc[np.unique(s_u[single])] = True
-    recurrent = (sizes > 1) | selfloop_scc
+    # SCC ids at both ends of every edge
+    s_u = np.repeat(scc, np.diff(graph.indptr))
+    s_v = scc[graph.indices]
+    cross = s_u != s_v
+    cu = s_u[cross]
+    # an SCC is recurrent when it holds an edge: a larger one has a cycle, and
+    # the only edge inside a single box is its self-loop
+    recurrent = np.bincount(s_u, minlength=m) > np.bincount(cu, minlength=m)
 
-    cross = ~same
-    if np.any(cross):
-        keys = np.unique(s_u[cross] * np.int64(m) + s_v[cross])
-        cu = keys // m
-        cv = keys % m
-    else:
-        cu = np.empty(0, dtype=np.int64)
-        cv = np.empty(0, dtype=np.int64)
-    counts = np.bincount(cu, minlength=m)
+    keys = np.unique(cu * np.int64(m) + s_v[cross])
+    cv = keys % m  # keys are sorted, so rows are sorted too
+    cond_outdeg = np.bincount(keys // m, minlength=m)
     cond_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=cond_indptr[1:])
-    cond_indices = cv  # keys are sorted, so rows are sorted too
-
-    outdeg = counts
+    np.cumsum(cond_outdeg, out=cond_indptr[1:])
     indeg = np.bincount(cv, minlength=m)
     return ChainDecomposition(
         graph=graph,
@@ -132,8 +126,8 @@ def decompose(graph: TransitionGraph) -> ChainDecomposition:
         scc_sizes=sizes,
         recurrent_scc=recurrent,
         cond_indptr=cond_indptr,
-        cond_indices=cond_indices,
-        terminal=outdeg == 0,
+        cond_indices=cv,
+        terminal=cond_outdeg == 0,
         initial=indeg == 0,
     )
 
@@ -317,15 +311,6 @@ def full_repeller(dec: ChainDecomposition) -> BoxSet:
     return full_attractor(_reversed(dec))
 
 
-def ruelle_attractor(dec: ChainDecomposition) -> BoxSet:
-    """Epsilon-reachable closure (prolongation) of the full attractor."""
-    return reach_set(dec.graph, full_attractor(dec), forward=True)
-
-
-def ruelle_repeller(dec: ChainDecomposition) -> BoxSet:
-    return reach_set(dec.graph, full_repeller(dec), forward=False)
-
-
 @dataclass
 class ClassifyReport:
     """Trichotomy verdict for one graph, with the sets that witness it."""
@@ -350,16 +335,19 @@ def classify(graph: TransitionGraph, dec: ChainDecomposition | None = None) -> C
     Conservative: a single recurrent SCC covering every box.  Dissipative:
     the prolongations of the full attractor and full repeller are disjoint.
     Mixed: everything else (they intersect without global chain transitivity).
+
+    The prolongations (the ``ruelle_*`` sets) equal the full sets: a
+    terminal SCC has no outgoing condensation edge, so the forward closure
+    of the full attractor is itself, and an initial SCC has no incoming one,
+    so the backward closure of the full repeller is itself.
     """
     dec = dec or decompose(graph)
     att = attractors(dec)
     rep = repellers(dec)
     f_att = full_attractor(dec)
     f_rep = full_repeller(dec)
-    r_att = ruelle_attractor(dec)
-    r_rep = ruelle_repeller(dec)
-    inter = r_att.intersection(r_rep)
-    union = r_att.union(r_rep)
+    inter = f_att.intersection(f_rep)
+    union = f_att.union(f_rep)
     jac = inter.count / union.count if union.count else 0.0
     if dec.n_scc == 1 and bool(dec.recurrent_scc[0]):
         verdict = "Conservative"
@@ -377,8 +365,8 @@ def classify(graph: TransitionGraph, dec: ChainDecomposition | None = None) -> C
         repellers=rep,
         full_attractor=f_att,
         full_repeller=f_rep,
-        ruelle_attractor=r_att,
-        ruelle_repeller=r_rep,
+        ruelle_attractor=f_att,
+        ruelle_repeller=f_rep,
         overlap_jaccard=jac,
     )
 
@@ -469,14 +457,14 @@ def _contained_with_slack(inner: BoxSet, outer_depth: int, outer: BoxSet) -> boo
     return inner.issubset(grown)
 
 
-def _reachable_attractors(dec: ChainDecomposition, s: int) -> BoxSet:
-    """Boxes of the attractors that SCC ``s`` reaches in the condensation."""
+def _reached_sccs(dec: ChainDecomposition, s: int) -> np.ndarray:
+    """Ids of the SCCs that SCC ``s`` reaches in the condensation, ``s``
+    included; their boxes are the reach closure of any box of ``s``."""
     cond = csr_matrix(
         (np.ones(len(dec.cond_indices), np.int8), dec.cond_indices, dec.cond_indptr),
         shape=(dec.n_scc, dec.n_scc),
     )
-    reached = breadth_first_order(cond, s, directed=True, return_predecessors=False)
-    return dec.scc_boxes(reached[dec.terminal[reached] & dec.recurrent_scc[reached]])
+    return breadth_first_order(cond, s, directed=True, return_predecessors=False)
 
 
 def _new_witnesses(
@@ -544,13 +532,17 @@ def core_scan(
         terminal = bool(dec.terminal[s])
         init = bool(dec.initial[s])
 
+        # SCCs the target reaches, and SCCs that reach it
+        fwd, bwd = _reached_sccs(dec, s), _reached_sccs(rev, s)
         gap_tol = gap_factor * (eps + g.pad + system.domain.max_box_width(depth))
         if terminal and init:
             gap = 0.0
         else:
             # attractors the target can reach, repellers that can reach it
-            gap = _min_gap(system.domain, _reachable_attractors(dec, s),
-                           _reachable_attractors(rev, s))
+            is_att = dec.terminal & dec.recurrent_scc
+            is_rep = dec.initial & dec.recurrent_scc
+            gap = _min_gap(system.domain, dec.scc_boxes(fwd[is_att[fwd]]),
+                           dec.scc_boxes(bwd[is_rep[bwd]]))
 
         if not recurrent:
             ok, reason = False, "target box is not chain-recurrent"
@@ -562,8 +554,8 @@ def core_scan(
             ok = False
             reason = f"attractor/repeller separation {gap:.3g} exceeds {gap_tol:.3g}"
 
-        fwd_abs = reach_set(g, np.array([t_idx]), forward=True, min_steps=0)
-        bwd_abs = reach_set(g, np.array([t_idx]), forward=False, min_steps=0)
+        fwd_abs = dec.scc_boxes(fwd)
+        bwd_abs = dec.scc_boxes(bwd)
         prev = stages[-1] if stages else None
         nested_fwd = prev is None or _contained_with_slack(fwd_abs, prev.depth, prev.fwd_absorbing)
         nested_bwd = prev is None or _contained_with_slack(bwd_abs, prev.depth, prev.bwd_absorbing)

@@ -57,14 +57,27 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, key: str, default=None):
-    """Flag beats config file beats default."""
+def _setting(args, cfg: dict, key: str, default=None, kind=None):
+    """Flag beats config file beats default; ``kind`` (int or float)
+    converts the value through ``_number``."""
     val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
+    if val is None:
+        val = cfg.get(key, default)
+    return val if kind is None else _number(kind, val, key)
+
+
+def _number(kind, raw, what: str):
+    """``kind(raw)`` for a setting, with a configuration error where the
+    conversion fails; a seed must also be >= 0, as numpy's generators
+    require."""
+    try:
+        val = kind(raw)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {raw!r}") from e
+    if what == "seed" and val < 0:
+        raise ConfigError(f"seed must be >= 0, got {val}")
+    return val
 
 
 def _parse_params(pairs, cfg: dict) -> dict:
@@ -86,12 +99,12 @@ def _parse_schedule(raw) -> list[tuple[int, float]]:
         for part in raw.split(","):
             if ":" not in part:
                 raise ConfigError(f"schedule stage {part!r} must look like depth:epsilon")
-            d, _, e = part.partition(":")
-            stages.append((int(d), float(e)))
-        return stages
-    if isinstance(raw, list):
-        return [(int(d), float(e)) for d, e in raw]
-    raise ConfigError(f"cannot parse schedule {raw!r}")
+            stages.append(part.split(":", 1))
+        raw = stages
+    if not isinstance(raw, list):
+        raise ConfigError(f"cannot parse schedule {raw!r}")
+    return [(_number(int, d, "schedule depth"), _number(float, e, "schedule epsilon"))
+            for d, e in raw]
 
 
 def _parse_point(raw, dim: int) -> tuple:
@@ -166,10 +179,11 @@ def _finite_or_none(x: float):
 def cmd_classify(args) -> int:
     cfg = _load_config(args.config)
     system = _make_system(args, cfg)
-    depth = int(_setting(args, cfg, "depth", 7))
+    depth = _setting(args, cfg, "depth", 7, int)
     epsilon = _setting(args, cfg, "epsilon")
-    samples = int(_setting(args, cfg, "samples", 4))
-    workers = int(_setting(args, cfg, "workers", 1))
+    epsilon = None if epsilon is None else _number(float, epsilon, "epsilon")
+    samples = _setting(args, cfg, "samples", 4, int)
+    workers = _setting(args, cfg, "workers", 1, int)
     out = _out_dir(args, cfg)
 
     graph = chain.cover_graph(system, depth, epsilon, samples, workers)
@@ -263,9 +277,20 @@ def cmd_core_scan(args) -> int:
         raise ConfigError("core-scan requires a schedule (--schedule depth:eps,...)")
     schedule = _parse_schedule(sched_raw)
     target = _parse_point(_setting(args, cfg, "target", [0.0] * system.dim), system.dim)
-    samples = int(_setting(args, cfg, "samples", 3))
-    workers = int(_setting(args, cfg, "workers", 1))
-    gap_factor = float(_setting(args, cfg, "gap_factor", 4.0))
+    samples = _setting(args, cfg, "samples", 3, int)
+    workers = _setting(args, cfg, "workers", 1, int)
+    gap_factor = _setting(args, cfg, "gap_factor", 4.0, float)
+    trap_cfg = cfg.get("trap")
+    if trap_cfg:
+        trap = dict(
+            center=tuple(trap_cfg.get("center", target)),
+            seed_radius=_number(float, trap_cfg.get("seed_radius"), "trap seed_radius"),
+            bound_radius=_number(float, trap_cfg.get("bound_radius"), "trap bound_radius"),
+            n_orbits=_number(int, trap_cfg.get("n_orbits", 48), "trap n_orbits"),
+            n_steps=_number(int, trap_cfg.get("n_steps", 500), "trap n_steps"),
+            depth=_number(int, trap_cfg.get("depth", schedule[-1][0]), "trap depth"),
+            seed=_setting(args, cfg, "seed", 0, int),
+        )
     out = _out_dir(args, cfg)
 
     cert = chain.core_scan(
@@ -295,20 +320,10 @@ def cmd_core_scan(args) -> int:
         "stages": [_stage_doc(st) for st in cert.stages],
     }
 
-    trap_cfg = cfg.get("trap")
     if trap_cfg:
-        common = dict(
-            center=tuple(trap_cfg.get("center", target)),
-            seed_radius=float(trap_cfg["seed_radius"]),
-            bound_radius=float(trap_cfg["bound_radius"]),
-            n_orbits=int(trap_cfg.get("n_orbits", 48)),
-            n_steps=int(trap_cfg.get("n_steps", 500)),
-            depth=int(trap_cfg.get("depth", schedule[-1][0])),
-            seed=int(_setting(args, cfg, "seed", 0)),
-        )
         doc["trap"] = {
-            "forward": _trap_doc(chain.trapped_absorbing_domain(system, direction="forward", **common)),
-            "backward": _trap_doc(chain.trapped_absorbing_domain(system, direction="backward", **common)),
+            "forward": _trap_doc(chain.trapped_absorbing_domain(system, direction="forward", **trap)),
+            "backward": _trap_doc(chain.trapped_absorbing_domain(system, direction="backward", **trap)),
         }
 
     _write_json(os.path.join(out, "certificate.json"), doc)
@@ -330,12 +345,13 @@ def cmd_merge_scan(args) -> int:
     if not pname or values is None:
         raise ConfigError("merge-scan needs --sweep-param and --values")
     if isinstance(values, str):
-        values = [float(v) for v in values.split(",")]
+        values = [_number(float, v, "values") for v in values.split(",")]
     base = _parse_params(getattr(args, "param", None), cfg)
-    depth = int(_setting(args, cfg, "depth", 7))
-    samples = int(_setting(args, cfg, "samples", 4))
-    workers = int(_setting(args, cfg, "workers", 1))
+    depth = _setting(args, cfg, "depth", 7, int)
+    samples = _setting(args, cfg, "samples", 4, int)
+    workers = _setting(args, cfg, "workers", 1, int)
     epsilon = _setting(args, cfg, "epsilon")
+    epsilon = None if epsilon is None else _number(float, epsilon, "epsilon")
     out = _out_dir(args, cfg)
 
     rows = []
@@ -363,12 +379,12 @@ def cmd_merge_scan(args) -> int:
 
 def cmd_portrait(args) -> int:
     cfg = _load_config(args.config)
-    D = float(_setting(args, cfg, "D", 0.0))
-    beta = float(_setting(args, cfg, "beta", 1.0))
-    T = float(_setting(args, cfg, "T", 20.0))
-    step = float(_setting(args, cfg, "step", flows.DEFAULT_STEP))
-    n_orbits = int(_setting(args, cfg, "orbits", 12))
-    seed = int(_setting(args, cfg, "seed", 0))
+    D = _setting(args, cfg, "D", 0.0, float)
+    beta = _setting(args, cfg, "beta", 1.0, float)
+    T = _setting(args, cfg, "T", 20.0, float)
+    step = _setting(args, cfg, "step", flows.DEFAULT_STEP, float)
+    n_orbits = _setting(args, cfg, "orbits", 12, int)
+    seed = _setting(args, cfg, "seed", 0, int)
     out = _out_dir(args, cfg)
 
     with open(os.path.join(out, "equilibria.csv"), "w", newline="") as fh:
@@ -407,9 +423,9 @@ def cmd_portrait(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     system = _make_system(args, cfg)
-    n_samples = int(_setting(args, cfg, "samples", 100))
-    seed = int(_setting(args, cfg, "seed", 0))
-    tol = float(_setting(args, cfg, "tol", 1e-8))
+    n_samples = _setting(args, cfg, "samples", 100, int)
+    seed = _setting(args, cfg, "seed", 0, int)
+    tol = _setting(args, cfg, "tol", 1e-8, float)
     out = _out_dir(args, cfg)
 
     doc: dict = {
@@ -493,11 +509,11 @@ def cmd_noisy(args) -> int:
     cfg = _load_config(args.config)
     system = _make_system(args, cfg)
     x0 = _parse_point(_setting(args, cfg, "x0", [0.0] * system.dim), system.dim)
-    noise = float(_setting(args, cfg, "noise", 1e-3))
-    steps = int(_setting(args, cfg, "steps", 2000))
-    trials = int(_setting(args, cfg, "trials", 8))
-    depth = int(_setting(args, cfg, "depth", 7))
-    seed = int(_setting(args, cfg, "seed", 0))
+    noise = _setting(args, cfg, "noise", 1e-3, float)
+    steps = _setting(args, cfg, "steps", 2000, int)
+    trials = _setting(args, cfg, "trials", 8, int)
+    depth = _setting(args, cfg, "depth", 7, int)
+    seed = _setting(args, cfg, "seed", 0, int)
     out = _out_dir(args, cfg)
 
     rep = chain.noisy_attractor(

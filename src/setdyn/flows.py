@@ -86,21 +86,6 @@ class NormalFormParams:
         return 2.0 * math.pi * self.p / self.q
 
 
-@dataclass(frozen=True)
-class RescaledParams:
-    """Parameters (D, beta, rho0) of the rescaled slow system."""
-
-    D: float
-    beta: float
-    rho0: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.D) and math.isfinite(self.beta)):
-            raise ConfigError("D and beta must be finite")
-        if not (self.rho0 > 0.0 and math.isfinite(self.rho0)):
-            raise ConfigError(f"rho0 must be positive and finite, got {self.rho0!r}")
-
-
 def omega_eval(params: NormalFormParams, Z):
     """Evaluate Omega(Z) = sum_k omega[k-1] * Z^k (no constant term)."""
     Z = np.asarray(Z, dtype=float)

@@ -22,6 +22,48 @@ def test_domain_wrap_and_contains():
     assert UNIT_SQUARE.contains(np.array([[0.0, 1.0]]), atol=0.0)[0]
 
 
+def _wrap_then_compare(domain, pts, atol):
+    """The earlier ``Domain.contains``: wrap periodic axes, then compare
+    every axis with the closed rectangle grown by ``atol``."""
+    with np.errstate(invalid="ignore"):  # inf mod a period is nan
+        pts = domain.wrap(np.asarray(pts, dtype=float))
+    lo = np.asarray(domain.lower) - atol
+    hi = np.asarray(domain.upper) + atol
+    return np.all((pts >= lo) & (pts <= hi), axis=-1)
+
+
+@pytest.mark.parametrize("name", mapzoo.list_systems())
+def test_contains_matches_wrap_then_compare(name):
+    domain = mapzoo.make_system(name).domain
+    dim = domain.dim
+    lo, hi, w = np.asarray(domain.lower), np.asarray(domain.upper), domain.widths
+    rng = np.random.default_rng(11)
+    parts = [
+        lo + rng.random((300, dim)) * w,  # inside
+        lo + (rng.random((300, dim)) * 6.0 - 2.5) * w,  # up to 2.5 periods out
+        lo + rng.integers(-3, 4, size=(300, dim)) * w,  # whole periods off
+        np.stack([lo, hi, lo - 1e-12, hi + 1e-12, lo - 0.05 * w, hi + 0.05 * w]),
+    ]
+    base = np.concatenate(parts)
+    for special in (np.nan, np.inf, -np.inf):
+        for ax in range(dim):
+            bad = lo + rng.random((4, dim)) * w
+            bad[:, ax] = special
+            parts.append(bad)
+    pts = np.concatenate(parts)
+    assert len(pts) > len(base)
+    for atol in (0.0, 1e-12, 1e-9, 0.1 * float(w.min())):
+        want = _wrap_then_compare(domain, pts, atol)
+        got = domain.contains(pts, atol=atol)
+        assert np.array_equal(got, want)
+        assert not got[len(base):].any()  # non-finite coordinates are outside
+        # leading axes pass through, and the input is left as it was
+        before = pts.copy()
+        assert np.array_equal(domain.contains(pts.reshape(-1, 1, dim), atol=atol),
+                              want.reshape(-1, 1))
+        assert np.array_equal(pts, before, equal_nan=True)
+
+
 def test_domain_distance_wraps_on_torus():
     a = np.array([[0.95, 0.5]])
     b = np.array([[0.05, 0.5]])

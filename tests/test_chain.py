@@ -133,6 +133,30 @@ def test_shared_box_forces_identical_terminal_initial_scc(graph_from_edges):
             assert r.dissipative == a.dissipative
 
 
+def test_condensation_closures_match_box_graph_reach(graph_from_edges):
+    # reach_set walks the box graph and is the oracle for the condensation
+    for trial in range(60):
+        rng = np.random.default_rng((2025, trial))
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(0, 4 * n))
+        edges = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(m, 2))]
+        g = graph_from_edges(n, edges)
+        dec = chain.decompose(g)
+        rev = chain._reversed(dec)
+        for i in range(n):
+            s = int(dec.scc_id[i])
+            assert dec.scc_boxes(chain._reached_sccs(dec, s)) == chain.reach_set(g, [i])
+            assert (dec.scc_boxes(chain._reached_sccs(rev, s))
+                    == chain.reach_set(g, [i], forward=False))
+        f_att = chain.full_attractor(dec)
+        f_rep = chain.full_repeller(dec)
+        assert chain.reach_set(g, f_att, forward=True) == f_att
+        assert chain.reach_set(g, f_rep, forward=False) == f_rep
+        report = chain.classify(g, dec)
+        assert report.ruelle_attractor == f_att
+        assert report.ruelle_repeller == f_rep
+
+
 # ---------------------------------------------------------------------------
 # scans on real systems
 # ---------------------------------------------------------------------------
@@ -157,6 +181,32 @@ def test_core_scan_rejects_non_recurrent_target():
     assert not cert.core_persistent
     assert not cert.stages[0].recurrent
     assert "chain-recurrent" in cert.stages[0].reason
+
+
+@pytest.mark.parametrize("name, target", [
+    ("cubic_interval", (0.0,)),
+    ("cubic_interval", (0.55,)),
+    ("nested_rings", (0.0, 0.0)),
+    ("nested_rings", (0.45, 0.1)),
+])
+def test_core_scan_sets_match_box_graph_reach(name, target):
+    # reach_set on the stage's own graph is the oracle for the absorbing sets
+    # and for the attractors/repellers the gap is measured between
+    system = mapzoo.make_system(name, {})
+    depth = 5
+    eps = system.domain.max_box_width(depth)
+    st = chain.core_scan(system, target, [(depth, eps)], samples_per_axis=3).stages[0]
+    g = chain.cover_graph(system, depth, eps, 3)
+    dec = chain.decompose(g)
+    t_idx = int(g.boxset.indices_of(point_codes(system.domain, depth, np.array([target])))[0])
+    fwd = chain.reach_set(g, [t_idx])
+    bwd = chain.reach_set(g, [t_idx], forward=False)
+    assert st.fwd_absorbing == fwd
+    assert st.bwd_absorbing == bwd
+    if not (st.terminal and st.initial):
+        gap = chain._min_gap(system.domain, fwd.intersection(chain.full_attractor(dec)),
+                             bwd.intersection(chain.full_repeller(dec)))
+        assert st.gap == gap
 
 
 def test_noisy_attractor_deterministic_and_batch_invariant():

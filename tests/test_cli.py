@@ -121,6 +121,34 @@ def test_bad_noisy_inputs_and_points_exit_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+_TRAP_SCAN = {"system": "cat_map", "schedule": [[3, 0.1]],
+              "trap": {"seed_radius": 0.1, "bound_radius": 2.0, "n_orbits": 2,
+                       "n_steps": 2, "depth": 3}}
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (("noisy",), {"system": "cat_map", "steps": "abc"}),
+    ((*_NOISY, "--seed", "-1"), None),
+    (("verify", "--system", "cat_map", "--samples", "5", "--seed", "-1"), None),
+    (("portrait", "--T", "1", "--orbits", "1", "--seed", "-1"), None),
+    (("core-scan", "--seed", "-1"), _TRAP_SCAN),
+    (("core-scan",), {**_TRAP_SCAN, "trap": {"bound_radius": 2.0}}),
+    (("core-scan", "--system", "cat_map", "--schedule", "4:abc"), None),
+    (("merge-scan", "--system", "cubic_interval", "--sweep-param", "a",
+      "--values", "0.1,x", "--depth", "3"), None),
+], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
+        "core-scan trap seed -1", "core-scan trap without seed_radius", "core-scan schedule 4:abc", "merge-scan values 0.1,x"])
+def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = (*argv, "--config", str(path))
+    out = tmp_path / "out"
+    assert _run(*argv, "--out", str(out)) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # other commands
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from setdyn import boxdyn, flows, mapzoo
 from setdyn.boxdyn import (
     _KEY_BITS,
     BoxSet,
-    _eval_chunk,
     _image_spread,
     build_graph,
     initial_cover,
@@ -28,6 +27,17 @@ from setdyn.boxdyn import (
 from setdyn.errors import NumericsError
 
 SYSTEMS = mapzoo.list_systems()
+
+
+def _eval_chunk(system, chunk_coords: np.ndarray, depth: int, offsets: np.ndarray):
+    """Map all samples of a chunk of boxes; returns images (B, S, dim)."""
+    domain = system.domain
+    h = domain.box_width(depth)
+    corners = np.asarray(domain.lower) + chunk_coords * h
+    pts = corners[:, None, :] + offsets[None, :, :] * h
+    B, S, dim = pts.shape
+    flat = domain.wrap(pts.reshape(-1, dim))
+    return np.asarray(system.forward(flat), dtype=float).reshape(B, S, dim)
 
 
 def _reference_chunk_edges(
@@ -292,6 +302,34 @@ def test_partial_box_sets_match_reference(name, depth):
 # ---------------------------------------------------------------------------
 # against the brute-force oracle
 # ---------------------------------------------------------------------------
+
+
+def _reference_pad(system, boxset, samples):
+    """The earlier empirical pad report: a second map pass over up to 256
+    evenly spaced boxes, then the median of their image spreads."""
+    take = min(boxset.count, 256)
+    idx = np.linspace(0, boxset.count - 1, take).astype(np.int64)
+    coords = unpack_codes(boxset.codes[idx], boxset.depth, boxset.domain.dim)
+    offsets = boxdyn._sample_offsets(boxset.domain.dim, samples)
+    spread = _image_spread(boxset.domain, _eval_chunk(system, coords, boxset.depth, offsets))
+    spread = spread[np.isfinite(spread)]
+    return float(np.median(spread) / (2.0 * (samples - 1)))
+
+
+@pytest.mark.parametrize("name,depth,samples,keep,workers", [
+    ("nested_rings", 3, 3, 1.0, 1),  # fewer boxes than probes
+    ("nested_rings", 6, 3, 1.0, 1),
+    ("nested_rings", 6, 2, 0.6, 2),
+    ("nf_timeq", 5, 3, 1.0, 2),
+    ("nf_timeq", 6, 4, 0.4, 1),
+])
+def test_empirical_pad_matches_second_map_pass(name, depth, samples, keep, workers):
+    system = mapzoo.make_system(name, {})
+    full = initial_cover(system.domain, depth)
+    mask = np.random.default_rng(depth).random(full.count) < keep
+    boxset = BoxSet(system.domain, depth, full.codes[mask])
+    g = build_graph(system, boxset, system.domain.max_box_width(depth), samples, workers=workers)
+    assert g.pad == _reference_pad(system, boxset, samples)
 
 
 @pytest.mark.parametrize("name,depth,epsilon,samples,n_edges", [
