@@ -137,11 +137,12 @@ def _clamped_time_map(field, T: float, step: float, rmax: float):
     back onto that circle after each RK4 step, so balls around the origin of
     radius rmax are invariant by construction.
     """
+    (rmax,) = flows._constants(float, rmax)
 
     def clamp(z):
         r = np.abs(z)
         over = r > rmax
-        if np.any(over):
+        if np.count_nonzero(over):
             z = np.where(over, z * (rmax / np.where(over, r, 1.0)), z)
         return z
 

@@ -40,6 +40,55 @@ def test_nf_field_vectorized_matches_scalar():
         assert flows.nf_field(complex(z), p) == pytest.approx(complex(w), abs=1e-16)
 
 
+def _reference_nf_field(z, params):
+    """The field as a plain expression with Python-float coefficients."""
+    z = np.asarray(z, dtype=complex)
+    zc = np.conj(z)
+    rho = (z * zc).real
+    omega = np.zeros_like(rho)
+    for coeff in reversed(params.omega):
+        omega = (omega + coeff) * rho
+    out = 1j * (
+        (omega - params.mu) * z
+        + params.delta * zc ** (params.q - 1)
+        + params.B * z ** (params.q + 1)
+        + params.C * z * zc**params.q
+    )
+    return out if out.ndim else complex(out)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(mu=0.05, delta=0.1, omega=(1.0, 0.0, 0.0)),
+    dict(q=3, mu=-0.3, delta=-0.0, B=-2.0, C=0.5, omega=(-0.0,)),
+    dict(q=4, delta=0.2, B=0.0, C=0.0, omega=(2.0, -1.5, 0.25, 3.0)),
+    dict(q=7, p=2, mu=1e-3, delta=1e-2, B=0.3, C=-0.7, omega=(1.0, 0.0, -0.0)),
+])
+def test_nf_rhs_equals_plain_expression_bitwise(kw):
+    # nf_rhs keeps its coefficients as 0-d arrays; every bit, signed zeros
+    # and non-finite values included, must match the plain expression
+    p = _params(**kw)
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 1e-300, -1e-300, 0.1, -0.1, 3.0, 1e200, np.inf, -np.inf, np.nan]
+    zs = np.concatenate([
+        rng.normal(scale=0.1, size=500) + 1j * rng.normal(scale=0.1, size=500),
+        -rng.random(50) + 0j,
+        1j * rng.normal(size=50),
+        np.array([complex(a, b) for a in special for b in special]),
+    ])
+    with np.errstate(all="ignore"):
+        got, want = flows.nf_rhs(p)(zs), _reference_nf_field(zs, p)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for z in zs[::7]:
+            got, want = flows.nf_field(complex(z), p), _reference_nf_field(complex(z), p)
+            assert type(got) is complex and np.array(got).tobytes() == np.array(want).tobytes()
+        rho = np.abs(zs) ** 2
+        got = flows.omega_eval(p, rho)
+        ref = np.zeros_like(rho)
+        for coeff in reversed(p.omega):
+            ref = (ref + coeff) * rho
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_omega_eval_polynomial():
     p = _params(omega=(2.0, 3.0))
     assert flows.omega_eval(p, 0.5) == 2.0 * 0.5 + 3.0 * 0.25
