@@ -344,16 +344,12 @@ class TransitionGraph:
         indptr: np.ndarray,
         indices: np.ndarray,
         pad: float,
-        sample_scheme: dict,
-        meta: dict | None = None,
     ):
         self.boxset = boxset
         self.epsilon = float(epsilon)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.pad = float(pad)
-        self.sample_scheme = dict(sample_scheme)
-        self.meta = dict(meta or {})
 
     @property
     def n_boxes(self) -> int:
@@ -365,19 +361,6 @@ class TransitionGraph:
 
     def successors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def reverse(self) -> "TransitionGraph":
-        """Edge-reversed graph (realizes inverse-map constructions)."""
-        indptr, indices = _transpose_csr(self.indptr, self.indices)
-        return TransitionGraph(
-            self.boxset,
-            self.epsilon,
-            indptr,
-            indices,
-            self.pad,
-            self.sample_scheme,
-            {**self.meta, "reversed": not self.meta.get("reversed", False)},
-        )
 
 
 def _transpose_csr(indptr: np.ndarray, indices: np.ndarray):
@@ -644,15 +627,7 @@ def build_graph(
     else:
         pad_used = float(np.median(np.concatenate(spreads)) / (2.0 * (samples_per_axis - 1)))
 
-    return TransitionGraph(
-        boxset,
-        epsilon,
-        indptr,
-        dst,
-        pad_used,
-        {"samples_per_axis": samples_per_axis, "corners": True, "center": True},
-        meta={"system": getattr(system, "name", "?"), "workers_independent": True},
-    )
+    return TransitionGraph(boxset, epsilon, indptr, dst, pad_used)
 
 
 def _image_spread(domain: Domain, img: np.ndarray) -> np.ndarray:
@@ -661,108 +636,27 @@ def _image_spread(domain: Domain, img: np.ndarray) -> np.ndarray:
     return (rel.max(axis=1) - rel.min(axis=1)).max(axis=-1)
 
 
-def image_of(graph: TransitionGraph, members) -> BoxSet:
-    """Union of successors of the given member boxes (BoxSet or indices)."""
-    idx = _member_indices(graph, members)
-    if len(idx) == 0:
-        return BoxSet(graph.boxset.domain, graph.boxset.depth, np.empty(0, np.int64))
-    parts = [graph.successors(i) for i in idx]
-    succ = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-    return BoxSet(graph.boxset.domain, graph.boxset.depth, graph.boxset.codes[succ])
-
-
-def _member_indices(graph: TransitionGraph, members) -> np.ndarray:
-    if isinstance(members, BoxSet):
-        members._check_compatible(graph.boxset)
-        idx = graph.boxset.indices_of(members.codes)
-        return idx[idx >= 0]
-    idx = np.asarray(members, dtype=np.int64).reshape(-1)
-    if np.any(idx < 0) or np.any(idx >= graph.n_boxes):
-        raise ConfigError("node index out of range")
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
 
 
-def _header_bytes(d: dict) -> bytes:
-    return (json.dumps(d, sort_keys=True) + "\n").encode("ascii")
-
-
-def save_boxset(path, bs: BoxSet, fmt: str = "binary") -> None:
-    """Write a box set: a JSON header line plus little-endian codes, or a
-    pure-JSON document when fmt="json"."""
-    header = {"kind": "boxset", "domain": bs.domain.to_dict(), "depth": bs.depth, "count": bs.count}
-    if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump({**header, "codes": bs.codes.tolist()}, fh, sort_keys=True)
-        return
-    if fmt != "binary":
-        raise ConfigError(f"unknown boxset format {fmt!r}")
+def save_boxset(path, bs: BoxSet) -> None:
+    """Write a box set: a JSON header line, then its codes as little-endian int64."""
+    header = {"kind": "boxset", "domain": bs.domain.to_dict(), "depth": bs.depth,
+              "count": bs.count, "encoding": "int64-le"}
     with open(path, "wb") as fh:
-        fh.write(_header_bytes({**header, "encoding": "int64-le"}))
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         fh.write(bs.codes.astype("<i8").tobytes())
 
 
 def load_boxset(path) -> BoxSet:
     with open(path, "rb") as fh:
-        first = fh.readline()
-        header = json.loads(first)
-        if header.get("kind") != "boxset":
-            raise ConfigError(f"{path} is not a boxset file")
-        domain = Domain.from_dict(header["domain"])
-        depth = int(header["depth"])
-        if "encoding" in header:
-            raw = fh.read(8 * header["count"])
-            codes = np.frombuffer(raw, dtype="<i8").astype(np.int64)
-        else:
-            codes = np.asarray(header["codes"], dtype=np.int64)
-        return BoxSet(domain, depth, codes)
-
-
-def save_graph(path, g: TransitionGraph) -> None:
-    header = {
-        "kind": "transition_graph",
-        "domain": g.boxset.domain.to_dict(),
-        "depth": g.boxset.depth,
-        "count": g.boxset.count,
-        "n_edges": g.n_edges,
-        "epsilon": g.epsilon,
-        "pad": g.pad,
-        "sample_scheme": g.sample_scheme,
-        "meta": g.meta,
-        "encoding": "int64-le",
-    }
-    with open(path, "wb") as fh:
-        fh.write(_header_bytes(header))
-        fh.write(g.boxset.codes.astype("<i8").tobytes())
-        fh.write(g.indptr.astype("<i8").tobytes())
-        fh.write(g.indices.astype("<i8").tobytes())
-
-
-def load_graph(path) -> TransitionGraph:
-    with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-        if header.get("kind") != "transition_graph":
-            raise ConfigError(f"{path} is not a transition-graph file")
-        domain = Domain.from_dict(header["domain"])
-        n = int(header["count"])
-        e = int(header["n_edges"])
-        codes = np.frombuffer(fh.read(8 * n), dtype="<i8").astype(np.int64)
-        indptr = np.frombuffer(fh.read(8 * (n + 1)), dtype="<i8").astype(np.int64)
-        indices = np.frombuffer(fh.read(8 * e), dtype="<i8").astype(np.int64)
-        bs = BoxSet(domain, int(header["depth"]), codes)
-        return TransitionGraph(
-            bs,
-            float(header["epsilon"]),
-            indptr,
-            indices,
-            float(header["pad"]),
-            header["sample_scheme"],
-            header.get("meta"),
-        )
+        if header.get("kind") != "boxset" or header.get("encoding") != "int64-le":
+            raise ConfigError(f"{path} is not a binary boxset file")
+        codes = np.frombuffer(fh.read(8 * header["count"]), dtype="<i8").astype(np.int64)
+        return BoxSet(Domain.from_dict(header["domain"]), int(header["depth"]), codes)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ full attractor and full repeller by construction.  Repellers are computed as
 the attractors of the reversed condensation: a repeller is an attractor of
 the inverse map, whose symbolic image is the reversed graph (Osipenko,
 Dynamical Systems, Graphs, and Algorithms, LNM 1889, 2007).  The reversal
-keeps the SCC ids and leaves the box graph as it is.  ``reach_set`` walks
-the box graph itself and serves library callers only.
+keeps the SCC ids and leaves the box graph as it is.  ``reach_set`` is a
+BFS on the box graph itself that no command calls: it is the oracle the
+tests hold the condensation closures to, and a hook the benchmark's tracer
+wraps.
 """
 
 from __future__ import annotations
@@ -144,83 +146,38 @@ def chain_recurrent(dec: ChainDecomposition) -> BoxSet:
 # ---------------------------------------------------------------------------
 
 
-def reach_set(graph: TransitionGraph, members, forward: bool = True, min_steps: int = 0) -> BoxSet:
-    """Closure of the boxes attainable from ``members`` by epsilon-orbits.
+def reach_set(graph: TransitionGraph, members, forward: bool = True) -> BoxSet:
+    """Closure of the boxes attainable from ``members`` (a ``BoxSet`` or box
+    indices) by epsilon-orbits, found by one BFS on the box graph.
 
-    ``min_steps`` > 0 first advances the set that many strict steps (so the
-    result need not contain the sources unless they are revisited).
+    No command calls this: ``classify`` and ``core_scan`` read reachability
+    off the condensation.  It is kept as the box-graph oracle the tests check
+    those condensation closures against, and because perfbench/traced.py
+    wraps ``chain.reach_set`` by name.
     """
-    from .boxdyn import _member_indices
-
-    idx = _member_indices(graph, members)
-    g = graph if forward or len(idx) == 0 else graph.reverse()
-    current = idx
-    for _ in range(min_steps):
-        parts = [g.successors(i) for i in current]
-        current = (
-            np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-        )
-    mask = _reach_mask_forward(g, current)
     bs = graph.boxset
-    return BoxSet(bs.domain, bs.depth, bs.codes[mask])
-
-
-def _reach_mask_forward(graph: TransitionGraph, starts: np.ndarray) -> np.ndarray:
-    """Nodes reachable from ``starts`` (inclusive) along >= 0 edges.
-
-    A virtual super-source wired to every start lets a single C-level BFS
-    cover the whole start set at once.
-    """
+    if isinstance(members, BoxSet):
+        members._check_compatible(bs)
+        idx = bs.indices_of(members.codes)
+        idx = idx[idx >= 0]
+    else:
+        idx = np.asarray(members, dtype=np.int64).reshape(-1)
+        if np.any(idx < 0) or np.any(idx >= graph.n_boxes):
+            raise ConfigError("node index out of range")
+    indptr, indices = graph.indptr, graph.indices
+    if not forward:
+        indptr, indices = _transpose_csr(indptr, indices)
+    # a virtual super-source n wired to every member lets a single C-level
+    # BFS cover the whole member set at once
     n = graph.n_boxes
-    starts = np.unique(np.asarray(starts, dtype=np.int64))
-    if len(starts) == 0:
-        return np.zeros(n, dtype=bool)
-    src = np.concatenate(
-        [
-            np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr)),
-            np.full(len(starts), n, dtype=np.int64),
-        ]
-    )
-    dst = np.concatenate([graph.indices, starts])
+    src = np.concatenate([np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)),
+                          np.full(len(idx), n, dtype=np.int64)])
+    dst = np.concatenate([indices, idx])
     mat = csr_matrix((np.ones(len(src), np.int8), (src, dst)), shape=(n + 1, n + 1))
     order = breadth_first_order(mat, n, directed=True, return_predecessors=False)
     mask = np.zeros(n + 1, dtype=bool)
     mask[order] = True
-    return mask[:n]
-
-
-def attainable_from(graph: TransitionGraph, members, min_steps: int = 1) -> BoxSet:
-    """Boxes attainable by epsilon-orbits of at least ``min_steps`` steps."""
-    if min_steps < 0:
-        raise ConfigError("min_steps must be >= 0")
-    return reach_set(graph, members, forward=True, min_steps=min_steps)
-
-
-@dataclass(frozen=True)
-class AbsorbingReport:
-    passed: bool
-    n_violations: int
-    examples: tuple
-
-
-def absorbing_check(graph: TransitionGraph, members) -> AbsorbingReport:
-    """Is the member set closed under graph successors (combinatorially
-    absorbing)?"""
-    from .boxdyn import _member_indices
-
-    idx = _member_indices(graph, members)
-    inside = np.zeros(graph.n_boxes, dtype=bool)
-    inside[idx] = True
-    bad = []
-    n_bad = 0
-    for i in idx:
-        succ = graph.successors(i)
-        out = succ[~inside[succ]]
-        if len(out):
-            n_bad += len(out)
-            if len(bad) < 8:
-                bad.append((int(graph.boxset.codes[i]), int(graph.boxset.codes[out[0]])))
-    return AbsorbingReport(passed=n_bad == 0, n_violations=n_bad, examples=tuple(bad))
+    return BoxSet(bs.domain, bs.depth, bs.codes[mask[:n]])
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,9 @@ def _parse_schedule(raw) -> list[tuple[int, float]]:
         raw = stages
     if not isinstance(raw, list):
         raise ConfigError(f"cannot parse schedule {raw!r}")
+    for stage in raw:
+        if not (isinstance(stage, list) and len(stage) == 2):
+            raise ConfigError(f"schedule stage {stage!r} must be a [depth, epsilon] pair")
     return [(_number(int, d, "schedule depth"), _number(float, e, "schedule epsilon"))
             for d, e in raw]
 
@@ -424,6 +427,8 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     system = _make_system(args, cfg)
     n_samples = _setting(args, cfg, "samples", 100, int)
+    if n_samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {n_samples}")
     seed = _setting(args, cfg, "seed", 0, int)
     tol = _setting(args, cfg, "tol", 1e-8, float)
     out = _out_dir(args, cfg)

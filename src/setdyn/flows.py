@@ -31,7 +31,6 @@ equilibrium catalogue of the limit system, and a fixed-step RK4 integrator
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -105,11 +104,6 @@ def omega_eval(params: NormalFormParams, Z):
     """Evaluate Omega(Z) = sum_k omega[k-1] * Z^k (no constant term)."""
     acc = _horner(_omega_coeffs(params), np.asarray(Z, dtype=float))
     return acc if acc.ndim else float(acc)
-
-
-def nf_field(z, params: NormalFormParams):
-    """Right-hand side of the normal form at complex z (scalar or array)."""
-    return nf_rhs(params)(z)
 
 
 def polar_field(rho, phi, params: NormalFormParams):
@@ -436,20 +430,3 @@ def polar_rhs(params: NormalFormParams):
 def limit_rhs(D: float, beta: float):
     """Field callback y=(V, phi) -> dy/ds of the limit system."""
     return _planar_rhs(lambda V, phi: limit_field(V, phi, D, beta))
-
-
-def write_trajectory_csv(path, traj: Trajectory, columns: list[str]) -> None:
-    """Dump a trajectory as CSV with a time column plus one per coordinate."""
-    states = traj.states
-    if np.iscomplexobj(states):
-        states = np.stack([states.real, states.imag], axis=-1)
-    states = np.atleast_2d(states.reshape(len(traj.times), -1))
-    if len(columns) != states.shape[1]:
-        raise ConfigError(
-            f"expected {states.shape[1]} column names, got {len(columns)}"
-        )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *columns])
-        for t, row in zip(traj.times, states):
-            writer.writerow([repr(float(t)), *[repr(float(v)) for v in row]])

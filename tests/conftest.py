@@ -22,6 +22,6 @@ def graph_from_edges():
             counts[s + 1] += 1
         indptr = np.cumsum(counts)
         indices = np.array([d for _, d in edges], dtype=np.int64)
-        return TransitionGraph(boxset, epsilon, indptr, indices, pad, {"kind": "synthetic"})
+        return TransitionGraph(boxset, epsilon, indptr, indices, pad)
 
     return build

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from setdyn import chain, mapzoo
-from setdyn.boxdyn import Domain, build_graph, initial_cover, point_codes
+from setdyn.boxdyn import BoxSet, Domain, build_graph, initial_cover, point_codes
 from setdyn.errors import ConfigError
 
 
@@ -89,19 +89,9 @@ def test_condensation_flags_on_diamond(graph_from_edges):
 def test_reach_set_with_min_steps(graph_from_edges):
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert set(chain.reach_set(g, [0]).codes) == {0, 1, 2, 3}
-    assert set(chain.attainable_from(g, [0], min_steps=2).codes) == {2, 3}
     assert set(chain.reach_set(g, [3], forward=False).codes) == {0, 1, 2, 3}
-    with pytest.raises(ConfigError):
-        chain.attainable_from(g, [0], min_steps=-1)
-
-
-def test_absorbing_check(graph_from_edges):
-    g = graph_from_edges(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
-    ok = chain.absorbing_check(g, [2, 3])
-    assert ok.passed and ok.n_violations == 0
-    leaky = chain.absorbing_check(g, [0, 1])
-    assert not leaky.passed
-    assert leaky.examples[0] == (1, 2)
+    members = BoxSet(g.boxset.domain, g.boxset.depth, np.array([1, 2]))
+    assert set(chain.reach_set(g, members, forward=False).codes) == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +115,8 @@ def test_shared_box_forces_identical_terminal_initial_scc(graph_from_edges):
                     assert bool(dec.terminal[a.scc]) and bool(dec.initial[a.scc])
         # repellers, basins included, are the attractors of the reversed graph
         reps = chain.repellers(dec, with_basins=True)
-        rev_atts = chain.attractors(chain.decompose(g.reverse()), with_basins=True)
+        g_rev = graph_from_edges(n, [(b, a) for a, b in edges])
+        rev_atts = chain.attractors(chain.decompose(g_rev), with_basins=True)
         assert len(reps) == len(rev_atts)
         for r, a in zip(reps, rev_atts):
             assert r.boxes == a.boxes

@@ -136,8 +136,15 @@ _TRAP_SCAN = {"system": "cat_map", "schedule": [[3, 0.1]],
     (("core-scan", "--system", "cat_map", "--schedule", "4:abc"), None),
     (("merge-scan", "--system", "cubic_interval", "--sweep-param", "a",
       "--values", "0.1,x", "--depth", "3"), None),
+    (("core-scan",), {"system": "cat_map", "schedule": [[3]]}),
+    (("core-scan",), {"system": "cat_map", "schedule": [3, 4]}),
+    (("core-scan",), {"system": "cat_map", "schedule": [[3, 0.1, 9]]}),
+    (("verify", "--system", "cat_map", "--samples", "0"), None),
+    (("verify", "--system", "nf_timeq", "--samples", "-1"), None),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
-        "core-scan trap seed -1", "core-scan trap without seed_radius", "core-scan schedule 4:abc", "merge-scan values 0.1,x"])
+        "core-scan trap seed -1", "core-scan trap without seed_radius", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
+        "core-scan schedule [[3]]", "core-scan schedule [3, 4]", "core-scan schedule [[3, 0.1, 9]]",
+        "verify samples 0", "verify samples -1"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"

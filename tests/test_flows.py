@@ -22,22 +22,22 @@ def test_nf_field_pure_rotation_point():
     # With mu = delta = 0 and B = -C the resonant terms cancel on the real
     # axis, leaving i*Omega(|z|^2)*z = i * 0.25 * 0.5.
     p = _params()
-    assert flows.nf_field(0.5 + 0.0j, p) == 0.125j
+    assert flows.nf_rhs(p)(0.5 + 0.0j) == 0.125j
 
 
 def test_nf_field_full_sum():
     p = _params(mu=0.05, delta=0.1)
     # -i*0.05*0.5 + i*0.25*0.5 + i*0.1*0.5**4 + i*0.5**6 - i*0.5*0.5**5
     want = 1j * (-0.025 + 0.125 + 0.1 * 0.0625)
-    assert flows.nf_field(0.5 + 0.0j, p) == pytest.approx(want, abs=1e-16)
+    assert flows.nf_rhs(p)(0.5 + 0.0j) == pytest.approx(want, abs=1e-16)
 
 
 def test_nf_field_vectorized_matches_scalar():
     p = _params(mu=0.03, delta=0.07, omega=(1.0, -0.5))
     zs = np.array([0.2 + 0.1j, -0.4j, 0.05 - 0.3j])
-    batch = flows.nf_field(zs, p)
+    batch = flows.nf_rhs(p)(zs)
     for z, w in zip(zs, batch):
-        assert flows.nf_field(complex(z), p) == pytest.approx(complex(w), abs=1e-16)
+        assert flows.nf_rhs(p)(complex(z)) == pytest.approx(complex(w), abs=1e-16)
 
 
 def _reference_nf_field(z, params):
@@ -79,7 +79,7 @@ def test_nf_rhs_equals_plain_expression_bitwise(kw):
         got, want = flows.nf_rhs(p)(zs), _reference_nf_field(zs, p)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         for z in zs[::7]:
-            got, want = flows.nf_field(complex(z), p), _reference_nf_field(complex(z), p)
+            got, want = flows.nf_rhs(p)(complex(z)), _reference_nf_field(complex(z), p)
             assert type(got) is complex and np.array(got).tobytes() == np.array(want).tobytes()
         rho = np.abs(zs) ** 2
         got = flows.omega_eval(p, rho)
@@ -101,7 +101,7 @@ def test_polar_field_is_pushforward_of_cartesian():
         rho = rng.uniform(0.01, 0.5)
         phi = rng.uniform(0, 2 * math.pi)
         z = math.sqrt(rho) * np.exp(1j * phi / p.q)
-        zdot = flows.nf_field(z, p)
+        zdot = flows.nf_rhs(p)(z)
         rho_dot, phi_dot = flows.polar_field(rho, phi, p)
         assert rho_dot == pytest.approx(2.0 * (np.conj(z) * zdot).real, abs=1e-13)
         assert phi_dot == pytest.approx(p.q * (zdot / z).imag, abs=1e-12)
@@ -229,14 +229,3 @@ def test_flow_map_matches_integrate_endpoints():
     for z, e in zip(z0, ends):
         traj = flows.integrate(rhs, np.array(z), T=0.5, step=1e-3)
         assert complex(traj.states[-1]) == pytest.approx(complex(e), abs=1e-14)
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    traj = flows.integrate(lambda y: -y, np.array([1.0, 2.0]), T=0.01, step=1e-3)
-    path = tmp_path / "traj.csv"
-    flows.write_trajectory_csv(path, traj, ["x0", "x1"])
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].startswith("t,")
-    assert len(rows) == len(traj.times) + 1
-    first = [float(v) for v in rows[1].split(",")]
-    assert first[0] == 0.0 and first[1] == 1.0 and first[2] == 2.0

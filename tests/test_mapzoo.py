@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from setdyn import flows, mapzoo
 from setdyn.errors import ConfigError
@@ -57,6 +59,27 @@ def test_inverse_round_trip(name):
     assert system.inverse is not None
     report = mapzoo.check_inverse_consistency(system, n_samples=60, seed=11)
     assert report.passed, f"{name}: round-trip error {report.max_error:.3e}"
+
+
+# a graph padded by lipschitz_hint is an outer approximation only if the hint
+# bounds the map's max-metric difference quotients at the scale of a cell
+@pytest.mark.parametrize(
+    "name", [n for n in ALL_SYSTEMS if mapzoo.make_system(n, {}).lipschitz_hint is not None])
+@settings(max_examples=200, deadline=None)
+@given(u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       t=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_lipschitz_hint_bounds_difference_quotients(name, u, t):
+    system = mapzoo.make_system(name, {})
+    dom = system.domain
+    lo, hi = np.asarray(dom.lower), np.asarray(dom.upper)
+    r = dom.max_box_width(5)
+    x = np.clip(lo + np.asarray(u[: dom.dim]) * dom.widths, lo, hi)
+    y = np.clip(dom.wrap(x + r * np.asarray(t[: dom.dim])), lo, hi)
+    dist = float(dom.distance(x, y))
+    # much closer than this, rounding in the map outweighs the difference
+    assume(dist >= 1e-3 * r)
+    img_dist = float(dom.distance(system.forward(x[None]), system.forward(y[None]))[0])
+    assert img_dist <= system.lipschitz_hint * dist * (1 + 1e-9)
 
 
 def test_sample_points_deterministic():
