@@ -21,6 +21,10 @@ keeps the SCC ids and leaves the box graph as it is.  ``reach_set`` is a
 BFS on the box graph itself that no command calls: it is the oracle the
 tests hold the condensation closures to, and a hook the benchmark's tracer
 wraps.
+
+scipy is imported inside the functions that use it: importing it costs
+about half a second, which ``noisy``, ``verify`` and ``portrait`` never
+need to pay.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .boxdyn import (
     BoxSet,
@@ -94,6 +96,9 @@ def cover_graph(
 
 def decompose(graph: TransitionGraph) -> ChainDecomposition:
     """SCCs, condensation DAG and terminal/initial flags of a graph."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = graph.n_boxes
     mat = csr_matrix((np.ones(graph.n_edges, np.int8), graph.indices, graph.indptr), shape=(n, n))
     _, labels = connected_components(mat, directed=True, connection="strong")
@@ -155,6 +160,9 @@ def reach_set(graph: TransitionGraph, members, forward: bool = True) -> BoxSet:
     those condensation closures against, and because perfbench/traced.py
     wraps ``chain.reach_set`` by name.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     bs = graph.boxset
     if isinstance(members, BoxSet):
         members._check_compatible(bs)
@@ -417,6 +425,9 @@ def _contained_with_slack(inner: BoxSet, outer_depth: int, outer: BoxSet) -> boo
 def _reached_sccs(dec: ChainDecomposition, s: int) -> np.ndarray:
     """Ids of the SCCs that SCC ``s`` reaches in the condensation, ``s``
     included; their boxes are the reach closure of any box of ``s``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     cond = csr_matrix(
         (np.ones(len(dec.cond_indices), np.int8), dec.cond_indices, dec.cond_indptr),
         shape=(dec.n_scc, dec.n_scc),
@@ -673,20 +684,24 @@ def trapped_absorbing_domain(
     n_steps: int,
     depth: int,
     seed: int = 0,
-    direction: str = "forward",
-) -> TrapReport:
-    """Check that orbits from a Euclidean ball stay inside a larger ball.
+) -> tuple[TrapReport, TrapReport]:
+    """Check that orbits from a Euclidean ball stay inside a larger ball,
+    under the forward map and under the inverse map.
 
     Iterates ``n_orbits`` seeds (plus the center itself) for ``n_steps``
-    under the forward map, or the inverse map when direction="backward",
-    recording every visited box at the given depth.  When ``bounded`` holds,
-    the visited box set is an empirical absorbing domain for the sampled
-    orbits: they never leave it again by construction.
+    both ways, recording every visited box at the given depth, and returns
+    the (forward, backward) reports.  When ``bounded`` holds, the visited
+    box set is an empirical absorbing domain for the sampled orbits: they
+    never leave it again by construction.
+
+    Each step advances both orbit sets with one ``system.forward_inverse``
+    call when the system has one, else with ``forward`` and ``inverse``;
+    the orbits are the same bits either way.
     """
-    if direction not in ("forward", "backward"):
-        raise ConfigError(f"direction must be forward or backward, got {direction!r}")
     if not (0 < seed_radius < bound_radius):
         raise ConfigError("need 0 < seed_radius < bound_radius")
+    if system.inverse is None:
+        raise ConfigError(f"system {system.name!r} has no inverse")
     center = np.asarray(center, dtype=float).reshape(1, -1)
     rng = np.random.default_rng(seed)
     # uniform in the ball: direction times radius with the right density
@@ -695,26 +710,27 @@ def trapped_absorbing_domain(
     rad = seed_radius * rng.random(n_orbits) ** (1.0 / system.dim)
     pts = np.concatenate([center, center + vec * rad[:, None]], axis=0)
 
-    step = system.forward if direction == "forward" else system.inverse
-    if step is None:
-        raise ConfigError(f"system {system.name!r} has no inverse")
-
-    visited = [point_codes(system.domain, depth, pts)]
-    max_r = float(np.max(np.linalg.norm(pts - center, axis=1)))
-    for _ in range(n_steps):
-        pts = step(pts)
-        r = np.linalg.norm(pts - center, axis=1)
-        max_r = max(max_r, float(np.max(r)))
-        visited.append(point_codes(system.domain, depth, pts))
-    codes = np.unique(np.concatenate(visited))
-    return TrapReport(
-        direction=direction,
-        center=tuple(float(c) for c in center[0]),
-        seed_radius=float(seed_radius),
-        bound_radius=float(bound_radius),
-        max_radius=max_r,
-        bounded=max_r < bound_radius,
-        n_orbits=n_orbits + 1,
-        n_steps=n_steps,
-        boxset=BoxSet(system.domain, depth, codes),
+    advance = system.forward_inverse or (lambda a, b: (system.forward(a), system.inverse(b)))
+    orbits = (pts, pts)
+    visited: tuple[list, list] = ([], [])
+    max_r = [0.0, 0.0]
+    for k in range(n_steps + 1):
+        if k:
+            orbits = advance(*orbits)
+        for side, p in enumerate(orbits):
+            visited[side].append(point_codes(system.domain, depth, p))
+            max_r[side] = max(max_r[side], float(np.max(np.linalg.norm(p - center, axis=1))))
+    return tuple(
+        TrapReport(
+            direction=direction,
+            center=tuple(float(c) for c in center[0]),
+            seed_radius=float(seed_radius),
+            bound_radius=float(bound_radius),
+            max_radius=max_r[side],
+            bounded=max_r[side] < bound_radius,
+            n_orbits=n_orbits + 1,
+            n_steps=n_steps,
+            boxset=BoxSet(system.domain, depth, np.unique(np.concatenate(visited[side]))),
+        )
+        for side, direction in enumerate(("forward", "backward"))
     )

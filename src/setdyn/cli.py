@@ -130,6 +130,15 @@ def _make_system(args, cfg: dict) -> mapzoo.MapSystem:
     return mapzoo.make_system(name, _parse_params(getattr(args, "param", None), cfg))
 
 
+def _graph_samples(args, cfg: dict, default: int) -> int:
+    """Sample points per box axis for a graph build, checked before any
+    output directory is made."""
+    samples = _setting(args, cfg, "samples", default, int)
+    if samples < 2:
+        raise ConfigError(f"samples must be >= 2, got {samples}")
+    return samples
+
+
 def _out_dir(args, cfg: dict) -> str:
     out = _setting(args, cfg, "out", ".")
     os.makedirs(out, exist_ok=True)
@@ -185,7 +194,7 @@ def cmd_classify(args) -> int:
     depth = _setting(args, cfg, "depth", 7, int)
     epsilon = _setting(args, cfg, "epsilon")
     epsilon = None if epsilon is None else _number(float, epsilon, "epsilon")
-    samples = _setting(args, cfg, "samples", 4, int)
+    samples = _graph_samples(args, cfg, 4)
     workers = _setting(args, cfg, "workers", 1, int)
     out = _out_dir(args, cfg)
 
@@ -280,7 +289,7 @@ def cmd_core_scan(args) -> int:
         raise ConfigError("core-scan requires a schedule (--schedule depth:eps,...)")
     schedule = _parse_schedule(sched_raw)
     target = _parse_point(_setting(args, cfg, "target", [0.0] * system.dim), system.dim)
-    samples = _setting(args, cfg, "samples", 3, int)
+    samples = _graph_samples(args, cfg, 3)
     workers = _setting(args, cfg, "workers", 1, int)
     gap_factor = _setting(args, cfg, "gap_factor", 4.0, float)
     trap_cfg = cfg.get("trap")
@@ -324,10 +333,8 @@ def cmd_core_scan(args) -> int:
     }
 
     if trap_cfg:
-        doc["trap"] = {
-            "forward": _trap_doc(chain.trapped_absorbing_domain(system, direction="forward", **trap)),
-            "backward": _trap_doc(chain.trapped_absorbing_domain(system, direction="backward", **trap)),
-        }
+        fwd, bwd = chain.trapped_absorbing_domain(system, **trap)
+        doc["trap"] = {"forward": _trap_doc(fwd), "backward": _trap_doc(bwd)}
 
     _write_json(os.path.join(out, "certificate.json"), doc)
     for side, wits in (("att", cert.attractor_witnesses), ("rep", cert.repeller_witnesses)):
@@ -351,7 +358,7 @@ def cmd_merge_scan(args) -> int:
         values = [_number(float, v, "values") for v in values.split(",")]
     base = _parse_params(getattr(args, "param", None), cfg)
     depth = _setting(args, cfg, "depth", 7, int)
-    samples = _setting(args, cfg, "samples", 4, int)
+    samples = _graph_samples(args, cfg, 4)
     workers = _setting(args, cfg, "workers", 1, int)
     epsilon = _setting(args, cfg, "epsilon")
     epsilon = None if epsilon is None else _number(float, epsilon, "epsilon")

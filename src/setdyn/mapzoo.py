@@ -33,7 +33,11 @@ class MapSystem:
     "range": (t0, t1)} for the curve p + t*u, or {"kind": "point",
     "point": p}.  ``sample_region`` bounds the region where round-trip and
     symmetry identities are exact (inside any boundary clamp); sampling
-    helpers default to it.
+    helpers default to it.  ``forward_inverse(a, b)``, when given, returns
+    ``(forward(a), inverse(b))`` with the same bits from one batched call;
+    the flow-built systems have it, because on small batches numpy's
+    per-call overhead dominates, and one call over both costs far less
+    than two.
     """
 
     name: str
@@ -42,6 +46,7 @@ class MapSystem:
     domain: Domain
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
+    forward_inverse: Callable[[np.ndarray, np.ndarray], tuple] | None = None
     involution: Callable[[np.ndarray], np.ndarray] | None = None
     involution_fixed: dict | None = None
     lipschitz_hint: float | None = None
@@ -130,10 +135,12 @@ def newton_inverse_1d(
     return x
 
 
-def _clamped_time_map(field, T: float, step: float, rmax: float):
-    """RK4 time-T map of a planar field with a per-step radial clamp.
+def _clamped_time_map(field, step: float, rmax: float):
+    """RK4 time-T map ``(z, T) -> z(T)`` of a planar field with a per-step
+    radial clamp.
 
-    Works on complex arrays; the clamp rescales any point beyond |z| = rmax
+    Works on complex arrays, and ``T`` may be per point (see
+    :func:`flows.flow_map`); the clamp rescales any point beyond |z| = rmax
     back onto that circle after each RK4 step, so balls around the origin of
     radius rmax are invariant by construction.
     """
@@ -146,7 +153,14 @@ def _clamped_time_map(field, T: float, step: float, rmax: float):
             z = np.where(over, z * (rmax / np.where(over, r, 1.0)), z)
         return z
 
-    return lambda z: flows.flow_map(field, z, T, step, project=clamp)
+    return lambda z, T: flows.flow_map(field, z, T, step, project=clamp)
+
+
+def _both_times(flow, zf: np.ndarray, zb: np.ndarray):
+    """``flow(zf, 1.0)`` and ``flow(zb, -1.0)`` from one call over both blocks."""
+    T = np.repeat(np.array([1.0, -1.0]), [len(zf), len(zb)])
+    z = flow(np.concatenate([zf, zb]), T)
+    return z[: len(zf)], z[len(zf):]
 
 
 def _to_complex(pts: np.ndarray) -> np.ndarray:
@@ -272,14 +286,17 @@ def _build_nested_rings(params: dict) -> MapSystem:
     if not (0 < step <= 0.5):
         raise ConfigError(f"integration step must lie in (0, 0.5], got {step}")
     domain = Domain((-_RINGS_RMAX, -_RINGS_RMAX), (_RINGS_RMAX, _RINGS_RMAX), (False, False))
-    fwd_c = _clamped_time_map(_rings_field, 1.0, step, _RINGS_RMAX)
-    bwd_c = _clamped_time_map(_rings_field, -1.0, step, _RINGS_RMAX)
+    flow = _clamped_time_map(_rings_field, step, _RINGS_RMAX)
 
     def forward(pts):
-        return _from_complex(fwd_c(_to_complex(pts)))
+        return _from_complex(flow(_to_complex(pts), 1.0))
 
     def inverse(pts):
-        return _from_complex(bwd_c(_to_complex(pts)))
+        return _from_complex(flow(_to_complex(pts), -1.0))
+
+    def forward_inverse(fwd_pts, bwd_pts):
+        zf, zb = _both_times(flow, _to_complex(fwd_pts), _to_complex(bwd_pts))
+        return _from_complex(zf), _from_complex(zb)
 
     return MapSystem(
         name="nested_rings",
@@ -288,6 +305,7 @@ def _build_nested_rings(params: dict) -> MapSystem:
         domain=domain,
         forward=forward,
         inverse=inverse,
+        forward_inverse=forward_inverse,
         sample_region=Domain((-0.7, -0.7), (0.7, 0.7), (False, False)),
     )
 
@@ -311,17 +329,20 @@ def _build_nf_timeq(params: dict) -> MapSystem:
 
     domain = Domain((-radius, -radius), (radius, radius), (False, False))
     fld = flows.nf_rhs(nf)
-    flow_fwd = _clamped_time_map(fld, 1.0, step, radius)
-    flow_bwd = _clamped_time_map(fld, -1.0, step, radius)
+    flow = _clamped_time_map(fld, step, radius)
     ang = nf.rotation_angle
     rot = complex(math.cos(ang), math.sin(ang))
     rot_inv = complex(math.cos(ang), -math.sin(ang))
 
     def forward(pts):
-        return _from_complex(rot * flow_fwd(_to_complex(pts)))
+        return _from_complex(rot * flow(_to_complex(pts), 1.0))
 
     def inverse(pts):
-        return _from_complex(flow_bwd(rot_inv * _to_complex(pts)))
+        return _from_complex(flow(rot_inv * _to_complex(pts), -1.0))
+
+    def forward_inverse(fwd_pts, bwd_pts):
+        zf, zb = _both_times(flow, _to_complex(fwd_pts), rot_inv * _to_complex(bwd_pts))
+        return _from_complex(rot * zf), _from_complex(zb)
 
     def involution(pts):
         pts = np.asarray(pts, dtype=float)
@@ -335,6 +356,7 @@ def _build_nf_timeq(params: dict) -> MapSystem:
         domain=domain,
         forward=forward,
         inverse=inverse,
+        forward_inverse=forward_inverse,
         involution=involution,
         involution_fixed={
             "kind": "line",

@@ -126,13 +126,11 @@ def test_criterion_05_normal_form_absorbing_domains():
         {"q": 5, "p": 1, "mu": res.mu, "delta": res.delta, "B": 1.0, "C": -1.0,
          "omega1": 1.0, "radius": 3 * rho0},
     )
-    reports = {}
-    for direction in ("forward", "backward"):
-        reports[direction] = chain.trapped_absorbing_domain(
-            system, (0.0, 0.0),
-            seed_radius=2 * rho0, bound_radius=3 * rho0,
-            n_orbits=48, n_steps=1000, depth=9, direction=direction,
-        )
+    reports = dict(zip(("forward", "backward"), chain.trapped_absorbing_domain(
+        system, (0.0, 0.0),
+        seed_radius=2 * rho0, bound_radius=3 * rho0,
+        n_orbits=48, n_steps=1000, depth=9,
+    )))
     elapsed = time.perf_counter() - t0
 
     for direction, rep in reports.items():

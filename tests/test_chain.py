@@ -331,20 +331,61 @@ def _rotation_system():
 
 def test_trapped_absorbing_domain_on_rotation():
     system = _rotation_system()
-    for direction in ("forward", "backward"):
-        rep = chain.trapped_absorbing_domain(
-            system, (0.0, 0.0), seed_radius=0.3, bound_radius=0.5,
-            n_orbits=16, n_steps=200, depth=5, direction=direction,
-        )
+    reports = chain.trapped_absorbing_domain(
+        system, (0.0, 0.0), seed_radius=0.3, bound_radius=0.5,
+        n_orbits=16, n_steps=200, depth=5,
+    )
+    assert [rep.direction for rep in reports] == ["forward", "backward"]
+    for rep in reports:
         assert rep.bounded
         assert rep.max_radius <= 0.3 + 1e-12
         assert rep.contains_center
         assert rep.boxset.count > 0
     with pytest.raises(ConfigError):
         chain.trapped_absorbing_domain(
-            system, (0.0, 0.0), seed_radius=0.3, bound_radius=0.5,
-            n_orbits=4, n_steps=10, depth=5, direction="sideways",
+            dataclasses.replace(system, inverse=None), (0.0, 0.0), seed_radius=0.3,
+            bound_radius=0.5, n_orbits=4, n_steps=10, depth=5,
         )
+
+
+def _reference_trap(system, center, seed_radius, n_orbits, n_steps, depth, seed):
+    """The trap's orbits run one direction at a time, by plain loops over
+    ``system.forward`` and ``system.inverse``: (max radius, visited codes)
+    for the forward and then the backward direction."""
+    center = np.asarray(center, dtype=float).reshape(1, -1)
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=(n_orbits, system.dim))
+    vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+    rad = seed_radius * rng.random(n_orbits) ** (1.0 / system.dim)
+    start = np.concatenate([center, center + vec * rad[:, None]], axis=0)
+    out = []
+    for step in (system.forward, system.inverse):
+        pts = start
+        max_r = float(np.max(np.linalg.norm(pts - center, axis=1)))
+        visited = [point_codes(system.domain, depth, pts)]
+        for _ in range(n_steps):
+            pts = step(pts)
+            max_r = max(max_r, float(np.max(np.linalg.norm(pts - center, axis=1))))
+            visited.append(point_codes(system.domain, depth, pts))
+        out.append((max_r, np.unique(np.concatenate(visited))))
+    return out
+
+
+@pytest.mark.parametrize("name", ["nf_timeq", "rotation"])
+def test_joint_trap_matches_one_direction_at_a_time(name):
+    # nf_timeq advances both orbit sets in one forward_inverse call; the
+    # rotation has none and falls back to forward and inverse
+    if name == "rotation":
+        system, center, radii = _rotation_system(), (0.1, -0.2), (0.3, 0.5)
+    else:
+        system, center, radii = mapzoo.make_system(name, {}), (0.02, -0.01), (0.1, 0.15)
+    assert (system.forward_inverse is not None) == (name == "nf_timeq")
+    kw = dict(n_orbits=48, n_steps=5, depth=9, seed=3)
+    reports = chain.trapped_absorbing_domain(
+        system, center, seed_radius=radii[0], bound_radius=radii[1], **kw)
+    for rep, (max_r, codes) in zip(reports, _reference_trap(system, center, radii[0], **kw)):
+        assert rep.max_radius == max_r
+        assert np.array_equal(rep.boxset.codes, codes)
 
 
 def test_classify_on_cat_graph_matches_conservative():

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import setdyn
 from setdyn import cli
 from setdyn.errors import NumericsError
 
@@ -141,10 +145,15 @@ _TRAP_SCAN = {"system": "cat_map", "schedule": [[3, 0.1]],
     (("core-scan",), {"system": "cat_map", "schedule": [[3, 0.1, 9]]}),
     (("verify", "--system", "cat_map", "--samples", "0"), None),
     (("verify", "--system", "nf_timeq", "--samples", "-1"), None),
+    (("classify", "--system", "cat_map", "--depth", "3", "--samples", "1"), None),
+    (("core-scan", "--system", "cat_map", "--schedule", "3:0.1", "--samples", "1"), None),
+    (("merge-scan", "--system", "cubic_interval", "--sweep-param", "a",
+      "--values", "0.1", "--depth", "3", "--samples", "1"), None),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
         "core-scan trap seed -1", "core-scan trap without seed_radius", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
         "core-scan schedule [[3]]", "core-scan schedule [3, 4]", "core-scan schedule [[3, 0.1, 9]]",
-        "verify samples 0", "verify samples -1"])
+        "verify samples 0", "verify samples -1",
+        "classify samples 1", "core-scan samples 1", "merge-scan samples 1"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"
@@ -224,6 +233,22 @@ def test_noisy_histogram_and_heatmap(tmp_path):
     assert rows[0] == "code,x0,x1,count"
     assert len(rows) > 10
     assert (tmp_path / "noisy.pgm").read_bytes().startswith(b"P5\n32 32\n")
+
+
+def test_import_and_noisy_run_leave_scipy_unloaded(tmp_path):
+    # scipy serves only the graph analysis; importing it costs about half a
+    # second, which a command that builds no graph should not pay
+    code = (
+        "import sys; from setdyn import cli; assert 'scipy' not in sys.modules; "
+        "code = cli.main(['noisy', '--system', 'cat_map', '--steps', '20', '--trials', '2', "
+        f"'--depth', '4', '--out', {str(tmp_path)!r}]); "
+        "assert code == 0; assert 'scipy' not in sys.modules, 'noisy imported scipy'"
+    )
+    src = os.path.dirname(os.path.dirname(setdyn.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "noisy.csv").exists()
 
 
 def test_merge_scan_keeps_going_past_errors(tmp_path):

@@ -229,3 +229,11 @@ def test_flow_map_matches_integrate_endpoints():
     for z, e in zip(z0, ends):
         traj = flows.integrate(rhs, np.array(z), T=0.5, step=1e-3)
         assert complex(traj.states[-1]) == pytest.approx(complex(e), abs=1e-14)
+
+
+def test_flow_map_rejects_per_point_times_of_different_size():
+    z = np.array([0.1 + 0.1j, 0.2 - 0.1j])
+    with pytest.raises(ConfigError):
+        flows.flow_map(lambda y: -y, z, np.array([1.0, 0.5]))
+    with pytest.raises(ConfigError):
+        flows.flow_map(lambda y: -y, z, np.array([1.0, np.nan]))

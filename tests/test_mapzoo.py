@@ -189,6 +189,36 @@ def test_clamped_flow_maps_match_reference_rk4(name):
         assert np.array_equal(got(pts), np.stack([want.real, want.imag], axis=-1))
 
 
+@pytest.mark.parametrize("name", ["nested_rings", "nf_timeq"])
+@pytest.mark.parametrize("n", [1, 49, 8191])
+def test_per_point_time_matches_scalar_time_blocks(name, n):
+    # one clamped flow_map call over two blocks with T = +1 and -1 gives the
+    # bytes of a scalar-T call on each block; 2 * 8191 points stay under the
+    # 16,384 from which numpy reuses temporaries in place.  A coarse step
+    # keeps the big blocks fast; the arithmetic per step is the same.
+    system = mapzoo.make_system(name, {})
+    if name == "nested_rings":
+        field, rmax = mapzoo._rings_field, mapzoo._RINGS_RMAX
+    else:
+        field, rmax = flows.nf_rhs(system.extras["normal_form"]), system.params["radius"]
+    flow = mapzoo._clamped_time_map(field, 0.05, rmax)
+    pts = system.sample_points(2 * n, seed=n, region=system.domain)
+    z = pts[..., 0] + 1j * pts[..., 1]
+    joint = flow(z, np.repeat([1.0, -1.0], n))
+    assert joint[:n].tobytes() == flow(z[:n], 1.0).tobytes()
+    assert joint[n:].tobytes() == flow(z[n:], -1.0).tobytes()
+
+
+@pytest.mark.parametrize("name", ["nested_rings", "nf_timeq"])
+def test_forward_inverse_matches_forward_and_inverse(name):
+    system = mapzoo.make_system(name, {})
+    a = system.sample_points(49, seed=4, region=system.domain)
+    b = system.sample_points(7, seed=5, region=system.domain)
+    fa, fb = system.forward_inverse(a, b)
+    assert fa.tobytes() == system.forward(a).tobytes()
+    assert fb.tobytes() == system.inverse(b).tobytes()
+
+
 def test_nf_timeq_fixes_origin():
     system = mapzoo.make_system("nf_timeq", {})
     out = system.forward(np.zeros((1, 2)))
