@@ -712,11 +712,12 @@ def trapped_absorbing_domain(
 
     advance = system.forward_inverse or (lambda a, b: (system.forward(a), system.inverse(b)))
     orbits = (pts, pts)
-    visited: tuple[list, list] = ([], [])
-    max_r = [0.0, 0.0]
-    for k in range(n_steps + 1):
-        if k:
-            orbits = advance(*orbits)
+    codes = point_codes(system.domain, depth, pts)
+    visited = ([codes], [codes])
+    r = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    max_r = [r, r]
+    for _ in range(n_steps):
+        orbits = advance(*orbits)
         for side, p in enumerate(orbits):
             visited[side].append(point_codes(system.domain, depth, p))
             max_r[side] = max(max_r[side], float(np.max(np.linalg.norm(p - center, axis=1))))

@@ -295,7 +295,7 @@ def cmd_core_scan(args) -> int:
     trap_cfg = cfg.get("trap")
     if trap_cfg:
         trap = dict(
-            center=tuple(trap_cfg.get("center", target)),
+            center=_parse_point(trap_cfg.get("center", target), system.dim),
             seed_radius=_number(float, trap_cfg.get("seed_radius"), "trap seed_radius"),
             bound_radius=_number(float, trap_cfg.get("bound_radius"), "trap bound_radius"),
             n_orbits=_number(int, trap_cfg.get("n_orbits", 48), "trap n_orbits"),

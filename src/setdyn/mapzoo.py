@@ -35,9 +35,8 @@ class MapSystem:
     symmetry identities are exact (inside any boundary clamp); sampling
     helpers default to it.  ``forward_inverse(a, b)``, when given, returns
     ``(forward(a), inverse(b))`` with the same bits from one batched call;
-    the flow-built systems have it, because on small batches numpy's
-    per-call overhead dominates, and one call over both costs far less
-    than two.
+    nf_timeq has it, because on the trap's small batches numpy's per-call
+    overhead dominates, and one call over both costs far less than two.
     """
 
     name: str
@@ -154,13 +153,6 @@ def _clamped_time_map(field, step: float, rmax: float):
         return z
 
     return lambda z, T: flows.flow_map(field, z, T, step, project=clamp)
-
-
-def _both_times(flow, zf: np.ndarray, zb: np.ndarray):
-    """``flow(zf, 1.0)`` and ``flow(zb, -1.0)`` from one call over both blocks."""
-    T = np.repeat(np.array([1.0, -1.0]), [len(zf), len(zb)])
-    z = flow(np.concatenate([zf, zb]), T)
-    return z[: len(zf)], z[len(zf):]
 
 
 def _to_complex(pts: np.ndarray) -> np.ndarray:
@@ -294,10 +286,6 @@ def _build_nested_rings(params: dict) -> MapSystem:
     def inverse(pts):
         return _from_complex(flow(_to_complex(pts), -1.0))
 
-    def forward_inverse(fwd_pts, bwd_pts):
-        zf, zb = _both_times(flow, _to_complex(fwd_pts), _to_complex(bwd_pts))
-        return _from_complex(zf), _from_complex(zb)
-
     return MapSystem(
         name="nested_rings",
         dim=2,
@@ -305,7 +293,6 @@ def _build_nested_rings(params: dict) -> MapSystem:
         domain=domain,
         forward=forward,
         inverse=inverse,
-        forward_inverse=forward_inverse,
         sample_region=Domain((-0.7, -0.7), (0.7, 0.7), (False, False)),
     )
 
@@ -341,8 +328,11 @@ def _build_nf_timeq(params: dict) -> MapSystem:
         return _from_complex(flow(rot_inv * _to_complex(pts), -1.0))
 
     def forward_inverse(fwd_pts, bwd_pts):
-        zf, zb = _both_times(flow, _to_complex(fwd_pts), rot_inv * _to_complex(bwd_pts))
-        return _from_complex(rot * zf), _from_complex(zb)
+        # one flow call over both blocks, with T = +1 and -1 per block
+        n = len(fwd_pts)
+        z = np.concatenate([_to_complex(fwd_pts), rot_inv * _to_complex(bwd_pts)])
+        z = flow(z, np.repeat(np.array([1.0, -1.0]), [n, len(bwd_pts)]))
+        return _from_complex(rot * z[:n]), _from_complex(z[n:])
 
     def involution(pts):
         pts = np.asarray(pts, dtype=float)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -346,6 +347,16 @@ def test_trapped_absorbing_domain_on_rotation():
             dataclasses.replace(system, inverse=None), (0.0, 0.0), seed_radius=0.3,
             bound_radius=0.5, n_orbits=4, n_steps=10, depth=5,
         )
+
+
+def test_trap_with_non_finite_center_is_not_bounded():
+    # the radius of a NaN seed ball is NaN; it must not read as trapped
+    for rep in chain.trapped_absorbing_domain(
+        _rotation_system(), (math.nan, 0.0), seed_radius=0.3, bound_radius=0.5,
+        n_orbits=4, n_steps=3, depth=5,
+    ):
+        assert math.isnan(rep.max_radius)
+        assert not rep.bounded
 
 
 def _reference_trap(system, center, seed_radius, n_orbits, n_steps, depth, seed):

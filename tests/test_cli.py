@@ -137,6 +137,8 @@ _TRAP_SCAN = {"system": "cat_map", "schedule": [[3, 0.1]],
     (("portrait", "--T", "1", "--orbits", "1", "--seed", "-1"), None),
     (("core-scan", "--seed", "-1"), _TRAP_SCAN),
     (("core-scan",), {**_TRAP_SCAN, "trap": {"bound_radius": 2.0}}),
+    (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "center": [math.nan, 0.0]}}),
+    (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "center": [0.0, 0.0, 0.0]}}),
     (("core-scan", "--system", "cat_map", "--schedule", "4:abc"), None),
     (("merge-scan", "--system", "cubic_interval", "--sweep-param", "a",
       "--values", "0.1,x", "--depth", "3"), None),
@@ -150,7 +152,8 @@ _TRAP_SCAN = {"system": "cat_map", "schedule": [[3, 0.1]],
     (("merge-scan", "--system", "cubic_interval", "--sweep-param", "a",
       "--values", "0.1", "--depth", "3", "--samples", "1"), None),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
-        "core-scan trap seed -1", "core-scan trap without seed_radius", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
+        "core-scan trap seed -1", "core-scan trap without seed_radius",
+        "core-scan trap center [NaN, 0]", "core-scan trap center [0, 0, 0]", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
         "core-scan schedule [[3]]", "core-scan schedule [3, 4]", "core-scan schedule [[3, 0.1, 9]]",
         "verify samples 0", "verify samples -1",
         "classify samples 1", "core-scan samples 1", "merge-scan samples 1"])

@@ -209,9 +209,8 @@ def test_per_point_time_matches_scalar_time_blocks(name, n):
     assert joint[n:].tobytes() == flow(z[n:], -1.0).tobytes()
 
 
-@pytest.mark.parametrize("name", ["nested_rings", "nf_timeq"])
-def test_forward_inverse_matches_forward_and_inverse(name):
-    system = mapzoo.make_system(name, {})
+def test_forward_inverse_matches_forward_and_inverse():
+    system = mapzoo.make_system("nf_timeq", {})
     a = system.sample_points(49, seed=4, region=system.domain)
     b = system.sample_points(7, seed=5, region=system.domain)
     fa, fb = system.forward_inverse(a, b)
