@@ -479,6 +479,8 @@ def core_scan(
     target = np.asarray(target, dtype=float).reshape(1, -1)
     if target.shape[1] != system.dim:
         raise ConfigError("target dimension does not match the system")
+    if not system.domain.contains(target)[0]:
+        raise ConfigError(f"target {tuple(target[0])} lies outside the domain")
     schedule = [(int(d), float(e)) for d, e in schedule]
     if not schedule:
         raise ConfigError("schedule must contain at least one stage")
@@ -694,6 +696,12 @@ def trapped_absorbing_domain(
     box set is an empirical absorbing domain for the sampled orbits: they
     never leave it again by construction.
 
+    An orbit with a point outside the domain (non-finite points included)
+    has escaped: its boxes from that point on are not recorded, since a box
+    code would clamp it onto the boundary, and its direction is not
+    ``bounded``.  ``max_radius`` still counts it, and is NaN once any orbit
+    point is.
+
     Each step advances both orbit sets with one ``system.forward_inverse``
     call when the system has one, else with ``forward`` and ``inverse``;
     the orbits are the same bits either way.
@@ -710,17 +718,22 @@ def trapped_absorbing_domain(
     rad = seed_radius * rng.random(n_orbits) ** (1.0 / system.dim)
     pts = np.concatenate([center, center + vec * rad[:, None]], axis=0)
 
+    domain = system.domain
     advance = system.forward_inverse or (lambda a, b: (system.forward(a), system.inverse(b)))
     orbits = (pts, pts)
-    codes = point_codes(system.domain, depth, pts)
+    inside = domain.contains(pts)
+    codes = point_codes(domain, depth, pts[inside])
     visited = ([codes], [codes])
+    stayed = [inside, inside]
     r = float(np.max(np.linalg.norm(pts - center, axis=1)))
     max_r = [r, r]
     for _ in range(n_steps):
         orbits = advance(*orbits)
         for side, p in enumerate(orbits):
-            visited[side].append(point_codes(system.domain, depth, p))
-            max_r[side] = max(max_r[side], float(np.max(np.linalg.norm(p - center, axis=1))))
+            stayed[side] = stayed[side] & domain.contains(p)
+            visited[side].append(point_codes(domain, depth, p[stayed[side]]))
+            # np.maximum keeps a NaN, where Python's max(r, nan) drops it
+            max_r[side] = float(np.maximum(max_r[side], np.max(np.linalg.norm(p - center, axis=1))))
     return tuple(
         TrapReport(
             direction=direction,
@@ -728,7 +741,7 @@ def trapped_absorbing_domain(
             seed_radius=float(seed_radius),
             bound_radius=float(bound_radius),
             max_radius=max_r[side],
-            bounded=max_r[side] < bound_radius,
+            bounded=bool(stayed[side].all()) and max_r[side] < bound_radius,
             n_orbits=n_orbits + 1,
             n_steps=n_steps,
             boxset=BoxSet(system.domain, depth, np.unique(np.concatenate(visited[side]))),

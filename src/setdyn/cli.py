@@ -123,6 +123,14 @@ def _parse_point(raw, dim: int) -> tuple:
     return tuple(vals)
 
 
+def _domain_point(raw, system: mapzoo.MapSystem, what: str) -> tuple:
+    """A point parsed by :func:`_parse_point` that lies in the system's domain."""
+    point = _parse_point(raw, system.dim)
+    if not system.domain.contains(np.array(point)):
+        raise ConfigError(f"{what} {point} lies outside the domain")
+    return point
+
+
 def _make_system(args, cfg: dict) -> mapzoo.MapSystem:
     name = _setting(args, cfg, "system")
     if not name:
@@ -288,14 +296,14 @@ def cmd_core_scan(args) -> int:
     if sched_raw is None:
         raise ConfigError("core-scan requires a schedule (--schedule depth:eps,...)")
     schedule = _parse_schedule(sched_raw)
-    target = _parse_point(_setting(args, cfg, "target", [0.0] * system.dim), system.dim)
+    target = _domain_point(_setting(args, cfg, "target", [0.0] * system.dim), system, "target")
     samples = _graph_samples(args, cfg, 3)
     workers = _setting(args, cfg, "workers", 1, int)
     gap_factor = _setting(args, cfg, "gap_factor", 4.0, float)
     trap_cfg = cfg.get("trap")
     if trap_cfg:
         trap = dict(
-            center=_parse_point(trap_cfg.get("center", target), system.dim),
+            center=_domain_point(trap_cfg.get("center", target), system, "trap center"),
             seed_radius=_number(float, trap_cfg.get("seed_radius"), "trap seed_radius"),
             bound_radius=_number(float, trap_cfg.get("bound_radius"), "trap bound_radius"),
             n_orbits=_number(int, trap_cfg.get("n_orbits", 48), "trap n_orbits"),

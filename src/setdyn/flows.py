@@ -27,6 +27,11 @@ whose orbits are level sets of a closed-form first integral.  This module
 implements the fields, the rescaling bookkeeping, the first integral, the
 equilibrium catalogue of the limit system, and a fixed-step RK4 integrator
 (fixed step so that runs are bit-reproducible).
+
+The Cartesian field :func:`nf_rhs` builds its powers of z from complex
+products.  A point's bits then depend on the batch it is evaluated in only
+through numpy's in-place reuse of temporaries of 16,384 complex points or
+more; :mod:`setdyn.mapzoo` runs its flow maps in blocks below that size.
 """
 
 from __future__ import annotations
@@ -399,9 +404,12 @@ def flow_map(field, x, T, step: float = DEFAULT_STEP, project=None):
     imaginary parts are +0), and -T/n = -(T/n) exactly, so every product of a
     step constant with a stage rounds the same whether the constant is a 0-d
     array or one entry of an (N,) array, with or without fused multiply-add.
-    As with any batch, a joint batch of 16,384 points or more (256 KiB of
-    complex128) lets numpy reuse temporaries in place, and some points then
-    differ in the last bit from the same points mapped in smaller batches.
+
+    A batch of 16,384 complex points or more (256 KiB) lets numpy reuse
+    temporaries in place, and some points then differ in the last bit from
+    the same points mapped in smaller batches.  Callers that need every
+    point's bits independent of its batch, as the flow maps of
+    :mod:`setdyn.mapzoo` do, call this on blocks below that size.
     """
     n, h = _step_grid(T, step)
     y = np.asarray(x)
@@ -414,22 +422,48 @@ def flow_map(field, x, T, step: float = DEFAULT_STEP, project=None):
     return y
 
 
+def _resonant_powers(z, q: int):
+    """(z^(q-1), z^(q+1)) from one chain of complex products.
+
+    z^(q-1) multiplies the needed squares z^2, z^4, ... from the lowest up
+    (times z first when q is even), and z^(q+1) = z^(q-1) * z^2.  numpy's
+    complex ``**`` with an integer exponent runs a scalar loop per element,
+    about twenty complex multiplies' time per power.
+    """
+    square = z * z
+    acc = z if q % 2 == 0 else None
+    base, n = square, (q - 1) // 2
+    while True:
+        if n & 1:
+            acc = base if acc is None else acc * base
+        n >>= 1
+        if not n:
+            return acc, acc * square
+        base = base * base
+
+
 def nf_rhs(params: NormalFormParams):
-    """Field callback z -> dz/dt of the normal form (complex scalar or array)."""
+    """Field callback z -> dz/dt of the normal form (complex scalar or array).
+
+    Evaluated as i * ((Omega(rho) - mu) * z + (delta + C*rho) * conj(z^(q-1))
+    + B * z^(q+1)) with rho = |z|^2, since z * conj(z)^q = rho * conj(z)^(q-1);
+    the powers come from :func:`_resonant_powers`.  The sum has the value of
+    the module formula, rounded differently: a complex multiply may use fused
+    multiply-add where ``**`` does not.
+    """
     omega = _constants(float, *_omega_coeffs(params))
-    (mu,) = _constants(float, params.mu)
-    delta, B, C, i = _constants(complex, params.delta, params.B, params.C, 1j)
+    mu, delta, B, C = _constants(float, params.mu, params.delta, params.B, params.C)
+    (i,) = _constants(complex, 1j)
     q = params.q
 
     def rhs(z):
         z = np.asarray(z, dtype=complex)
-        zc = np.conj(z)
-        rho = (z * zc).real
+        rho = (z * np.conj(z)).real
+        low, high = _resonant_powers(z, q)
         out = i * (
             (_horner(omega, rho) - mu) * z
-            + delta * zc ** (q - 1)
-            + B * z ** (q + 1)
-            + C * z * zc**q
+            + (delta + C * rho) * np.conj(low)
+            + B * high
         )
         return out if out.ndim else complex(out)
 

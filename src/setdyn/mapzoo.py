@@ -4,8 +4,9 @@ Every system exposes the same vectorized interface: ``forward`` (and
 ``inverse`` when available) take arrays of shape (..., dim) and return the
 same shape.  Systems built from flows use classical fixed-step RK4 for the
 time-1 map, with a radial clamp so the stated rectangular domain is mapped
-into itself; systems without a closed-form inverse fall back to a safeguarded
-Newton solve.
+into itself, and map their points in blocks (:func:`_in_blocks`) so that a
+point's image has the same bits in any batch; systems without a closed-form
+inverse fall back to a safeguarded Newton solve.
 """
 
 from __future__ import annotations
@@ -155,6 +156,39 @@ def _clamped_time_map(field, step: float, rmax: float):
     return lambda z, T: flows.flow_map(field, z, T, step, project=clamp)
 
 
+# numpy reuses a temporary of 256 KiB or more in place (16,384 complex128
+# points) and may swap a commutative multiply's operands to do so.  The
+# fused multiply-add complex kernel is not bitwise commutative, so a batch
+# that large rounds some points differently from the same points in parts.
+_BLOCK_POINTS = 16384
+
+
+def _in_blocks(fn):
+    """``fn`` on point arrays (..., dim), run over the fewest equal blocks
+    whose joint size stays below _BLOCK_POINTS, so that every point gets the
+    same bits whatever batch it comes in.
+
+    ``fn`` returns one array, or a tuple with one array per argument; block
+    j of each argument goes into the j-th call.
+    """
+
+    def run(*batches):
+        batches = [np.asarray(b, dtype=float) for b in batches]
+        sizes = [b.size // b.shape[-1] for b in batches]
+        k = max(1, -(-sum(sizes) // (_BLOCK_POINTS - 1)))
+        while sum(-(-m // k) for m in sizes) >= _BLOCK_POINTS:
+            k += 1
+        if k == 1:
+            return fn(*batches)
+        parts = [np.array_split(b.reshape(-1, b.shape[-1]), k) for b in batches]
+        outs = [fn(*block) for block in zip(*parts)]
+        if len(batches) == 1:
+            return np.concatenate(outs).reshape(batches[0].shape)
+        return tuple(np.concatenate(col).reshape(b.shape) for col, b in zip(zip(*outs), batches))
+
+    return run
+
+
 def _to_complex(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     return pts[..., 0] + 1j * pts[..., 1]
@@ -291,8 +325,8 @@ def _build_nested_rings(params: dict) -> MapSystem:
         dim=2,
         params=params,
         domain=domain,
-        forward=forward,
-        inverse=inverse,
+        forward=_in_blocks(forward),
+        inverse=_in_blocks(inverse),
         sample_region=Domain((-0.7, -0.7), (0.7, 0.7), (False, False)),
     )
 
@@ -344,9 +378,9 @@ def _build_nf_timeq(params: dict) -> MapSystem:
         dim=2,
         params=params,
         domain=domain,
-        forward=forward,
-        inverse=inverse,
-        forward_inverse=forward_inverse,
+        forward=_in_blocks(forward),
+        inverse=_in_blocks(inverse),
+        forward_inverse=_in_blocks(forward_inverse),
         involution=involution,
         involution_fixed={
             "kind": "line",

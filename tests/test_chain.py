@@ -175,6 +175,19 @@ def test_core_scan_rejects_non_recurrent_target():
     assert "chain-recurrent" in cert.stages[0].reason
 
 
+@pytest.mark.parametrize("target", [(5.0,), (-1.0 - 1e-12,), (math.nan,)])
+def test_core_scan_rejects_target_outside_the_domain(target):
+    # point_codes would clamp such a target onto a boundary box; the graph
+    # is never built
+    system = mapzoo.make_system("cubic_interval", {})
+
+    def forbidden(pts):
+        raise AssertionError("forward called for a target outside the domain")
+
+    with pytest.raises(ConfigError, match="outside the domain"):
+        chain.core_scan(dataclasses.replace(system, forward=forbidden), target, [(4, 0.1)])
+
+
 @pytest.mark.parametrize("name, target", [
     ("cubic_interval", (0.0,)),
     ("cubic_interval", (0.55,)),
@@ -359,16 +372,46 @@ def test_trap_with_non_finite_center_is_not_bounded():
         assert not rep.bounded
 
 
+def test_trap_orbit_leaving_the_domain_is_not_bounded():
+    # the translation by 0.4 takes every orbit out of [-1, 1]^2 on its third
+    # step, well within the bound radius of 10.  Only the boxes visited
+    # inside the domain are recorded: none in the outer columns |x| > 0.875,
+    # where point_codes would have clamped the escaped points
+    dom = Domain(lower=(-1.0, -1.0), upper=(1.0, 1.0), periodic=(False, False))
+    shift = np.array([0.4, 0.0])
+    system = mapzoo.MapSystem(
+        name="translation", dim=2, params={}, domain=dom,
+        forward=lambda pts: pts + shift, inverse=lambda pts: pts - shift,
+    )
+    reports = chain.trapped_absorbing_domain(
+        system, (0.0, 0.0), seed_radius=0.05, bound_radius=10.0,
+        n_orbits=8, n_steps=12, depth=4,
+    )
+    start = _trap_seeds((0.0, 0.0), 0.05, 8, 2, seed=0)
+    for rep, sign in zip(reports, (1.0, -1.0)):
+        assert not rep.bounded
+        assert 4.75 < rep.max_radius < 4.85
+        orbits = np.concatenate([start + k * sign * shift for k in range(3)])
+        assert np.array_equal(rep.boxset.codes, np.unique(point_codes(dom, 4, orbits)))
+        assert np.all(np.abs(rep.boxset.centers()[:, 0]) < 0.875)
+
+
+def _trap_seeds(center, seed_radius, n_orbits, dim, seed):
+    """The trap's seed ball: the center, then ``n_orbits`` uniform points."""
+    center = np.asarray(center, dtype=float).reshape(1, -1)
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=(n_orbits, dim))
+    vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+    rad = seed_radius * rng.random(n_orbits) ** (1.0 / dim)
+    return np.concatenate([center, center + vec * rad[:, None]], axis=0)
+
+
 def _reference_trap(system, center, seed_radius, n_orbits, n_steps, depth, seed):
     """The trap's orbits run one direction at a time, by plain loops over
     ``system.forward`` and ``system.inverse``: (max radius, visited codes)
     for the forward and then the backward direction."""
     center = np.asarray(center, dtype=float).reshape(1, -1)
-    rng = np.random.default_rng(seed)
-    vec = rng.normal(size=(n_orbits, system.dim))
-    vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-    rad = seed_radius * rng.random(n_orbits) ** (1.0 / system.dim)
-    start = np.concatenate([center, center + vec * rad[:, None]], axis=0)
+    start = _trap_seeds(center, seed_radius, n_orbits, system.dim, seed)
     out = []
     for step in (system.forward, system.inverse):
         pts = start

@@ -40,21 +40,45 @@ def test_nf_field_vectorized_matches_scalar():
         assert flows.nf_rhs(p)(complex(z)) == pytest.approx(complex(w), abs=1e-16)
 
 
-def _reference_nf_field(z, params):
-    """The field as a plain expression with Python-float coefficients."""
-    z = np.asarray(z, dtype=complex)
-    zc = np.conj(z)
-    rho = (z * zc).real
+def _product_powers(z, q):
+    """z^(q-1) and z^(q+1) as written-out products, for the q the cases use."""
+    z2 = z * z
+    low = {3: z2, 4: z * z2, 5: z2 * z2, 7: z2 * (z2 * z2)}[q]
+    return low, low * z2
+
+
+def _omega_plain(rho, params):
     omega = np.zeros_like(rho)
     for coeff in reversed(params.omega):
         omega = (omega + coeff) * rho
+    return omega
+
+
+def _reference_nf_field(z, params):
+    """The product-form field as a plain expression with Python-float
+    coefficients."""
+    z = np.asarray(z, dtype=complex)
+    rho = (z * np.conj(z)).real
+    low, high = _product_powers(z, params.q)
     out = 1j * (
-        (omega - params.mu) * z
+        (_omega_plain(rho, params) - params.mu) * z
+        + (params.delta + params.C * rho) * np.conj(low)
+        + params.B * high
+    )
+    return out if out.ndim else complex(out)
+
+
+def _power_form_nf_field(z, params):
+    """The module formula with complex ``**``: the accuracy reference."""
+    z = np.asarray(z, dtype=complex)
+    zc = np.conj(z)
+    rho = (z * zc).real
+    return 1j * (
+        (_omega_plain(rho, params) - params.mu) * z
         + params.delta * zc ** (params.q - 1)
         + params.B * z ** (params.q + 1)
         + params.C * z * zc**params.q
     )
-    return out if out.ndim else complex(out)
 
 
 @pytest.mark.parametrize("kw", [
@@ -65,7 +89,8 @@ def _reference_nf_field(z, params):
 ])
 def test_nf_rhs_equals_plain_expression_bitwise(kw):
     # nf_rhs keeps its coefficients as 0-d arrays; every bit, signed zeros
-    # and non-finite values included, must match the plain expression
+    # and non-finite values included, must match the plain product form,
+    # which in turn must match the ``**`` formula to rounding
     p = _params(**kw)
     rng = np.random.default_rng(11)
     special = [0.0, -0.0, 1e-300, -1e-300, 0.1, -0.1, 3.0, 1e200, np.inf, -np.inf, np.nan]
@@ -79,14 +104,20 @@ def test_nf_rhs_equals_plain_expression_bitwise(kw):
         got, want = flows.nf_rhs(p)(zs), _reference_nf_field(zs, p)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         for z in zs[::7]:
-            got, want = flows.nf_rhs(p)(complex(z)), _reference_nf_field(complex(z), p)
-            assert type(got) is complex and np.array(got).tobytes() == np.array(want).tobytes()
+            got1, want1 = flows.nf_rhs(p)(complex(z)), _reference_nf_field(complex(z), p)
+            assert type(got1) is complex and np.array(got1).tobytes() == np.array(want1).tobytes()
         rho = np.abs(zs) ** 2
-        got = flows.omega_eval(p, rho)
-        ref = np.zeros_like(rho)
-        for coeff in reversed(p.omega):
-            ref = (ref + coeff) * rho
-        assert got.tobytes() == ref.tobytes()
+        ref = _omega_plain(rho, p)
+        assert flows.omega_eval(p, rho).tobytes() == ref.tobytes()
+
+        power = _power_form_nf_field(zs, p)
+        assert np.array_equal(np.isfinite(got), np.isfinite(power))
+        a = np.abs(zs)
+        terms = (np.abs(ref - p.mu) * a + abs(p.delta) * a ** (p.q - 1)
+                 + (abs(p.B) + abs(p.C)) * a ** (p.q + 1))
+    check = np.isfinite(zs) & np.isfinite(power)
+    assert np.count_nonzero(check) > 600
+    assert np.all(np.abs(got - power)[check] <= 1e-15 * terms[check])
 
 
 def test_omega_eval_polynomial():

@@ -218,6 +218,57 @@ def test_forward_inverse_matches_forward_and_inverse():
     assert fb.tobytes() == system.inverse(b).tobytes()
 
 
+@pytest.mark.parametrize("name", ["nested_rings", "nf_timeq"])
+@pytest.mark.parametrize("n", [16000, 20000, 40000])
+def test_flow_maps_are_batch_invariant(name, n):
+    # a batch and any split of it give the same bytes, on both sides of the
+    # 16,384 points from which numpy reuses temporaries in place; a coarse
+    # step keeps the batches fast, and the arithmetic per step is the same
+    system = mapzoo.make_system(name, {"step": 0.05})
+    pts = system.sample_points(n, seed=n, region=system.domain)
+    rng = np.random.default_rng(n)
+    cuts = [[1], [n // 2], sorted(rng.choice(np.arange(1, n), 3, replace=False))]
+    for step in (system.forward, system.inverse):
+        whole = step(pts)
+        for cut in cuts:
+            parts = [step(p) for p in np.split(pts, cut)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+    if system.forward_inverse is not None:
+        # per-point T: the joint batch holds both blocks
+        a, b = pts[: n // 2], pts[n // 2:]
+        fa, fb = system.forward_inverse(a, b)
+        assert fa.tobytes() == system.forward(a).tobytes()
+        assert fb.tobytes() == system.inverse(b).tobytes()
+        for cut in cuts[2]:
+            ka, kb = min(cut, len(a) - 1), min(cut, len(b) - 1)
+            pa, pb = system.forward_inverse(a[:ka], b[kb:])
+            qa, qb = system.forward_inverse(a[ka:], b[:kb])
+            assert np.concatenate([pa, qa]).tobytes() == fa.tobytes()
+            assert np.concatenate([qb, pb]).tobytes() == fb.tobytes()
+
+
+def test_in_blocks_uses_fewest_equal_blocks_below_the_limit():
+    calls = []
+
+    def record(*batches):
+        calls.append([len(b) for b in batches])
+        return batches if len(batches) > 1 else batches[0]
+
+    for sizes, want in [
+        ([16383], [[16383]]),
+        ([16384], [[8192]] * 2),
+        ([36864], [[12288]] * 3),
+        ([9216, 9216], [[4608, 4608]] * 2),
+        ([49, 49], [[49, 49]]),
+    ]:
+        calls.clear()
+        batches = [np.arange(2.0 * m).reshape(m, 2) for m in sizes]
+        out = mapzoo._in_blocks(record)(*batches)
+        assert calls == want
+        for got, b in zip(out if len(sizes) > 1 else [out], batches):
+            assert got.tobytes() == b.tobytes()
+
+
 def test_nf_timeq_fixes_origin():
     system = mapzoo.make_system("nf_timeq", {})
     out = system.forward(np.zeros((1, 2)))
