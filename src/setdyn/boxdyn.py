@@ -21,6 +21,13 @@ taken with a difference array over the box's own window, so each
 (box, cell) pair comes out once.  Boxes are mapped in chunks of consecutive
 boxes, and each chunk's edges are sorted, so the chunks concatenate into the
 CSR without a global dedupe.
+
+Samples are points of one lattice shared by neighbouring boxes: a box's
+edge and corner samples are also samples of the boxes next to it.  Each
+sample's coordinate comes from its integer lattice index, so a shared
+point is the same double in every box, and each chunk maps each of its
+distinct lattice points once.  With 3 samples an axis that maps 2.2 times
+fewer points on a 2-D full cover.
 """
 
 from __future__ import annotations
@@ -359,9 +366,6 @@ class TransitionGraph:
     def n_edges(self) -> int:
         return len(self.indices)
 
-    def successors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
 
 def _transpose_csr(indptr: np.ndarray, indices: np.ndarray):
     """(indptr, indices) of the transposed square CSR pattern, rows sorted."""
@@ -385,6 +389,57 @@ def _sample_offsets(dim: int, samples_per_axis: int) -> np.ndarray:
     return grid
 
 
+def _shared_samples(domain: Domain, depth: int, codes: np.ndarray, offsets: np.ndarray,
+                    samples_per_axis: int):
+    """The distinct sample points of a chunk of boxes, and the row of each
+    box's samples among them.
+
+    The sample at offset o of box c has the integer lattice index
+    c*den + o*den per axis, with den = k-1 for odd k and 2(k-1) for even k,
+    so the centre of an even grid has an index too.  Its coordinate is taken
+    from the index as lo + cell*h + frac*h with (cell, frac) =
+    divmod(index, den), so every box that shares a point produces the same
+    double.  A sample on a box's upper face is owned by the cell above, at
+    fraction 0 there; past the last cell of a periodic axis that is cell 0,
+    so every point lies in [lower, upper) there, as ``Domain.wrap`` would
+    put it.  The owner cells of the chunk, its boxes and their upper
+    neighbours, are ranked by code, and the samples are marked in den^dim
+    slots per owner and compacted with a cumulative sum.  The work stays
+    proportional to the chunk's samples whether the set is full or sparse.
+
+    Returns (pts, rows): the distinct points (P, dim), and for each box in
+    turn the rows of its samples among them (B*S,).
+    """
+    dim = domain.dim
+    den = (samples_per_axis - 1) * (1 if samples_per_axis % 2 else 2)
+    steps = np.rint(offsets * den).astype(np.int64)  # (S, dim)
+    up = steps // den
+    frac = steps - up * den
+    # owner cells reach 2^depth on a non-periodic top face, so their codes
+    # take depth+1 bits an axis; a periodic axis wraps them to its cell 0
+    owners = unpack_codes(codes, depth, dim)[:, None, :] + _unit_offsets(dim)[None, :, :]
+    code = np.zeros(owners.shape[:2], dtype=np.int64)
+    for ax, per in enumerate(domain.periodic):
+        code = (code << (depth + 1)) | (owners[..., ax] % (1 << depth) if per else owners[..., ax])
+    cells, rank = np.unique(code, return_inverse=True)
+    per_cell = den**dim
+    slot_of = (rank.reshape(len(codes), -1)[:, np.ravel_multi_index(tuple(up.T), (2,) * dim)]
+               * per_cell + np.ravel_multi_index(tuple(frac.T), (den,) * dim)).ravel()
+    mark = np.zeros(len(cells) * per_cell, dtype=bool)
+    mark[slot_of] = True
+    slots = np.flatnonzero(mark)
+    rows = (np.cumsum(mark) - 1)[slot_of]
+
+    h = domain.box_width(depth)
+    # the offset of each fraction, with the bits of ``offsets``
+    axis = np.zeros(den)
+    axis[frac[steps < den]] = offsets[steps < den]
+    grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    corners = np.asarray(domain.lower) + unpack_codes(cells, depth + 1, dim) * h
+    owner, fraction = np.divmod(slots, per_cell)
+    return corners.take(owner, axis=0) + (grid * h).take(fraction, axis=0), rows
+
+
 def _chunk_edges(
     system,
     depth: int,
@@ -404,10 +459,9 @@ def _chunk_edges(
     n_axis = 1 << depth
     h = domain.box_width(depth)
     lo = np.asarray(domain.lower)
-    corners = lo + unpack_codes(codes, depth, dim) * h
-    pts = domain.wrap((corners[:, None, :] + offsets[None, :, :] * h).reshape(-1, dim))
     B, S = len(codes), len(offsets)
-    img = np.asarray(system.forward(pts), dtype=float).reshape(B, S, dim)
+    pts, rows = _shared_samples(domain, depth, codes, offsets, samples_per_axis)
+    img = np.asarray(system.forward(pts), dtype=float).take(rows, axis=0).reshape(B, S, dim)
 
     bad = ~np.isfinite(img).all(axis=(1, 2))
     if np.any(bad):
@@ -553,11 +607,14 @@ def build_graph(
 ) -> TransitionGraph:
     """Build the epsilon-transition graph of a map over a box set.
 
-    Each box is sampled on a uniform grid (corners and center included); an
-    edge b -> b' is added whenever the max-metric ball of radius
-    epsilon + pad around a sampled image point meets b'.  pad is
-    lipschitz_hint * max_box_width / 2 when the system carries a hint, else
-    the empirical covering radius of the image sample grid.
+    Each box is sampled on a uniform grid (corners and center included).
+    The samples are shared lattice points, so neighbouring boxes share
+    their edge and corner samples, and each chunk maps each of its distinct
+    points once (see ``_shared_samples``).  An edge b -> b' is added
+    whenever the max-metric ball of radius epsilon + pad around a sampled
+    image point meets b'.  pad is lipschitz_hint * max_box_width / 2 when
+    the system carries a hint, else the empirical covering radius of the
+    image sample grid.
 
     A box's edges are the union of its samples' cell rectangles, clipped on
     non-periodic axes and wrapped on periodic ones (see the module
@@ -577,8 +634,10 @@ def build_graph(
     if workers > 1 and getattr(system, "registry_name", None) is None:
         raise ConfigError("parallel build requires a registry-buildable system")
     _check_box_count(boxset.count)
-
     dim = boxset.domain.dim
+    if (boxset.depth + 1) * dim > 63:
+        raise ConfigError(f"depth {boxset.depth} too large to sample for dim {dim}")
+
     offsets = _sample_offsets(dim, samples_per_axis)
     n = boxset.count
     # on a full cover a cell's index is its code

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,16 @@ def test_too_deep_grid_is_rejected():
         BoxSet.full_cover(UNIT_SQUARE, 31)
 
 
+def test_too_deep_grid_to_sample_is_rejected():
+    # sample cells reach index 2^depth on the top face, one bit more an
+    # axis than a box code, and four axes of 16 bits overflow an int64
+    cube = Domain((0.0,) * 4, (1.0,) * 4, (False,) * 4)
+    system = SimpleNamespace(dim=4, domain=cube, lipschitz_hint=1.0, forward=lambda p: p)
+    build_graph(system, BoxSet(cube, 14, [0, 1]), 0.0, samples_per_axis=2)
+    with pytest.raises(ConfigError):
+        build_graph(system, BoxSet(cube, 15, [0, 1]), 0.0, samples_per_axis=2)
+
+
 # ---------------------------------------------------------------------------
 # set algebra
 # ---------------------------------------------------------------------------
@@ -180,7 +192,7 @@ def test_graph_is_outer_approximation(name, depth):
     src = cover.indices_of(point_codes(system.domain, depth, pts))
     dst = point_codes(system.domain, depth, img)
     for i, want in zip(src, dst):
-        succ = graph.boxset.codes[graph.successors(int(i))]
+        succ = graph.boxset.codes[graph.indices[graph.indptr[i] : graph.indptr[i + 1]]]
         assert int(want) in set(int(c) for c in succ)
 
 
@@ -248,7 +260,7 @@ def test_reverse_transposes_edges():
     system = mapzoo.make_system("cat_map", {})
     g = build_graph(system, initial_cover(system.domain, 4), epsilon=0.05)
     indptr, indices = boxdyn._transpose_csr(g.indptr, g.indices)
-    fwd = {(s, int(d)) for s in range(g.n_boxes) for d in g.successors(s)}
+    fwd = {(s, int(d)) for s in range(g.n_boxes) for d in g.indices[g.indptr[s]:g.indptr[s + 1]]}
     bwd = {(int(d), s) for s in range(g.n_boxes) for d in indices[indptr[s]:indptr[s + 1]]}
     assert fwd == bwd
 

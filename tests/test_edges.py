@@ -1,11 +1,16 @@
 """Edge enumeration of ``build_graph`` against two oracles.
 
 ``_reference_chunk_edges`` is the earlier per-sample enumerator, kept here
-verbatim: it builds a dense block of candidate cells per sample point and
-filters it.  The graphs it builds must be reproduced bit for bit wherever
+with only its samples taken from ``_eval_chunk``: it builds a dense block
+of candidate cells per sample point and filters it.  The graphs it builds must be reproduced bit for bit wherever
 no sample range runs past both ends of a non-periodic axis.  There it lost
 the cells past the top end, and both enumerators are checked against
 ``_brute_graph`` instead, which tests every (box, sample, cell) triple.
+
+Both oracles map every box's samples on their own, in one batch, with no
+point shared between boxes (``_eval_chunk``), while ``build_graph`` maps
+each distinct lattice point of a chunk once.  Both take a sample's
+coordinate from its integer lattice index.
 """
 
 import dataclasses
@@ -29,12 +34,27 @@ from setdyn.errors import NumericsError
 SYSTEMS = mapzoo.list_systems()
 
 
-def _eval_chunk(system, chunk_coords: np.ndarray, depth: int, offsets: np.ndarray):
-    """Map all samples of a chunk of boxes; returns images (B, S, dim)."""
+def _eval_chunk(system, chunk_coords: np.ndarray, depth: int, samples: int):
+    """Map every sample of a chunk of boxes, each box on its own; returns
+    images (B, S, dim).
+
+    A sample's coordinate comes from its integer lattice index, so that
+    neighbouring boxes give a shared point the same double: with den = k-1
+    for odd k and 2(k-1) for even k, the sample at offset o of box c has
+    index c*den + o*den, and sits at lo + cell*h + o'*h with
+    (cell, m) = divmod(index, den) and o' the offset of m/den in the grid.
+    """
     domain = system.domain
     h = domain.box_width(depth)
-    corners = np.asarray(domain.lower) + chunk_coords * h
-    pts = corners[:, None, :] + offsets[None, :, :] * h
+    offsets = boxdyn._sample_offsets(domain.dim, samples)
+    den = samples - 1 if samples % 2 else 2 * (samples - 1)
+    index = chunk_coords[:, None, :] * den + np.rint(offsets * den).astype(np.int64)
+    cell, m = np.divmod(index, den)
+    offset_of = np.zeros(den)
+    for o in np.unique(offsets):
+        if o < 1.0:
+            offset_of[int(round(o * den))] = o
+    pts = np.asarray(domain.lower) + cell * h + offset_of[m] * h
     B, S, dim = pts.shape
     flat = domain.wrap(pts.reshape(-1, dim))
     return np.asarray(system.forward(flat), dtype=float).reshape(B, S, dim)
@@ -46,7 +66,6 @@ def _reference_chunk_edges(
     chunk_lo: int,
     chunk_hi: int,
     epsilon: float,
-    offsets: np.ndarray,
     samples_per_axis: int,
 ):
     """Deterministic edge keys (src_idx << _KEY_BITS | dst_idx) for one box chunk."""
@@ -57,7 +76,7 @@ def _reference_chunk_edges(
     h = domain.box_width(depth)
     lo = np.asarray(domain.lower)
     coords = unpack_codes(boxset.codes[chunk_lo:chunk_hi], depth, dim)
-    img = _eval_chunk(system, coords, depth, offsets)
+    img = _eval_chunk(system, coords, depth, samples_per_axis)
     B, S, _ = img.shape
 
     bad = ~np.isfinite(img).all(axis=(1, 2))
@@ -122,11 +141,10 @@ def _csr(n, src, dst):
 
 def _reference_graph(system, boxset, epsilon, samples):
     """(indptr, indices) as the per-sample enumerator builds them."""
-    offsets = boxdyn._sample_offsets(boxset.domain.dim, samples)
     n = boxset.count
     parts = [
         _reference_chunk_edges(system, boxset, lo, min(lo + boxdyn._CHUNK_BOXES, n),
-                               epsilon, offsets, samples)
+                               epsilon, samples)
         for lo in range(0, n, boxdyn._CHUNK_BOXES)
     ]
     keys = np.unique(np.concatenate(parts))
@@ -142,8 +160,7 @@ def _brute_graph(system, boxset, epsilon, samples):
     depth, dim = boxset.depth, domain.dim
     n = 1 << depth
     h = domain.box_width(depth)
-    offsets = boxdyn._sample_offsets(dim, samples)
-    img = _eval_chunk(system, boxset.coords(), depth, offsets)
+    img = _eval_chunk(system, boxset.coords(), depth, samples)
     B, S, _ = img.shape
     if system.lipschitz_hint is not None:
         cover_r = domain.max_box_width(depth) / (2.0 * (samples - 1))
@@ -177,22 +194,7 @@ def _assert_same(graph, want):
     assert np.array_equal(graph.indices, indices)
 
 
-def _cached(system):
-    """The system with its forward map memoised on the input points, so the
-    graph and its oracle share the map evaluations."""
-    memo = {}
-
-    def forward(pts):
-        key = pts.tobytes()
-        if key not in memo:
-            memo[key] = system.forward(pts)
-        return memo[key]
-
-    return dataclasses.replace(system, forward=forward)
-
-
 def _check_against_reference(system, boxset, epsilon, samples):
-    system = _cached(system)
     graph = build_graph(system, boxset, epsilon, samples_per_axis=samples)
     _assert_same(graph, _reference_graph(system, boxset, epsilon, samples))
     return graph
@@ -261,7 +263,7 @@ def test_cat_map_seam_boxes_match_reference():
     system = mapzoo.make_system("cat_map", {})
     depth = 6
     cover = initial_cover(system.domain, depth)
-    img = _eval_chunk(system, cover.coords(), depth, boxdyn._sample_offsets(2, 4))
+    img = _eval_chunk(system, cover.coords(), depth, 4)
     # the wrapped images of these boxes lie on both sides of a seam
     split = np.any(img.max(axis=1) - img.min(axis=1) > 0.5, axis=-1)
     seam = BoxSet(system.domain, depth, cover.codes[split])
@@ -275,7 +277,7 @@ def test_nested_rings_fat_pad_boxes_match_reference():
     system = mapzoo.make_system("nested_rings", {"step": 0.02})
     depth = 7
     cover = initial_cover(system.domain, depth)
-    img = _eval_chunk(system, cover.coords(), depth, boxdyn._sample_offsets(2, 3))
+    img = _eval_chunk(system, cover.coords(), depth, 3)
     spread = _image_spread(system.domain, img)
     fat = spread > 4 * np.median(spread)
     rim = BoxSet(system.domain, depth, cover.codes[fat])
@@ -310,8 +312,7 @@ def _reference_pad(system, boxset, samples):
     take = min(boxset.count, 256)
     idx = np.linspace(0, boxset.count - 1, take).astype(np.int64)
     coords = unpack_codes(boxset.codes[idx], boxset.depth, boxset.domain.dim)
-    offsets = boxdyn._sample_offsets(boxset.domain.dim, samples)
-    spread = _image_spread(boxset.domain, _eval_chunk(system, coords, boxset.depth, offsets))
+    spread = _image_spread(boxset.domain, _eval_chunk(system, coords, boxset.depth, samples))
     spread = spread[np.isfinite(spread)]
     return float(np.median(spread) / (2.0 * (samples - 1)))
 
@@ -339,7 +340,7 @@ def test_empirical_pad_matches_second_map_pass(name, depth, samples, keep, worke
 def test_balls_wider_than_the_domain_keep_every_edge(name, depth, epsilon, samples, n_edges):
     # a sample range runs past both ends of a non-periodic axis; the cells
     # at the top end must still be reached
-    system = _cached(mapzoo.make_system(name, {}))
+    system = mapzoo.make_system(name, {})
     cover = initial_cover(system.domain, depth)
     graph = build_graph(system, cover, epsilon, samples_per_axis=samples)
     _assert_same(graph, _brute_graph(system, cover, epsilon, samples))
@@ -357,7 +358,7 @@ def test_balls_wider_than_the_domain_keep_every_edge(name, depth, epsilon, sampl
     seed=st.integers(0, 2**16),
 )
 def test_graph_matches_brute_force(name, depth, eps_boxes, samples, keep, seed):
-    system = _cached(mapzoo.make_system(name, {}))
+    system = mapzoo.make_system(name, {})
     cover = initial_cover(system.domain, depth)
     rng = np.random.default_rng(seed)
     codes = cover.codes[rng.random(cover.count) < keep]
@@ -367,3 +368,106 @@ def test_graph_matches_brute_force(name, depth, eps_boxes, samples, keep, seed):
     epsilon = eps_boxes * system.domain.max_box_width(depth)
     graph = build_graph(system, boxset, epsilon, samples_per_axis=samples)
     _assert_same(graph, _brute_graph(system, boxset, epsilon, samples))
+
+
+# ---------------------------------------------------------------------------
+# shared lattice samples
+# ---------------------------------------------------------------------------
+
+
+def _counted(system):
+    """The system, recording the number of points of each forward call."""
+    calls = []
+
+    def forward(pts):
+        calls.append(len(pts))
+        return system.forward(pts)
+
+    return dataclasses.replace(system, forward=forward), calls
+
+
+def _distinct_points_per_chunk(boxset, samples):
+    """The number of distinct lattice indices among each chunk's samples,
+    taken modulo the period on periodic axes."""
+    den = samples - 1 if samples % 2 else 2 * (samples - 1)
+    steps = [tuple(int(round(o * den)) for o in row)
+             for row in boxdyn._sample_offsets(boxset.domain.dim, samples)]
+    period = [den << boxset.depth if per else None for per in boxset.domain.periodic]
+    coords = boxset.coords().tolist()
+    return [
+        len({tuple(c * den + m if p is None else (c * den + m) % p
+                   for c, m, p in zip(box, step, period))
+             for box in coords[lo:lo + boxdyn._CHUNK_BOXES] for step in steps})
+        for lo in range(0, boxset.count, boxdyn._CHUNK_BOXES)
+    ]
+
+
+def _per_box_pad(system, boxset, samples):
+    if system.lipschitz_hint is None:
+        return _reference_pad(system, boxset, samples)
+    hmax = boxset.domain.max_box_width(boxset.depth)
+    return system.lipschitz_hint * hmax / (2.0 * (samples - 1))
+
+
+def _shared_sample_case(case):
+    if case == "nf_timeq_full":
+        system = mapzoo.make_system("nf_timeq", {})
+        return system, initial_cover(system.domain, 6), 3
+    system = mapzoo.make_system("nested_rings" if case == "sparse" else "cat_map", {})
+    cover = initial_cover(system.domain, 6)
+    if case == "cat_map_centre":
+        return system, cover, 4
+    if case == "sparse":
+        keep = np.random.default_rng(6).random(cover.count) < 0.3
+        return system, BoxSet(system.domain, 6, cover.codes[keep]), 3
+    # boxes whose wrapped images lie on both sides of a seam
+    img = _eval_chunk(system, cover.coords(), 6, 4)
+    split = np.any(img.max(axis=1) - img.min(axis=1) > 0.5, axis=-1)
+    return system, BoxSet(system.domain, 6, cover.codes[split]).dilate(), 4
+
+
+@pytest.mark.parametrize("case", ["nf_timeq_full", "cat_map_centre", "sparse", "cat_map_seam"])
+def test_forward_maps_each_shared_point_once_per_chunk(case):
+    system, boxset, samples = _shared_sample_case(case)
+    epsilon = system.domain.max_box_width(boxset.depth)
+    counted, calls = _counted(system)
+    graph = build_graph(counted, boxset, epsilon, samples_per_axis=samples)
+    assert calls == _distinct_points_per_chunk(boxset, samples)
+    if case == "nf_timeq_full":
+        assert (len(calls), sum(calls)) == (4, 17028)
+    assert sum(calls) < boxset.count * len(boxdyn._sample_offsets(2, samples))
+    # the same graph as from each box's own samples, mapped without sharing
+    _assert_same(graph, _reference_graph(system, boxset, epsilon, samples))
+    assert graph.pad == _per_box_pad(system, boxset, samples)
+    parallel = build_graph(system, boxset, epsilon, samples_per_axis=samples, workers=2)
+    _assert_same(parallel, (graph.indptr, graph.indices))
+    assert parallel.pad == graph.pad
+
+
+@pytest.mark.parametrize("samples", [2, 3, 4])
+@pytest.mark.parametrize("name", ["nested_rings", "cat_map", "nf_timeq"])
+def test_lattice_coordinates_move_only_on_far_faces(name, samples):
+    # the earlier coordinates were corner + offset*h; on a grid where h is
+    # exact in binary the lattice gives the same doubles, and elsewhere a
+    # sample at offset 1 may move by one ulp of the domain's width (more
+    # ulps of its own where it lies near 0)
+    domain = mapzoo.make_system(name, {}).domain
+    offsets = boxdyn._sample_offsets(domain.dim, samples)
+    for depth in (3, 6, 8):
+        cover = initial_cover(domain, depth)
+        h = domain.box_width(depth)
+        old = domain.wrap(cover.lower_corners()[:, None, :] + offsets * h)
+        new = np.concatenate([
+            pts.take(rows, axis=0)
+            for pts, rows in (
+                boxdyn._shared_samples(domain, depth, cover.codes[lo:lo + boxdyn._CHUNK_BOXES],
+                                       offsets, samples)
+                for lo in range(0, cover.count, boxdyn._CHUNK_BOXES))
+        ]).reshape(old.shape)
+        if name != "nf_timeq":
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+            continue
+        moved = new != old
+        assert np.any(moved)
+        assert not np.any(moved & (offsets != 1.0))
+        assert np.all(np.abs(new - old) <= np.spacing(domain.widths))
