@@ -25,9 +25,12 @@ CSR without a global dedupe.
 Samples are points of one lattice shared by neighbouring boxes: a box's
 edge and corner samples are also samples of the boxes next to it.  Each
 sample's coordinate comes from its integer lattice index, so a shared
-point is the same double in every box, and each chunk maps each of its
-distinct lattice points once.  With 3 samples an axis that maps 2.2 times
-fewer points on a 2-D full cover.
+point is the same double in every box, and each distinct lattice point is
+mapped once per chunk, and not again at the next stage of a scan.  With 3
+samples an axis that maps 2.2 times fewer points on a 2-D full cover.  A
+deeper cover's lattice contains the coarser one's, so a scan hands each
+stage's lattice images to the next (``LatticeImages``), which reuses an
+image wherever the point's coordinate has the same bits at both depths.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ class BoxSet:
             raise ConfigError("codes must be one-dimensional")
         self.domain = domain
         self.depth = int(depth)
-        self.codes = np.unique(codes)
+        self.codes = _unique(codes)
 
     # -- construction -------------------------------------------------------
 
@@ -203,7 +206,7 @@ class BoxSet:
     # -- set algebra --------------------------------------------------------
 
     def contains_codes(self, codes: np.ndarray):
-        return np.isin(codes, self.codes, assume_unique=False)
+        return self.indices_of(codes) >= 0
 
     def indices_of(self, codes: np.ndarray) -> np.ndarray:
         """Positions of the given codes inside this set (-1 when absent)."""
@@ -216,7 +219,7 @@ class BoxSet:
 
     def union(self, other: "BoxSet") -> "BoxSet":
         self._check_compatible(other)
-        return BoxSet(self.domain, self.depth, np.union1d(self.codes, other.codes))
+        return BoxSet(self.domain, self.depth, np.concatenate([self.codes, other.codes]))
 
     def intersection(self, other: "BoxSet") -> "BoxSet":
         self._check_compatible(other)
@@ -287,6 +290,16 @@ class BoxSet:
         return f"BoxSet(depth={self.depth}, count={self.count})"
 
 
+def _unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array, by a sort and a neighbour mask.  A plain
+    ``np.unique`` takes a hash path that is many times slower on the int64
+    codes and keys here."""
+    a = np.sort(np.asarray(a).ravel())
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _unit_offsets(dim: int) -> np.ndarray:
     return np.stack(
         np.meshgrid(*([np.arange(2)] * dim), indexing="ij"), axis=-1
@@ -342,7 +355,11 @@ def initial_cover(domain: Domain, depth: int, budget: int = BOX_BUDGET) -> BoxSe
 
 
 class TransitionGraph:
-    """Sorted-CSR over-approximation of the map on a box set."""
+    """Sorted-CSR over-approximation of the map on a box set.
+
+    ``lattice_images`` holds the images of the graph's sample lattice when
+    ``build_graph`` was asked to keep them, else None.
+    """
 
     def __init__(
         self,
@@ -351,12 +368,14 @@ class TransitionGraph:
         indptr: np.ndarray,
         indices: np.ndarray,
         pad: float,
+        lattice_images: "LatticeImages | None" = None,
     ):
         self.boxset = boxset
         self.epsilon = float(epsilon)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.pad = float(pad)
+        self.lattice_images = lattice_images
 
     @property
     def n_boxes(self) -> int:
@@ -389,29 +408,57 @@ def _sample_offsets(dim: int, samples_per_axis: int) -> np.ndarray:
     return grid
 
 
+def _lattice_den(samples_per_axis: int) -> int:
+    """Lattice steps per cell on one axis: k-1 for k samples when k is odd,
+    2(k-1) when k is even, so the centre of an even grid is a lattice point."""
+    return (samples_per_axis - 1) * (1 if samples_per_axis % 2 else 2)
+
+
+def _lattice_bits(depth: int, den: int) -> int:
+    """Bits of one axis of a lattice index, which runs from 0 to den*2^depth."""
+    return (den << depth).bit_length()
+
+
+def _pack_index(index: np.ndarray, bits: int) -> np.ndarray:
+    """One int64 key per lattice index (P, dim), axis 0 most significant."""
+    key = np.zeros(len(index), dtype=np.int64)
+    for ax in range(index.shape[1]):
+        key = (key << bits) | index[:, ax]
+    return key
+
+
+def _lattice_points(domain: Domain, depth: int, axis: np.ndarray, cell, frac) -> np.ndarray:
+    """Coordinates lo + cell*h + axis[frac]*h of lattice points, given per
+    axis by their owner cell and their fraction of it; every stage of a
+    scan computes a point's coordinate with this one formula."""
+    h = domain.box_width(depth)
+    return (np.asarray(domain.lower) + cell * h) + axis[frac] * h
+
+
 def _shared_samples(domain: Domain, depth: int, codes: np.ndarray, offsets: np.ndarray,
-                    samples_per_axis: int):
+                    samples_per_axis: int, with_index: bool = False):
     """The distinct sample points of a chunk of boxes, and the row of each
     box's samples among them.
 
     The sample at offset o of box c has the integer lattice index
-    c*den + o*den per axis, with den = k-1 for odd k and 2(k-1) for even k,
-    so the centre of an even grid has an index too.  Its coordinate is taken
-    from the index as lo + cell*h + frac*h with (cell, frac) =
-    divmod(index, den), so every box that shares a point produces the same
-    double.  A sample on a box's upper face is owned by the cell above, at
-    fraction 0 there; past the last cell of a periodic axis that is cell 0,
-    so every point lies in [lower, upper) there, as ``Domain.wrap`` would
-    put it.  The owner cells of the chunk, its boxes and their upper
-    neighbours, are ranked by code, and the samples are marked in den^dim
-    slots per owner and compacted with a cumulative sum.  The work stays
-    proportional to the chunk's samples whether the set is full or sparse.
+    c*den + o*den per axis (``_lattice_den``).  Its coordinate is taken from
+    the index as lo + cell*h + frac*h with (cell, frac) = divmod(index, den),
+    so every box that shares a point produces the same double.  A sample on
+    a box's upper face is owned by the cell above, at fraction 0 there; past
+    the last cell of a periodic axis that is cell 0, so every point lies in
+    [lower, upper) there, as ``Domain.wrap`` would put it.  The owner cells
+    of the chunk, its boxes and their upper neighbours, are ranked by code,
+    and the samples are marked in den^dim slots per owner and compacted with
+    a cumulative sum.  The work stays proportional to the chunk's samples
+    whether the set is full or sparse.
 
     Returns (pts, rows): the distinct points (P, dim), and for each box in
-    turn the rows of its samples among them (B*S,).
+    turn the rows of its samples among them (B*S,).  ``with_index`` adds
+    the points' lattice indices (P, dim), wrapped on periodic axes; the
+    caller checks that they fit in int64.
     """
     dim = domain.dim
-    den = (samples_per_axis - 1) * (1 if samples_per_axis % 2 else 2)
+    den = _lattice_den(samples_per_axis)
     steps = np.rint(offsets * den).astype(np.int64)  # (S, dim)
     up = steps // den
     frac = steps - up * den
@@ -430,14 +477,75 @@ def _shared_samples(domain: Domain, depth: int, codes: np.ndarray, offsets: np.n
     slots = np.flatnonzero(mark)
     rows = (np.cumsum(mark) - 1)[slot_of]
 
-    h = domain.box_width(depth)
-    # the offset of each fraction, with the bits of ``offsets``
-    axis = np.zeros(den)
-    axis[frac[steps < den]] = offsets[steps < den]
-    grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    corners = np.asarray(domain.lower) + unpack_codes(cells, depth + 1, dim) * h
     owner, fraction = np.divmod(slots, per_cell)
-    return corners.take(owner, axis=0) + (grid * h).take(fraction, axis=0), rows
+    cell = unpack_codes(cells, depth + 1, dim)[owner]
+    fracs = np.stack(np.unravel_index(fraction, (den,) * dim), axis=-1)
+    pts = _lattice_points(domain, depth, _lattice_axis(offsets, den), cell, fracs)
+    if with_index:
+        return pts, rows, cell * den + fracs
+    return pts, rows
+
+
+def _lattice_axis(offsets: np.ndarray, den: int) -> np.ndarray:
+    """The offset of each lattice fraction 0..den-1 of a cell, with the
+    bits of ``offsets``."""
+    steps = np.rint(offsets * den).astype(np.int64)
+    axis = np.zeros(den)
+    axis[steps[steps < den]] = offsets[steps < den]
+    return axis
+
+
+@dataclass(frozen=True)
+class LatticeImages:
+    """The distinct sample lattice points of a graph at ``depth`` and their
+    images, which the next stage of a scan looks up instead of mapping.
+
+    ``keys`` packs each point's lattice index (see ``_shared_samples``) in
+    ``_lattice_bits(depth, den)`` bits an axis, axis 0 most significant, and
+    is sorted and duplicate-free; ``images`` (P, dim) follows it.
+    """
+
+    depth: int
+    den: int
+    keys: np.ndarray
+    images: np.ndarray
+
+    def window(self, depth: int, first: int, last: int) -> "LatticeImages":
+        """The points that lattice indices at ``depth`` whose axis-0 index
+        lies in [first, last] can find here, as views."""
+        shift = depth - self.depth
+        low = _lattice_bits(self.depth, self.den) * (self.images.shape[1] - 1)
+        # ceil(first / 2^shift) and floor(last / 2^shift) on axis 0
+        lo_key = -(-first >> shift) << low
+        hi_key = ((last >> shift) << low) | ((1 << low) - 1)
+        a = int(np.searchsorted(self.keys, lo_key, side="left"))
+        b = int(np.searchsorted(self.keys, hi_key, side="right"))
+        return LatticeImages(self.depth, self.den, self.keys[a:b], self.images[a:b])
+
+    def lookup(self, domain: Domain, depth: int, axis: np.ndarray, index: np.ndarray,
+               pts: np.ndarray):
+        """(found, pos): which lattice points of ``depth`` (indices (P, dim),
+        coordinates ``pts``) have their image at row ``pos`` here.
+
+        The point at index L is this table's point L / 2^(depth - self.depth)
+        when that divides on every axis.  It counts only when its coordinate
+        here, from the same formula, has the same bits as ``pts``: where h is
+        not exact in binary the two can differ.
+        """
+        found = np.zeros(len(index), dtype=bool)
+        pos = np.zeros(len(index), dtype=np.int64)
+        if len(self.keys) == 0:
+            return found, pos
+        shift = depth - self.depth
+        coarse = index >> shift
+        key = _pack_index(coarse, _lattice_bits(self.depth, self.den))
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        found = np.all(coarse << shift == index, axis=1) & (self.keys[pos] == key)
+        idx = np.flatnonzero(found)
+        there = _lattice_points(domain, self.depth, axis, *np.divmod(coarse[idx], self.den))
+        same = np.all(there.view(np.int64) == pts[idx].view(np.int64), axis=1)
+        found[idx[~same]] = False
+        return found, pos
 
 
 def _chunk_edges(
@@ -447,12 +555,19 @@ def _chunk_edges(
     epsilon: float,
     offsets: np.ndarray,
     samples_per_axis: int,
+    reuse: LatticeImages | None = None,
+    keep: bool = False,
 ):
     """Edges out of one chunk of boxes, given by their codes.
 
-    Returns (src, dst, spread): the position of each edge's source box
-    inside the chunk, the code of its destination cell, and each box's
-    image spread (None under a Lipschitz pad).  Every pair occurs once.
+    The chunk's distinct sample points are mapped in one ``forward`` call,
+    except those found in ``reuse``, the images of a coarser stage.
+
+    Returns (src, dst, spread, lattice): the position of each edge's source
+    box inside the chunk, the code of its destination cell, each box's image
+    spread (None under a Lipschitz pad), and with ``keep`` the keys and
+    images of the chunk's distinct points (else None).  Every pair occurs
+    once.
     """
     domain = system.domain
     dim = domain.dim
@@ -460,8 +575,22 @@ def _chunk_edges(
     h = domain.box_width(depth)
     lo = np.asarray(domain.lower)
     B, S = len(codes), len(offsets)
-    pts, rows = _shared_samples(domain, depth, codes, offsets, samples_per_axis)
-    img = np.asarray(system.forward(pts), dtype=float).take(rows, axis=0).reshape(B, S, dim)
+    pts, rows, *index = _shared_samples(domain, depth, codes, offsets, samples_per_axis,
+                                        with_index=reuse is not None or keep)
+    if reuse is None:
+        img = np.asarray(system.forward(pts), dtype=float)
+    else:
+        axis = _lattice_axis(offsets, reuse.den)
+        found, pos = reuse.lookup(domain, depth, axis, index[0], pts)
+        img = np.empty_like(pts)
+        img[found] = reuse.images[pos[found]]
+        if not found.all():
+            img[~found] = system.forward(pts[~found])
+    lattice = None
+    if keep:
+        lattice = (_pack_index(index[0], _lattice_bits(depth, _lattice_den(samples_per_axis))),
+                   img)
+    img = img.take(rows, axis=0).reshape(B, S, dim)
 
     bad = ~np.isfinite(img).all(axis=(1, 2))
     if np.any(bad):
@@ -500,7 +629,7 @@ def _chunk_edges(
     live = np.all(lo_i <= hi_i, axis=-1, keepdims=True)
     boxes = np.flatnonzero(live.any(axis=(1, 2)))
     if len(boxes) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), spread
+        return np.empty(0, np.int64), np.empty(0, np.int64), spread, lattice
 
     # each box's window is the bounding range of its live rectangles; in it
     # a rectangle spans [a, b), and one that misses the grid spans nothing
@@ -511,10 +640,14 @@ def _chunk_edges(
     b = (hi_i + 1 - win_lo[:, None, :]) * live
 
     # boxes share a grid with the boxes of the same power-of-two window size
-    # per axis, so a few fat-pad boxes do not widen the grid of the others
-    size_class = np.ceil(np.log2(width[boxes])).astype(np.int64)
-    _, size_class = np.unique(size_class, axis=0, return_inverse=True)
-    size_class = size_class.ravel()
+    # per axis, so a few fat-pad boxes do not widen the grid of the others.
+    # Ranked one axis at a time, axis 0 first, the classes keep their row
+    # order in a small int64, and a 1-D unique sorts where axis=0 is slow
+    classes = np.ceil(np.log2(width[boxes])).astype(np.int64)
+    base = int(classes.max()) + 1
+    size_class = np.zeros(len(boxes), dtype=np.int64)
+    for ax in range(dim):
+        _, size_class = np.unique(size_class * base + classes[:, ax], return_inverse=True)
     src_parts, dst_parts = [], []
     for cls in range(size_class.max() + 1):
         sel = boxes[size_class == cls]
@@ -531,7 +664,7 @@ def _chunk_edges(
             code = (code << depth) | (c % n_axis if per else c)
         src_parts.append(np.repeat(sel, hit.reshape(len(sel), -1).sum(axis=1)))
         dst_parts.append(code[hit])
-    return np.concatenate(src_parts), np.concatenate(dst_parts), spread
+    return np.concatenate(src_parts), np.concatenate(dst_parts), spread, lattice
 
 
 def _window_union(a, b, shape):
@@ -578,23 +711,32 @@ def _chunk_edges_by_name(args):
     return _chunk_edges(mapzoo.make_system(name, params), *rest)
 
 
-def _chunk_parts(system, boxset: BoxSet, chunks, epsilon, offsets, samples_per_axis, workers):
-    """(src, dst) of each chunk of boxes, in chunk order, mapped lazily."""
-    depth = boxset.depth
+def _chunk_parts(system, boxset: BoxSet, chunks, epsilon, offsets, samples_per_axis, workers,
+                 reuse, keep):
+    """``_chunk_edges`` of each chunk of boxes, in chunk order, mapped lazily."""
+    depth, dim = boxset.depth, boxset.domain.dim
+    den = _lattice_den(samples_per_axis)
+    args = []
+    # each task carries only its own slice of the codes, and of the table the
+    # slice that covers its range of axis-0 lattice indices
+    for lo, hi in chunks:
+        window = None
+        if reuse is not None:
+            first, last = (int(c) >> (depth * (dim - 1)) for c in boxset.codes[[lo, hi - 1]])
+            first, last = first * den, (last + 1) * den
+            if boxset.domain.periodic[0] and last == den << depth:
+                first = 0  # the top face wraps to index 0
+            window = reuse.window(depth, first, last)
+        args.append((depth, boxset.codes[lo:hi], epsilon, offsets, samples_per_axis, window,
+                     keep))
     if workers == 1:
-        for lo, hi in chunks:
-            yield _chunk_edges(
-                system, depth, boxset.codes[lo:hi], epsilon, offsets, samples_per_axis
-            )
+        for a in args:
+            yield _chunk_edges(system, *a)
         return
-    # each task carries only its own slice of the codes
-    args = [
-        (system.registry_name, system.params, depth, boxset.codes[lo:hi], epsilon, offsets,
-         samples_per_axis)
-        for lo, hi in chunks
-    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_chunk_edges_by_name, args, chunksize=1)
+        yield from pool.map(_chunk_edges_by_name,
+                            [(system.registry_name, system.params, *a) for a in args],
+                            chunksize=1)
 
 
 def build_graph(
@@ -604,24 +746,36 @@ def build_graph(
     samples_per_axis: int = 4,
     workers: int = 1,
     edge_budget: int = EDGE_BUDGET,
+    reuse: LatticeImages | None = None,
+    keep_images: bool = False,
 ) -> TransitionGraph:
     """Build the epsilon-transition graph of a map over a box set.
 
     Each box is sampled on a uniform grid (corners and center included).
     The samples are shared lattice points, so neighbouring boxes share
-    their edge and corner samples, and each chunk maps each of its distinct
-    points once (see ``_shared_samples``).  An edge b -> b' is added
+    their edge and corner samples, and each distinct point is mapped once
+    per chunk (see ``_shared_samples``), and not again at the next stage of
+    a scan (see ``reuse`` below).  An edge b -> b' is added
     whenever the max-metric ball of radius epsilon + pad around a sampled
     image point meets b'.  pad is lipschitz_hint * max_box_width / 2 when
     the system carries a hint, else the empirical covering radius of the
     image sample grid.
+
+    A scan passes the graph of one stage to the next through ``reuse``: the
+    ``lattice_images`` of a graph of the same system and sample count at
+    the same or a lower depth.  A point found there with the same
+    coordinate bits is not mapped again; the maps are batch-invariant, so
+    its image is the one a fresh call would give.  ``keep_images`` stores
+    this graph's own lattice images in ``lattice_images``.  Lattice keys
+    take ``_lattice_bits`` an axis: a table is looked up only where one axis
+    of an index fits in int64, and kept only where a whole key does.
 
     A box's edges are the union of its samples' cell rectangles, clipped on
     non-periodic axes and wrapped on periodic ones (see the module
     docstring).  Chunks of boxes are disjoint in source box and each one's
     edges come out sorted, so the CSR needs no global dedupe.  The edge
     budget is checked after every chunk, before the next one is mapped.
-    Output is independent of ``workers``.
+    Output is independent of ``workers`` and of ``reuse``.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}")
@@ -634,31 +788,41 @@ def build_graph(
     if workers > 1 and getattr(system, "registry_name", None) is None:
         raise ConfigError("parallel build requires a registry-buildable system")
     _check_box_count(boxset.count)
-    dim = boxset.domain.dim
-    if (boxset.depth + 1) * dim > 63:
-        raise ConfigError(f"depth {boxset.depth} too large to sample for dim {dim}")
+    depth, dim = boxset.depth, boxset.domain.dim
+    if (depth + 1) * dim > 63:
+        raise ConfigError(f"depth {depth} too large to sample for dim {dim}")
 
     offsets = _sample_offsets(dim, samples_per_axis)
+    den = _lattice_den(samples_per_axis)
+    if reuse is not None and (reuse.den != den or reuse.depth > depth):
+        raise ConfigError("lattice images come from another sample count or a deeper grid")
+    bits = _lattice_bits(depth, den)
+    if bits > 63:
+        reuse = None
+    keep = keep_images and bits * dim <= 63
     n = boxset.count
     # on a full cover a cell's index is its code
-    full = n == 1 << (boxset.depth * dim)
+    full = n == 1 << (depth * dim)
     chunks = [(lo, min(lo + _CHUNK_BOXES, n)) for lo in range(0, n, _CHUNK_BOXES)]
 
     # the empirical pad is reported from the spreads of up to 256 boxes
     # spaced evenly over the set
     probe = np.linspace(0, n - 1, min(n, 256)).astype(np.int64)
-    key_parts, spreads = [], []
+    key_parts, spreads, lattice_parts = [], [], []
     total = 0
-    parts = _chunk_parts(system, boxset, chunks, epsilon, offsets, samples_per_axis, workers)
+    parts = _chunk_parts(system, boxset, chunks, epsilon, offsets, samples_per_axis, workers,
+                         reuse, keep)
     # closing the generator on a budget error cancels the pool's pending tasks
     with contextlib.closing(parts):
-        for (lo, hi), (src, dst, spread) in zip(chunks, parts):
+        for (lo, hi), (src, dst, spread, lattice) in zip(chunks, parts):
             if spread is not None:
                 spreads.append(spread[probe[(probe >= lo) & (probe < hi)] - lo])
+            if lattice is not None:
+                lattice_parts.append(lattice)
             if not full:
                 dst = boxset.indices_of(dst)
-                keep = dst >= 0
-                src, dst = src[keep], dst[keep]
+                kept = dst >= 0
+                src, dst = src[kept], dst[kept]
             keys = ((src + lo) << _KEY_BITS) | dst
             keys.sort()
             total += len(keys)
@@ -681,12 +845,20 @@ def build_graph(
     # edges themselves, but they should not inflate resolution-scale
     # tolerances derived from the graph.
     if system.lipschitz_hint is not None:
-        hmax = boxset.domain.max_box_width(boxset.depth)
+        hmax = boxset.domain.max_box_width(depth)
         pad_used = system.lipschitz_hint * hmax / (2.0 * (samples_per_axis - 1))
     else:
         pad_used = float(np.median(np.concatenate(spreads)) / (2.0 * (samples_per_axis - 1)))
 
-    return TransitionGraph(boxset, epsilon, indptr, dst, pad_used)
+    images = None
+    if keep:
+        # neighbouring chunks share the points of their seam, with equal images
+        lattice_keys, lattice_img = (np.concatenate(c) for c in zip(*lattice_parts))
+        order = np.argsort(lattice_keys)
+        lattice_keys = lattice_keys[order]
+        first = np.diff(lattice_keys, prepend=-1) != 0
+        images = LatticeImages(depth, den, lattice_keys[first], lattice_img[order[first]])
+    return TransitionGraph(boxset, epsilon, indptr, dst, pad_used, images)
 
 
 def _image_spread(domain: Domain, img: np.ndarray) -> np.ndarray:

@@ -36,9 +36,11 @@ import numpy as np
 
 from .boxdyn import (
     BoxSet,
+    LatticeImages,
     TransitionGraph,
     _check_depth,
     _transpose_csr,
+    _unique,
     build_graph,
     initial_cover,
     point_codes,
@@ -85,13 +87,16 @@ class ChainDecomposition:
 
 
 def cover_graph(
-    system, depth: int, epsilon: float | None = None, samples_per_axis: int = 4, workers: int = 1
+    system, depth: int, epsilon: float | None = None, samples_per_axis: int = 4, workers: int = 1,
+    reuse: LatticeImages | None = None, keep_images: bool = False,
 ) -> TransitionGraph:
     """Transition graph of a system over the full cover of its domain at
-    ``depth``; ``epsilon`` defaults to one box diameter."""
+    ``depth``; ``epsilon`` defaults to one box diameter.  ``reuse`` and
+    ``keep_images`` pass a scan's lattice images on (see ``build_graph``)."""
     cover = initial_cover(system.domain, depth)
     epsilon = system.domain.max_box_width(depth) if epsilon is None else float(epsilon)
-    return build_graph(system, cover, epsilon, samples_per_axis=samples_per_axis, workers=workers)
+    return build_graph(system, cover, epsilon, samples_per_axis=samples_per_axis, workers=workers,
+                       reuse=reuse, keep_images=keep_images)
 
 
 def decompose(graph: TransitionGraph) -> ChainDecomposition:
@@ -120,7 +125,7 @@ def decompose(graph: TransitionGraph) -> ChainDecomposition:
     # the only edge inside a single box is its self-loop
     recurrent = np.bincount(s_u, minlength=m) > np.bincount(cu, minlength=m)
 
-    keys = np.unique(cu * np.int64(m) + s_v[cross])
+    keys = _unique(cu * np.int64(m) + s_v[cross])
     cv = keys % m  # keys are sorted, so rows are sorted too
     cond_outdeg = np.bincount(keys // m, minlength=m)
     cond_indptr = np.zeros(m + 1, dtype=np.int64)
@@ -475,6 +480,11 @@ def core_scan(
     target (its epsilon-reach closures) and records the dissipative
     attractor/repeller SCCs that appear inside the *previous* stage's
     absorbing sets, deduplicated across stages by geometric disjointness.
+
+    Each stage hands its graph's lattice images to the next, so a sample
+    point that two stages share with the same coordinate bits is mapped
+    once (see ``build_graph``); the graphs are the ones ``cover_graph``
+    builds alone.
     """
     target = np.asarray(target, dtype=float).reshape(1, -1)
     if target.shape[1] != system.dim:
@@ -489,8 +499,14 @@ def core_scan(
     att_wit: list[tuple[int, BoxSet]] = []
     rep_wit: list[tuple[int, BoxSet]] = []
 
-    for depth, eps in schedule:
-        g = cover_graph(system, depth, eps, samples_per_axis, workers)
+    images = None
+    for i, (depth, eps) in enumerate(schedule):
+        # a stage maps only the lattice points that the one before lacks
+        if images is not None and images.depth > depth:
+            images = None
+        g = cover_graph(system, depth, eps, samples_per_axis, workers,
+                        reuse=images, keep_images=i + 1 < len(schedule))
+        images = g.lattice_images
         dec = decompose(g)
         rev = _reversed(dec)
         t_code = int(point_codes(system.domain, depth, target)[0])
@@ -744,7 +760,7 @@ def trapped_absorbing_domain(
             bounded=bool(stayed[side].all()) and max_r[side] < bound_radius,
             n_orbits=n_orbits + 1,
             n_steps=n_steps,
-            boxset=BoxSet(system.domain, depth, np.unique(np.concatenate(visited[side]))),
+            boxset=BoxSet(system.domain, depth, np.concatenate(visited[side])),
         )
         for side, direction in enumerate(("forward", "backward"))
     )

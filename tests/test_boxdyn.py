@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from setdyn import boxdyn, mapzoo
 from setdyn.boxdyn import BoxSet, Domain, build_graph, initial_cover, point_codes
@@ -141,6 +143,38 @@ def test_empty_set_operations():
     assert a.intersection(empty).count == 0
     assert empty.issubset(a)
     assert np.all(empty.indices_of(a.codes) == -1)
+
+
+_NEAR_2_62 = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-50, 50),
+    st.integers(2**62 - 50, 2**62 + 50),
+    st.integers(-(2**62) - 50, -(2**62) + 50),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_NEAR_2_62, max_size=60))
+@example([])
+@example([7])
+@example([-3] * 9)
+@example([2**62, -(2**62), 2**62 - 1, -(2**62) + 1, 2**62, 0, -1])
+@example([2**63 - 1, -(2**63), 2**63 - 1])
+def test_unique_equals_numpy_unique(values):
+    a = np.array(values, dtype=np.int64)
+    got = boxdyn._unique(a)
+    want = np.unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_contains_codes_and_union_keep_set_semantics():
+    a = _bs([[0, 0], [1, 1], [2, 2]])
+    b = _bs([[1, 1], [3, 3]])
+    codes = np.array([[a.codes[1], b.codes[1]], [-1, a.codes[2]]])
+    assert np.array_equal(a.contains_codes(codes), np.isin(codes, a.codes))
+    union = a.union(b)
+    assert np.array_equal(union.codes, np.union1d(a.codes, b.codes))
 
 
 def test_subdivide_multiplies_by_two_pow_dim():

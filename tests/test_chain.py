@@ -149,6 +149,26 @@ def test_condensation_closures_match_box_graph_reach(graph_from_edges):
         assert report.ruelle_repeller == f_rep
 
 
+@pytest.mark.parametrize("name, depth", [("nested_rings", 6), ("cat_map", 5), ("nf_timeq", 5)])
+def test_condensation_equals_numpy_unique_reference(name, depth):
+    # decompose dedupes the condensation's edge keys by sorting; the
+    # reference dedupes them with np.unique
+    g = chain.cover_graph(mapzoo.make_system(name, {}), depth, samples_per_axis=3)
+    dec = chain.decompose(g)
+    m = dec.n_scc
+    s_u = np.repeat(dec.scc_id, np.diff(g.indptr))
+    s_v = dec.scc_id[g.indices]
+    cross = s_u != s_v
+    keys = np.unique(s_u[cross] * np.int64(m) + s_v[cross])
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
+    assert np.array_equal(dec.cond_indptr, indptr)
+    assert np.array_equal(dec.cond_indices, keys % m)
+    assert dec.cond_indices.dtype == np.int64
+    # cat_map is one recurrent class, so its condensation has no edge
+    assert (len(keys) > 0) == (name != "cat_map")
+
+
 # ---------------------------------------------------------------------------
 # scans on real systems
 # ---------------------------------------------------------------------------

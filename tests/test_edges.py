@@ -20,10 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from setdyn import boxdyn, flows, mapzoo
+from setdyn import boxdyn, chain, flows, mapzoo
 from setdyn.boxdyn import (
     _KEY_BITS,
     BoxSet,
+    Domain,
     _image_spread,
     build_graph,
     initial_cover,
@@ -45,19 +46,27 @@ def _eval_chunk(system, chunk_coords: np.ndarray, depth: int, samples: int):
     (cell, m) = divmod(index, den) and o' the offset of m/den in the grid.
     """
     domain = system.domain
-    h = domain.box_width(depth)
     offsets = boxdyn._sample_offsets(domain.dim, samples)
     den = samples - 1 if samples % 2 else 2 * (samples - 1)
     index = chunk_coords[:, None, :] * den + np.rint(offsets * den).astype(np.int64)
+    pts = _lattice_coordinates(domain, depth, samples, index)
+    B, S, dim = pts.shape
+    flat = domain.wrap(pts.reshape(-1, dim))
+    return np.asarray(system.forward(flat), dtype=float).reshape(B, S, dim)
+
+
+def _lattice_coordinates(domain, depth: int, samples: int, index: np.ndarray) -> np.ndarray:
+    """Coordinates lo + cell*h + o'*h of lattice indices (..., dim), with
+    (cell, m) = divmod(index, den) and o' the offset of m/den in the grid."""
+    h = domain.box_width(depth)
+    offsets = boxdyn._sample_offsets(domain.dim, samples)
+    den = samples - 1 if samples % 2 else 2 * (samples - 1)
     cell, m = np.divmod(index, den)
     offset_of = np.zeros(den)
     for o in np.unique(offsets):
         if o < 1.0:
             offset_of[int(round(o * den))] = o
-    pts = np.asarray(domain.lower) + cell * h + offset_of[m] * h
-    B, S, dim = pts.shape
-    flat = domain.wrap(pts.reshape(-1, dim))
-    return np.asarray(system.forward(flat), dtype=float).reshape(B, S, dim)
+    return np.asarray(domain.lower) + cell * h + offset_of[m] * h
 
 
 def _reference_chunk_edges(
@@ -386,8 +395,8 @@ def _counted(system):
     return dataclasses.replace(system, forward=forward), calls
 
 
-def _distinct_points_per_chunk(boxset, samples):
-    """The number of distinct lattice indices among each chunk's samples,
+def _lattice_sets_per_chunk(boxset, samples):
+    """The set of distinct lattice indices among each chunk's samples,
     taken modulo the period on periodic axes."""
     den = samples - 1 if samples % 2 else 2 * (samples - 1)
     steps = [tuple(int(round(o * den)) for o in row)
@@ -395,11 +404,16 @@ def _distinct_points_per_chunk(boxset, samples):
     period = [den << boxset.depth if per else None for per in boxset.domain.periodic]
     coords = boxset.coords().tolist()
     return [
-        len({tuple(c * den + m if p is None else (c * den + m) % p
-                   for c, m, p in zip(box, step, period))
-             for box in coords[lo:lo + boxdyn._CHUNK_BOXES] for step in steps})
+        {tuple(c * den + m if p is None else (c * den + m) % p
+               for c, m, p in zip(box, step, period))
+         for box in coords[lo:lo + boxdyn._CHUNK_BOXES] for step in steps}
         for lo in range(0, boxset.count, boxdyn._CHUNK_BOXES)
     ]
+
+
+def _distinct_points_per_chunk(boxset, samples):
+    """The number of distinct lattice indices among each chunk's samples."""
+    return [len(points) for points in _lattice_sets_per_chunk(boxset, samples)]
 
 
 def _per_box_pad(system, boxset, samples):
@@ -471,3 +485,133 @@ def test_lattice_coordinates_move_only_on_far_faces(name, samples):
         assert np.any(moved)
         assert not np.any(moved & (offsets != 1.0))
         assert np.all(np.abs(new - old) <= np.spacing(domain.widths))
+
+
+# ---------------------------------------------------------------------------
+# lattice images handed from one stage of a scan to the next
+# ---------------------------------------------------------------------------
+
+
+def _scan_oracle_counts(domain, depths, samples, bitwise):
+    """The points each chunk of a scan over full covers at ``depths`` maps,
+    chunks that map none left out: its distinct lattice indices, minus those
+    present at the previous depth, and with ``bitwise`` minus only those
+    whose coordinate there has the same bits."""
+    counts, prev = [], None
+    for depth in depths:
+        sets = _lattice_sets_per_chunk(initial_cover(domain, depth), samples)
+        for points in sets:
+            index = np.array(sorted(points), dtype=np.int64)
+            found = np.zeros(len(index), dtype=bool)
+            if prev is not None:
+                prev_depth, prev_points = prev
+                shift = depth - prev_depth
+                coarse = index >> shift
+                found = np.all(coarse << shift == index, axis=1)
+                found &= np.array([tuple(c) in prev_points for c in coarse.tolist()])
+                if bitwise:
+                    here = _lattice_coordinates(domain, depth, samples, index)
+                    there = _lattice_coordinates(domain, prev_depth, samples, coarse)
+                    found &= np.all(here.view(np.int64) == there.view(np.int64), axis=1)
+            counts.append(int(np.count_nonzero(~found)))
+        prev = (depth, set().union(*sets))
+    return [c for c in counts if c]
+
+
+def _captured_scan(monkeypatch, system, schedule, samples, workers=1):
+    """core_scan's certificate around the origin, and the graphs of its stages."""
+    graphs = []
+
+    def build(*args, **kwargs):
+        graphs.append(build_graph(*args, **kwargs))
+        return graphs[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(chain, "build_graph", build)
+        cert = chain.core_scan(system, (0.0, 0.0), schedule, samples_per_axis=samples,
+                               workers=workers)
+    return cert, graphs
+
+
+def _assert_stages_built_alone(system, schedule, samples, graphs):
+    # every stage's graph is the one cover_graph builds on its own; only
+    # the stages that another one follows keep their lattice images
+    for (depth, eps), graph in zip(schedule, graphs, strict=True):
+        alone = chain.cover_graph(system, depth, eps, samples)
+        _assert_same(graph, (alone.indptr, alone.indices))
+        assert graph.pad == alone.pad
+    assert [g.lattice_images is not None for g in graphs] == [True] * (len(graphs) - 1) + [False]
+
+
+def test_scan_maps_only_the_points_the_previous_stage_lacks(monkeypatch, tmp_path):
+    system = mapzoo.make_system("nested_rings", {})
+    schedule = [(4, 0.1), (5, 0.05), (6, 0.03)]
+    depths = [d for d, _ in schedule]
+    counted, calls = _counted(system)
+    cert, graphs = _captured_scan(monkeypatch, counted, schedule, 3)
+    assert calls == _scan_oracle_counts(system.domain, depths, 3, bitwise=False)
+    assert sum(calls) < sum(sum(_distinct_points_per_chunk(initial_cover(system.domain, d), 3))
+                            for d in depths)
+    _assert_stages_built_alone(system, schedule, 3, graphs)
+
+    # with two workers each task looks up its own slice of the table; the
+    # tasks fork from this process, so they see the counting make_system
+    log = tmp_path / "points"
+    make = mapzoo.make_system
+
+    def make_counted(name, params):
+        built = make(name, params)
+
+        def forward(pts):
+            with open(log, "a") as fh:
+                fh.write(f"{len(pts)}\n")
+            return built.forward(pts)
+
+        return dataclasses.replace(built, forward=forward)
+
+    monkeypatch.setattr(mapzoo, "make_system", make_counted)
+    parallel, graphs = _captured_scan(monkeypatch, system, schedule, 3, workers=2)
+    assert parallel == cert
+    assert sum(int(n) for n in log.read_text().split()) == sum(calls)
+    _assert_stages_built_alone(system, schedule, 3, graphs)
+
+
+def test_scan_reuses_only_points_with_the_same_coordinate_bits(monkeypatch):
+    # h = 0.3/2^d is not exact in binary, so a point of the depth-4 lattice
+    # may sit one ulp off its depth-5 twin; its image is then mapped anew
+    system = mapzoo.make_system("nf_timeq", {})
+    schedule = [(4, 0.1), (5, 0.05)]
+    counted, calls = _counted(system)
+    _, graphs = _captured_scan(monkeypatch, counted, schedule, 3)
+    bitwise = _scan_oracle_counts(system.domain, [4, 5], 3, bitwise=True)
+    assert calls == bitwise
+    assert sum(_scan_oracle_counts(system.domain, [4, 5], 3, bitwise=False)) < sum(bitwise)
+    _assert_stages_built_alone(system, schedule, 3, graphs)
+
+
+def test_lattice_keys_fit_in_int64_on_the_deepest_sampled_grid():
+    # build_graph samples a 2-D grid up to depth 30, where (depth+1)*dim
+    # owner bits reach 62.  A lattice key at samples 3 takes 31 bits an
+    # axis at depth 29 and 32 at depth 30: the depth-29 table is kept and
+    # looked up, and the depth-30 graph keeps none
+    domain = Domain((0.0, 0.0), (1.0, 1.0), (False, False))
+    system = mapzoo.MapSystem(name="halve", dim=2, params={}, domain=domain,
+                              forward=lambda pts: 0.5 * np.asarray(pts) + 0.25,
+                              lipschitz_hint=0.5)
+    mid = np.arange((1 << 28) - 3, (1 << 28) + 3)
+    coarse = BoxSet.from_coords(
+        domain, 29, np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1).reshape(-1, 2))
+    fine = coarse.subdivide()
+    eps = domain.max_box_width(30)
+    counted, calls = _counted(system)
+    table = build_graph(counted, coarse, eps, samples_per_axis=3, keep_images=True).lattice_images
+    assert calls == [13 * 13] and len(table.keys) == 13 * 13
+    assert np.all(np.diff(table.keys) > 0) and table.keys[0] > 0
+    calls.clear()
+    graph = build_graph(counted, fine, eps, samples_per_axis=3, reuse=table, keep_images=True)
+    assert graph.lattice_images is None
+    assert calls == [25 * 25 - 13 * 13]
+    _assert_same(graph, _reference_graph(system, fine, eps, 3))
+    # at samples 4 a key takes 32 bits an axis at depth 29 already
+    wide = build_graph(system, coarse, eps, samples_per_axis=4, keep_images=True)
+    assert wide.lattice_images is None
