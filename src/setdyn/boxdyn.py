@@ -48,10 +48,14 @@ from .errors import BudgetError, ConfigError, NumericsError
 BOX_BUDGET = 2**26
 EDGE_BUDGET = 2**30
 
-# an edge key packs (source index, destination index) as src << _KEY_BITS | dst,
-# so no graph may hold more than _MAX_BOXES boxes
+# an edge key packs (source position in its chunk, destination index) as
+# src << _KEY_BITS | dst, so no graph may hold more than _MAX_BOXES boxes
 _KEY_BITS = 27
 _MAX_BOXES = 1 << _KEY_BITS
+
+# the CSR arrays are int32: box indices stay below _MAX_BOXES, and edge
+# offsets below the edge budget, which may not exceed _MAX_EDGES
+_MAX_EDGES = np.iinfo(np.int32).max
 
 _CHUNK_BOXES = 1024
 
@@ -357,6 +361,12 @@ def initial_cover(domain: Domain, depth: int, budget: int = BOX_BUDGET) -> BoxSe
 class TransitionGraph:
     """Sorted-CSR over-approximation of the map on a box set.
 
+    ``indptr`` and ``indices`` are int32.  That always fits: a graph holds
+    at most ``_MAX_BOXES`` = 2^27 boxes and, by default, ``EDGE_BUDGET`` =
+    2^30 edges, and ``build_graph`` takes no edge budget above 2^31 - 1.
+    Arrays of another integer type are converted, and a value outside int32
+    raises instead of wrapping.
+
     ``lattice_images`` holds the images of the graph's sample lattice when
     ``build_graph`` was asked to keep them, else None.
     """
@@ -372,8 +382,8 @@ class TransitionGraph:
     ):
         self.boxset = boxset
         self.epsilon = float(epsilon)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = _as_int32(indptr, "indptr")
+        self.indices = _as_int32(indices, "indices")
         self.pad = float(pad)
         self.lattice_images = lattice_images
 
@@ -386,12 +396,24 @@ class TransitionGraph:
         return len(self.indices)
 
 
+def _as_int32(a, what: str) -> np.ndarray:
+    """An integer array as int32, shared when it already is one."""
+    a = np.asarray(a)
+    if a.dtype == np.int32:
+        return a
+    info = np.iinfo(np.int32)
+    if a.size and (a.min() < info.min or a.max() > info.max):
+        raise ConfigError(f"{what} holds values outside int32")
+    return a.astype(np.int32)
+
+
 def _transpose_csr(indptr: np.ndarray, indices: np.ndarray):
-    """(indptr, indices) of the transposed square CSR pattern, rows sorted."""
+    """(indptr, indices) of the transposed square CSR pattern, rows sorted,
+    in the dtypes of the input."""
     n = len(indptr) - 1
-    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    out_ptr = np.zeros(n + 1, dtype=indptr.dtype)
     np.cumsum(np.bincount(indices, minlength=n), out=out_ptr[1:])
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    src = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
     # stable sort on destination keeps sources ascending within each row
     return out_ptr, src[np.argsort(indices, kind="stable")]
 
@@ -773,9 +795,13 @@ def build_graph(
     A box's edges are the union of its samples' cell rectangles, clipped on
     non-periodic axes and wrapped on periodic ones (see the module
     docstring).  Chunks of boxes are disjoint in source box and each one's
-    edges come out sorted, so the CSR needs no global dedupe.  The edge
-    budget is checked after every chunk, before the next one is mapped.
-    Output is independent of ``workers`` and of ``reuse``.
+    edges come out sorted, so the CSR needs no global dedupe: each chunk
+    adds its destinations as int32 and its row lengths, and no array of
+    whole-graph length is made but the CSR itself.  The CSR is int32 (see
+    ``TransitionGraph``), so an ``edge_budget`` above 2^31 - 1 is rejected
+    before anything is mapped.  The edge budget is checked after every
+    chunk, before the next one is mapped.  Output is independent of
+    ``workers`` and of ``reuse``.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}")
@@ -787,6 +813,8 @@ def build_graph(
         raise ConfigError("workers must be >= 1")
     if workers > 1 and getattr(system, "registry_name", None) is None:
         raise ConfigError("parallel build requires a registry-buildable system")
+    if edge_budget > _MAX_EDGES:
+        raise ConfigError(f"edge budget {edge_budget} exceeds {_MAX_EDGES}, the int32 CSR limit")
     _check_box_count(boxset.count)
     depth, dim = boxset.depth, boxset.domain.dim
     if (depth + 1) * dim > 63:
@@ -808,7 +836,7 @@ def build_graph(
     # the empirical pad is reported from the spreads of up to 256 boxes
     # spaced evenly over the set
     probe = np.linspace(0, n - 1, min(n, 256)).astype(np.int64)
-    key_parts, spreads, lattice_parts = [], [], []
+    dst_parts, count_parts, spreads, lattice_parts = [], [], [], []
     total = 0
     parts = _chunk_parts(system, boxset, chunks, epsilon, offsets, samples_per_axis, workers,
                          reuse, keep)
@@ -823,19 +851,17 @@ def build_graph(
                 dst = boxset.indices_of(dst)
                 kept = dst >= 0
                 src, dst = src[kept], dst[kept]
-            keys = ((src + lo) << _KEY_BITS) | dst
-            keys.sort()
-            total += len(keys)
+            total += len(src)
             if total > edge_budget:
                 raise BudgetError(f"{total} edges exceed budget {edge_budget}")
-            key_parts.append(keys)
-    keys = np.concatenate(key_parts)
-
-    src = keys >> _KEY_BITS
-    dst = keys & (_MAX_BOXES - 1)
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+            keys = (src << _KEY_BITS) | dst
+            keys.sort()
+            dst_parts.append((keys & (_MAX_BOXES - 1)).astype(np.int32))
+            count_parts.append(np.bincount(src, minlength=hi - lo))
+    indices = np.concatenate(dst_parts)
+    del dst_parts
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(count_parts), out=indptr[1:])
 
     # pad recorded for diagnostics and tolerance scaling.  The Lipschitz
     # value rounds as L*h/k here and as L*(h/k) in _chunk_edges; the two can
@@ -858,7 +884,7 @@ def build_graph(
         lattice_keys = lattice_keys[order]
         first = np.diff(lattice_keys, prepend=-1) != 0
         images = LatticeImages(depth, den, lattice_keys[first], lattice_img[order[first]])
-    return TransitionGraph(boxset, epsilon, indptr, dst, pad_used, images)
+    return TransitionGraph(boxset, epsilon, indptr, indices, pad_used, images)
 
 
 def _image_spread(domain: Domain, img: np.ndarray) -> np.ndarray:

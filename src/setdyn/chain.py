@@ -51,6 +51,9 @@ from .errors import ConfigError
 # decomposition
 # ---------------------------------------------------------------------------
 
+# rows of the box graph whose edges ``decompose`` handles at once
+_SLAB_ROWS = 4096
+
 
 @dataclass
 class ChainDecomposition:
@@ -100,32 +103,44 @@ def cover_graph(
 
 
 def decompose(graph: TransitionGraph) -> ChainDecomposition:
-    """SCCs, condensation DAG and terminal/initial flags of a graph."""
+    """SCCs, condensation DAG and terminal/initial flags of a graph.
+
+    No temporary spans the whole edge list: scipy gets the graph's own int32
+    CSR arrays, which it uses without a copy, and the SCC ids at the ends of
+    the edges are formed in int32 one slab of ``_SLAB_ROWS`` rows at a time,
+    keeping int64 condensation keys only for the slab's distinct cross edges.
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = graph.n_boxes
-    mat = csr_matrix((np.ones(graph.n_edges, np.int8), graph.indices, graph.indptr), shape=(n, n))
+    indptr, indices = graph.indptr, graph.indices
+    # float64 is the data type connected_components works in, so it is the
+    # only array of edge length that the call adds
+    mat = csr_matrix((np.ones(graph.n_edges), indices, indptr), shape=(n, n))
     _, labels = connected_components(mat, directed=True, connection="strong")
+    del mat
 
     # canonical ids: order components by first node occurrence
     _, first = np.unique(labels, return_index=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
-    scc = rank[labels]
     m = len(first)
+    rank = np.empty(m, dtype=np.int32)
+    rank[np.argsort(first, kind="stable")] = np.arange(m, dtype=np.int32)
+    scc = rank[labels]
     sizes = np.bincount(scc, minlength=m)
 
-    # SCC ids at both ends of every edge
-    s_u = np.repeat(scc, np.diff(graph.indptr))
-    s_v = scc[graph.indices]
-    cross = s_u != s_v
-    cu = s_u[cross]
     # an SCC is recurrent when it holds an edge: a larger one has a cycle, and
     # the only edge inside a single box is its self-loop
-    recurrent = np.bincount(s_u, minlength=m) > np.bincount(cu, minlength=m)
-
-    keys = _unique(cu * np.int64(m) + s_v[cross])
+    recurrent = np.zeros(m, dtype=bool)
+    key_parts = []
+    for lo in range(0, n, _SLAB_ROWS):
+        hi = min(lo + _SLAB_ROWS, n)
+        s_u = np.repeat(scc[lo:hi], np.diff(indptr[lo : hi + 1]))
+        s_v = scc[indices[indptr[lo] : indptr[hi]]]
+        cross = s_u != s_v
+        recurrent[s_u[~cross]] = True
+        key_parts.append(_unique(s_u[cross] * np.int64(m) + s_v[cross]))
+    keys = _unique(np.concatenate(key_parts))
     cv = keys % m  # keys are sorted, so rows are sorted too
     cond_outdeg = np.bincount(keys // m, minlength=m)
     cond_indptr = np.zeros(m + 1, dtype=np.int64)
@@ -458,6 +473,16 @@ def _new_witnesses(
     return new
 
 
+def check_schedule_depths(schedule) -> None:
+    """Reject a schedule whose depth decreases, before any graph is built: a
+    stage's absorbing sets are checked against the previous stage's refined
+    to its own depth, and a box set cannot be coarsened."""
+    depths = [d for d, _ in schedule]
+    if any(b < a for a, b in zip(depths, depths[1:])):
+        raise ConfigError(f"schedule depths {depths} decrease; each stage must be "
+                          "at least as deep as the one before")
+
+
 def core_scan(
     system,
     target,
@@ -494,6 +519,7 @@ def core_scan(
     schedule = [(int(d), float(e)) for d, e in schedule]
     if not schedule:
         raise ConfigError("schedule must contain at least one stage")
+    check_schedule_depths(schedule)
 
     stages: list[StageResult] = []
     att_wit: list[tuple[int, BoxSet]] = []
@@ -502,8 +528,6 @@ def core_scan(
     images = None
     for i, (depth, eps) in enumerate(schedule):
         # a stage maps only the lattice points that the one before lacks
-        if images is not None and images.depth > depth:
-            images = None
         g = cover_graph(system, depth, eps, samples_per_axis, workers,
                         reuse=images, keep_images=i + 1 < len(schedule))
         images = g.lattice_images
@@ -576,6 +600,8 @@ def core_scan(
                 new_repellers=new_rep,
             )
         )
+        # the next stage's graph is built without this one's alongside
+        del g, dec, rev
 
     return CoreCertificate(
         system=getattr(system, "name", "?"),

@@ -106,8 +106,10 @@ def _parse_schedule(raw) -> list[tuple[int, float]]:
     for stage in raw:
         if not (isinstance(stage, list) and len(stage) == 2):
             raise ConfigError(f"schedule stage {stage!r} must be a [depth, epsilon] pair")
-    return [(_number(int, d, "schedule depth"), _number(float, e, "schedule epsilon"))
-            for d, e in raw]
+    schedule = [(_number(int, d, "schedule depth"), _number(float, e, "schedule epsilon"))
+                for d, e in raw]
+    chain.check_schedule_depths(schedule)
+    return schedule
 
 
 def _parse_point(raw, dim: int) -> tuple:

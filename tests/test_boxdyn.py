@@ -274,6 +274,42 @@ def test_graph_edge_budget_checked_after_each_chunk():
     assert len(calls) == 1
 
 
+def test_graph_rejects_an_edge_budget_beyond_int32_before_mapping():
+    system = mapzoo.make_system("cat_map", {})
+    cover = initial_cover(system.domain, 3)
+    # 2^31 - 1 is the largest edge offset an int32 CSR holds
+    graph = build_graph(system, cover, epsilon=0.02, samples_per_axis=3, edge_budget=2**31 - 1)
+    assert graph.indptr.dtype == graph.indices.dtype == np.int32
+
+    def unmapped(pts):
+        pytest.fail("points were mapped before the edge budget was checked")
+
+    system.forward = unmapped
+    with pytest.raises(ConfigError, match="int32"):
+        build_graph(system, cover, epsilon=0.02, samples_per_axis=3, edge_budget=2**31)
+
+
+def test_transition_graph_narrows_to_int32(graph_from_edges):
+    g = graph_from_edges(3, [(0, 1), (1, 2), (2, 0), (2, 2)])  # int64 arrays
+    assert g.indptr.dtype == g.indices.dtype == np.int32
+    assert g.indptr.tolist() == [0, 1, 2, 4]
+    assert g.indices.tolist() == [1, 2, 0, 2]
+    # int32 arrays are kept as they are
+    again = boxdyn.TransitionGraph(g.boxset, g.epsilon, g.indptr, g.indices, g.pad)
+    assert again.indptr is g.indptr and again.indices is g.indices
+
+
+@pytest.mark.parametrize("field", ["indptr", "indices"])
+@pytest.mark.parametrize("value", [2**31, -(2**31) - 1, 2**40])
+def test_transition_graph_rejects_values_outside_int32(graph_from_edges, field, value):
+    g = graph_from_edges(2, [(0, 1)])
+    arrays = {"indptr": np.array([0, 1, 1], dtype=np.int64),
+              "indices": np.array([1], dtype=np.int64)}
+    arrays[field][-1] = value
+    with pytest.raises(ConfigError, match="outside int32"):
+        boxdyn.TransitionGraph(g.boxset, g.epsilon, arrays["indptr"], arrays["indices"], g.pad)
+
+
 def test_initial_cover_budget():
     with pytest.raises(BudgetError):
         initial_cover(UNIT_SQUARE, 14, budget=1000)

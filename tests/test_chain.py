@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,24 +150,81 @@ def test_condensation_closures_match_box_graph_reach(graph_from_edges):
         assert report.ruelle_repeller == f_rep
 
 
-@pytest.mark.parametrize("name, depth", [("nested_rings", 6), ("cat_map", 5), ("nf_timeq", 5)])
-def test_condensation_equals_numpy_unique_reference(name, depth):
-    # decompose dedupes the condensation's edge keys by sorting; the
-    # reference dedupes them with np.unique
-    g = chain.cover_graph(mapzoo.make_system(name, {}), depth, samples_per_axis=3)
-    dec = chain.decompose(g)
-    m = dec.n_scc
-    s_u = np.repeat(dec.scc_id, np.diff(g.indptr))
-    s_v = dec.scc_id[g.indices]
+def _reference_decomposition(g):
+    """(scc_id, recurrent, cond_indptr, cond_indices) from full-length int64
+    arrays: scipy's SCCs of an int64 copy of the CSR, renumbered by first
+    node in a Python loop, and the condensation deduped with np.unique."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = g.n_boxes
+    indptr, indices = g.indptr.astype(np.int64), g.indices.astype(np.int64)
+    mat = csr_matrix((np.ones(len(indices), np.int8), indices, indptr), shape=(n, n))
+    _, labels = connected_components(mat, directed=True, connection="strong")
+    first = {}
+    for label in labels.tolist():
+        first.setdefault(label, len(first))
+    scc = np.array([first[label] for label in labels.tolist()], dtype=np.int64)
+    m = len(first)
+    s_u = np.repeat(scc, np.diff(indptr))
+    s_v = scc[indices]
     cross = s_u != s_v
+    recurrent = np.bincount(s_u, minlength=m) > np.bincount(s_u[cross], minlength=m)
     keys = np.unique(s_u[cross] * np.int64(m) + s_v[cross])
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
-    assert np.array_equal(dec.cond_indptr, indptr)
-    assert np.array_equal(dec.cond_indices, keys % m)
-    assert dec.cond_indices.dtype == np.int64
+    cond_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // m, minlength=m), out=cond_indptr[1:])
+    return scc, recurrent, cond_indptr, keys % m
+
+
+@pytest.mark.parametrize("name, depth", [("nested_rings", 6), ("cat_map", 5), ("nf_timeq", 5)])
+def test_condensation_equals_numpy_unique_reference(name, depth, monkeypatch):
+    # decompose works on the int32 CSR a slab of rows at a time and dedupes
+    # the condensation's edge keys by sorting; the reference takes
+    # whole-graph int64 arrays and np.unique.  Slabs of 7 rows split every
+    # row range the default slab keeps whole.
+    g = chain.cover_graph(mapzoo.make_system(name, {}), depth, samples_per_axis=3)
+    assert g.indptr.dtype == g.indices.dtype == np.int32
+    scc, recurrent, cond_indptr, cond_indices = _reference_decomposition(g)
+    for slab in (chain._SLAB_ROWS, 7):
+        monkeypatch.setattr(chain, "_SLAB_ROWS", slab)
+        dec = chain.decompose(g)
+        assert np.array_equal(dec.scc_id, scc)
+        assert np.array_equal(dec.recurrent_scc, recurrent)
+        assert np.array_equal(dec.cond_indptr, cond_indptr)
+        assert np.array_equal(dec.cond_indices, cond_indices)
+        assert dec.cond_indices.dtype == np.int64
     # cat_map is one recurrent class, so its condensation has no edge
-    assert (len(keys) > 0) == (name != "cat_map")
+    assert (len(cond_indices) > 0) == (name != "cat_map")
+
+
+def _traced_peak(fn):
+    """fn() and the peak of the memory it allocated, as tracemalloc saw it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_build_and_decompose_allocate_few_bytes_per_edge():
+    # rings_scan's d7 stage, 475,700 edges.  build_graph peaks near 10.5 and
+    # decompose near 8.8 bytes an edge; with int64 CSR arrays and whole-graph
+    # temporaries they peaked at 32.7 and 44.3.  The bound of 16 bytes an
+    # edge leaves 5.5 and 7.2 bytes of margin, less than the 8 that one more
+    # int64 array of edge length would take.
+    import scipy.sparse.csgraph  # noqa: F401  (not counted in decompose's peak)
+
+    system = mapzoo.make_system("nested_rings", {"step": 0.02})
+    cover = initial_cover(system.domain, 7)
+    graph, build_peak = _traced_peak(lambda: build_graph(system, cover, 0.015625,
+                                                         samples_per_axis=3))
+    _, decompose_peak = _traced_peak(lambda: chain.decompose(graph))
+    assert graph.n_edges == 475_700
+    assert build_peak < 16 * graph.n_edges
+    assert decompose_peak < 16 * graph.n_edges
+    assert graph.indptr.dtype == graph.indices.dtype == np.int32
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +251,16 @@ def test_core_scan_rejects_non_recurrent_target():
     assert not cert.core_persistent
     assert not cert.stages[0].recurrent
     assert "chain-recurrent" in cert.stages[0].reason
+
+
+def test_core_scan_rejects_a_depth_decreasing_schedule_before_any_graph(monkeypatch):
+    def unbuilt(*args, **kwargs):
+        pytest.fail("a graph was built before the schedule was checked")
+
+    monkeypatch.setattr(chain, "cover_graph", unbuilt)
+    system = mapzoo.make_system("cat_map", {})
+    with pytest.raises(ConfigError, match="decrease"):
+        chain.core_scan(system, (0.3, 0.3), [(5, 0.05), (4, 0.1)], samples_per_axis=3)
 
 
 @pytest.mark.parametrize("target", [(5.0,), (-1.0 - 1e-12,), (math.nan,)])

@@ -155,13 +155,17 @@ _TRAP_SCAN = {"system": "cat_map", "schedule": [[3, 0.1]],
       "--samples", "3"), None),
     (("core-scan",), {"system": "cubic_interval", "schedule": [[3, 0.1]], "target": [0.0],
                       "trap": {**_TRAP_SCAN["trap"], "center": [-1.5]}}),
+    (("core-scan", "--system", "cat_map", "--schedule", "5:0.05,4:0.1", "--target", "0.3,0.3",
+      "--samples", "3"), None),
+    (("core-scan",), {"system": "cat_map", "schedule": [[4, 0.1], [5, 0.05], [3, 0.1]]}),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
         "core-scan trap seed -1", "core-scan trap without seed_radius",
         "core-scan trap center [NaN, 0]", "core-scan trap center [0, 0, 0]", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
         "core-scan schedule [[3]]", "core-scan schedule [3, 4]", "core-scan schedule [[3, 0.1, 9]]",
         "verify samples 0", "verify samples -1",
         "classify samples 1", "core-scan samples 1", "merge-scan samples 1",
-        "core-scan target 5 outside [-1, 1]", "core-scan trap center -1.5 outside [-1, 1]"])
+        "core-scan target 5 outside [-1, 1]", "core-scan trap center -1.5 outside [-1, 1]",
+        "core-scan schedule 5:0.05,4:0.1", "core-scan schedule [[4, 0.1], [5, 0.05], [3, 0.1]]"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"
