@@ -18,19 +18,21 @@ clipped to the grid on a non-periodic axis; on a periodic axis it is moved
 by whole periods next to the range of the box's first sample and capped at
 one period.  The box's destination cells are the union of its rectangles,
 taken with a difference array over the box's own window, so each
-(box, cell) pair comes out once.  Boxes are mapped in chunks of consecutive
-boxes, and each chunk's edges are sorted, so the chunks concatenate into the
-CSR without a global dedupe.
+(box, cell) pair comes out once.  Edges are enumerated in chunks of
+consecutive boxes, and each chunk's edges are sorted, so the chunks
+concatenate into the CSR without a global dedupe.
 
 Samples are points of one lattice shared by neighbouring boxes: a box's
 edge and corner samples are also samples of the boxes next to it.  Each
 sample's coordinate comes from its integer lattice index, so a shared
-point is the same double in every box, and each distinct lattice point is
-mapped once per chunk, and not again at the next stage of a scan.  With 3
-samples an axis that maps 2.2 times fewer points on a 2-D full cover.  A
-deeper cover's lattice contains the coarser one's, so a scan hands each
-stage's lattice images to the next (``LatticeImages``), which reuses an
-image wherever the point's coordinate has the same bits at both depths.
+point is the same double in every box.  A graph build finds the distinct
+lattice points of its whole box set once, as one table (``LatticeImages``),
+maps each of them once, and gives each chunk's edge step its images
+gathered from that table.  With 3 samples an axis that maps 2.2 times
+fewer points on a 2-D full cover.  A deeper cover's lattice contains the
+coarser one's, so a scan hands each stage's table to the next, which
+reuses an image wherever the point's coordinate has the same bits at both
+depths.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import mmap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -174,6 +177,8 @@ class BoxSet:
         self.domain = domain
         self.depth = int(depth)
         self.codes = _unique(codes)
+        if len(self.codes) and (self.codes[0] < 0 or self.codes[-1] >= 1 << (depth * domain.dim)):
+            raise ConfigError(f"box codes out of range for depth {depth}")
 
     # -- construction -------------------------------------------------------
 
@@ -314,10 +319,17 @@ def pack_coords(coords: np.ndarray, depth: int, dim: int) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, dim)
     if np.any(coords < 0) or np.any(coords >= (1 << depth)):
         raise ConfigError("box coordinates out of range for depth")
-    code = np.zeros(len(coords), dtype=np.int64)
-    for ax in range(dim):
-        code = (code << depth) | coords[:, ax]
+    return _pack(coords, depth)
+
+
+def _pack(coords: np.ndarray, bits: int) -> np.ndarray:
+    """One int64 code per row of ``coords`` (..., dim), ``bits`` an axis,
+    axis 0 most significant."""
+    code = np.zeros(coords.shape[:-1], dtype=np.int64)
+    for ax in range(coords.shape[-1]):
+        code = (code << bits) | coords[..., ax]
     return code
+
 
 def unpack_codes(codes: np.ndarray, depth: int, dim: int) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.int64)
@@ -367,8 +379,8 @@ class TransitionGraph:
     Arrays of another integer type are converted, and a value outside int32
     raises instead of wrapping.
 
-    ``lattice_images`` holds the images of the graph's sample lattice when
-    ``build_graph`` was asked to keep them, else None.
+    ``lattice_images`` holds the table of the graph's sample lattice points
+    and their images when ``build_graph`` was asked to keep it, else None.
     """
 
     def __init__(
@@ -436,76 +448,12 @@ def _lattice_den(samples_per_axis: int) -> int:
     return (samples_per_axis - 1) * (1 if samples_per_axis % 2 else 2)
 
 
-def _lattice_bits(depth: int, den: int) -> int:
-    """Bits of one axis of a lattice index, which runs from 0 to den*2^depth."""
-    return (den << depth).bit_length()
-
-
-def _pack_index(index: np.ndarray, bits: int) -> np.ndarray:
-    """One int64 key per lattice index (P, dim), axis 0 most significant."""
-    key = np.zeros(len(index), dtype=np.int64)
-    for ax in range(index.shape[1]):
-        key = (key << bits) | index[:, ax]
-    return key
-
-
 def _lattice_points(domain: Domain, depth: int, axis: np.ndarray, cell, frac) -> np.ndarray:
     """Coordinates lo + cell*h + axis[frac]*h of lattice points, given per
     axis by their owner cell and their fraction of it; every stage of a
     scan computes a point's coordinate with this one formula."""
     h = domain.box_width(depth)
     return (np.asarray(domain.lower) + cell * h) + axis[frac] * h
-
-
-def _shared_samples(domain: Domain, depth: int, codes: np.ndarray, offsets: np.ndarray,
-                    samples_per_axis: int, with_index: bool = False):
-    """The distinct sample points of a chunk of boxes, and the row of each
-    box's samples among them.
-
-    The sample at offset o of box c has the integer lattice index
-    c*den + o*den per axis (``_lattice_den``).  Its coordinate is taken from
-    the index as lo + cell*h + frac*h with (cell, frac) = divmod(index, den),
-    so every box that shares a point produces the same double.  A sample on
-    a box's upper face is owned by the cell above, at fraction 0 there; past
-    the last cell of a periodic axis that is cell 0, so every point lies in
-    [lower, upper) there, as ``Domain.wrap`` would put it.  The owner cells
-    of the chunk, its boxes and their upper neighbours, are ranked by code,
-    and the samples are marked in den^dim slots per owner and compacted with
-    a cumulative sum.  The work stays proportional to the chunk's samples
-    whether the set is full or sparse.
-
-    Returns (pts, rows): the distinct points (P, dim), and for each box in
-    turn the rows of its samples among them (B*S,).  ``with_index`` adds
-    the points' lattice indices (P, dim), wrapped on periodic axes; the
-    caller checks that they fit in int64.
-    """
-    dim = domain.dim
-    den = _lattice_den(samples_per_axis)
-    steps = np.rint(offsets * den).astype(np.int64)  # (S, dim)
-    up = steps // den
-    frac = steps - up * den
-    # owner cells reach 2^depth on a non-periodic top face, so their codes
-    # take depth+1 bits an axis; a periodic axis wraps them to its cell 0
-    owners = unpack_codes(codes, depth, dim)[:, None, :] + _unit_offsets(dim)[None, :, :]
-    code = np.zeros(owners.shape[:2], dtype=np.int64)
-    for ax, per in enumerate(domain.periodic):
-        code = (code << (depth + 1)) | (owners[..., ax] % (1 << depth) if per else owners[..., ax])
-    cells, rank = np.unique(code, return_inverse=True)
-    per_cell = den**dim
-    slot_of = (rank.reshape(len(codes), -1)[:, np.ravel_multi_index(tuple(up.T), (2,) * dim)]
-               * per_cell + np.ravel_multi_index(tuple(frac.T), (den,) * dim)).ravel()
-    mark = np.zeros(len(cells) * per_cell, dtype=bool)
-    mark[slot_of] = True
-    slots = np.flatnonzero(mark)
-    rows = (np.cumsum(mark) - 1)[slot_of]
-
-    owner, fraction = np.divmod(slots, per_cell)
-    cell = unpack_codes(cells, depth + 1, dim)[owner]
-    fracs = np.stack(np.unravel_index(fraction, (den,) * dim), axis=-1)
-    pts = _lattice_points(domain, depth, _lattice_axis(offsets, den), cell, fracs)
-    if with_index:
-        return pts, rows, cell * den + fracs
-    return pts, rows
 
 
 def _lattice_axis(offsets: np.ndarray, den: int) -> np.ndarray:
@@ -517,102 +465,158 @@ def _lattice_axis(offsets: np.ndarray, den: int) -> np.ndarray:
     return axis
 
 
+def _owner_codes(domain: Domain, depth: int, codes: np.ndarray) -> np.ndarray:
+    """Codes (B, 2^dim) of the cells that own each box's samples: the box
+    and its upper neighbours, ``depth + 1`` bits an axis.  They reach 2^depth
+    on a non-periodic top face; a periodic axis wraps them to its cell 0."""
+    owners = unpack_codes(codes, depth, domain.dim)[:, None, :] + _unit_offsets(domain.dim)
+    # modulo 2^depth + 1 leaves a non-periodic owner, at most 2^depth, as it is
+    return _pack(owners % ((1 << depth) + np.logical_not(domain.periodic)), depth + 1)
+
+
+def _sample_keys(domain: Domain, depth: int, codes: np.ndarray, offsets: np.ndarray, den: int,
+                 cells: np.ndarray) -> np.ndarray:
+    """The key (see ``LatticeImages``) of each sample of each box in turn
+    (B*S,).  The sample at offset o of box c has the lattice index
+    c*den + o*den per axis: it lies in the owner cell c + (o == 1), at the
+    fraction o*den mod den there."""
+    dim = domain.dim
+    steps = np.rint(offsets * den).astype(np.int64)  # (S, dim)
+    up = steps // den
+    rank = np.searchsorted(cells, _owner_codes(domain, depth, codes))
+    return (rank[:, np.ravel_multi_index(tuple(up.T), (2,) * dim)] * den**dim
+            + np.ravel_multi_index(tuple((steps - up * den).T), (den,) * dim)).ravel()
+
+
 @dataclass(frozen=True)
 class LatticeImages:
-    """The distinct sample lattice points of a graph at ``depth`` and their
-    images, which the next stage of a scan looks up instead of mapping.
-
-    ``keys`` packs each point's lattice index (see ``_shared_samples``) in
-    ``_lattice_bits(depth, den)`` bits an axis, axis 0 most significant, and
-    is sorted and duplicate-free; ``images`` (P, dim) follows it.
+    """The distinct sample lattice points of a graph's box set at ``depth``
+    and their images, which its chunks gather and the next stage of a scan
+    looks up.  A point's key is r*den^dim + f, for the rank r of its owner
+    cell among ``cells``, the set's sorted owner codes (``_owner_codes``),
+    and its fraction slot f there, so a key fits in int64 at every depth.
+    ``keys`` is sorted and duplicate-free; ``images`` (P, dim) follows it.
     """
 
     depth: int
     den: int
+    cells: np.ndarray
     keys: np.ndarray
     images: np.ndarray
 
-    def window(self, depth: int, first: int, last: int) -> "LatticeImages":
-        """The points that lattice indices at ``depth`` whose axis-0 index
-        lies in [first, last] can find here, as views."""
-        shift = depth - self.depth
-        low = _lattice_bits(self.depth, self.den) * (self.images.shape[1] - 1)
-        # ceil(first / 2^shift) and floor(last / 2^shift) on axis 0
-        lo_key = -(-first >> shift) << low
-        hi_key = ((last >> shift) << low) | ((1 << low) - 1)
-        a = int(np.searchsorted(self.keys, lo_key, side="left"))
-        b = int(np.searchsorted(self.keys, hi_key, side="right"))
-        return LatticeImages(self.depth, self.den, self.keys[a:b], self.images[a:b])
-
-    def lookup(self, domain: Domain, depth: int, axis: np.ndarray, index: np.ndarray,
-               pts: np.ndarray):
-        """(found, pos): which lattice points of ``depth`` (indices (P, dim),
-        coordinates ``pts``) have their image at row ``pos`` here.
-
-        The point at index L is this table's point L / 2^(depth - self.depth)
-        when that divides on every axis.  It counts only when its coordinate
-        here, from the same formula, has the same bits as ``pts``: where h is
-        not exact in binary the two can differ.
+    def lookup(self, domain: Domain, depth: int, axis: np.ndarray, cell, frac, pts):
+        """(found, pos): which lattice points of ``depth``, given by owner
+        cell, fraction (P, dim) and coordinates, have their image at row
+        ``pos`` here.  A point lies on this lattice when its index
+        cell*den + frac divides by 2^(depth - self.depth); the halvings test
+        that without forming the index, which could overflow.  It counts
+        only when its coordinate here has the same bits as ``pts``: where h
+        is not exact in binary the two can differ.
         """
-        found = np.zeros(len(index), dtype=bool)
-        pos = np.zeros(len(index), dtype=np.int64)
-        if len(self.keys) == 0:
-            return found, pos
-        shift = depth - self.depth
-        coarse = index >> shift
-        key = _pack_index(coarse, _lattice_bits(self.depth, self.den))
+        on = np.ones(len(cell), dtype=bool)
+        for _ in range(depth - self.depth):
+            half = (cell & 1) * self.den + frac
+            on &= np.all((half & 1) == 0, axis=1)
+            cell, frac = cell >> 1, half >> 1
+        owner = _pack(cell, self.depth + 1)
+        rank = np.minimum(np.searchsorted(self.cells, owner), len(self.cells) - 1)
+        key = rank * self.den ** cell.shape[1] + np.ravel_multi_index(
+            tuple(frac.T), (self.den,) * cell.shape[1])
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        found = np.all(coarse << shift == index, axis=1) & (self.keys[pos] == key)
+        found = on & (self.cells[rank] == owner) & (self.keys[pos] == key)
         idx = np.flatnonzero(found)
-        there = _lattice_points(domain, self.depth, axis, *np.divmod(coarse[idx], self.den))
+        there = _lattice_points(domain, self.depth, axis, cell[idx], frac[idx])
         same = np.all(there.view(np.int64) == pts[idx].view(np.int64), axis=1)
         found[idx[~same]] = False
         return found, pos
 
 
-def _chunk_edges(
-    system,
-    depth: int,
-    codes: np.ndarray,
-    epsilon: float,
-    offsets: np.ndarray,
-    samples_per_axis: int,
-    reuse: LatticeImages | None = None,
-    keep: bool = False,
-):
-    """Edges out of one chunk of boxes, given by their codes.
+def _off_heap(n: int, dtype) -> np.ndarray:
+    """A zeroed array of ``n`` items in its own anonymous memory map, for a
+    build's lattice images and CSR parts.  Freed, it is unmapped, where a
+    freed numpy array that size raises glibc's dynamic mmap threshold or
+    leaves heap space that the process keeps: as numpy arrays, those two
+    raised torus_classify's peak RSS by 10%."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype=dtype, count=n)
 
-    The chunk's distinct sample points are mapped in one ``forward`` call,
-    except those found in ``reuse``, the images of a coarser stage.
 
-    Returns (src, dst, spread, lattice): the position of each edge's source
-    box inside the chunk, the code of its destination cell, each box's image
-    spread (None under a Lipschitz pad), and with ``keep`` the keys and
-    images of the chunk's distinct points (else None).  Every pair occurs
-    once.
+def _lattice_table(boxset: BoxSet, chunks, offsets: np.ndarray, den: int):
+    """(table, ends): the keys of a box set's distinct sample lattice points,
+    with room for their images, and for each chunk the number of table rows
+    that it and the chunks before it need.  Keys follow the owner cells'
+    codes, so the rows one chunk adds are little more than the points of its
+    own boxes.  Samples are marked in den^dim slots an owner, a chunk at a
+    time."""
+    domain, depth, codes = boxset.domain, boxset.depth, boxset.codes
+    cells = _unique(np.concatenate([_unique(_owner_codes(domain, depth, codes[lo:hi]))
+                                    for lo, hi in chunks]))
+    mark = np.zeros(len(cells) * den**domain.dim, dtype=bool)
+    last = []
+    for lo, hi in chunks:
+        sample = _sample_keys(domain, depth, codes[lo:hi], offsets, den, cells)
+        mark[sample] = True
+        last.append(sample.max())
+    keys = np.flatnonzero(mark)
+    images = _off_heap(len(keys) * domain.dim, float).reshape(-1, domain.dim)
+    ends = np.searchsorted(keys, np.maximum.accumulate(last), side="right")
+    return LatticeImages(depth, den, cells, keys, images), ends
+
+
+def _unmapped(table: LatticeImages, domain: Domain, axis: np.ndarray, bounds,
+              reuse: LatticeImages | None):
+    """(rows, pts) of each block [bounds[j], bounds[j+1]) of the table's
+    keys: the rows whose points ``reuse`` lacks, and their coordinates.  The
+    images of the points found in ``reuse`` are filled in here."""
+    dim, den = domain.dim, table.den
+    for a, b in zip(bounds, bounds[1:]):
+        owner, slot = np.divmod(table.keys[a:b], den**dim)
+        cell = unpack_codes(table.cells[owner], table.depth + 1, dim)
+        frac = np.stack(np.unravel_index(slot, (den,) * dim), axis=-1)
+        pts = _lattice_points(domain, table.depth, axis, cell, frac)
+        rows = np.arange(a, b)
+        if reuse is not None:
+            found, pos = reuse.lookup(domain, table.depth, axis, cell, frac, pts)
+            table.images[rows[found]] = reuse.images[pos[found]]
+            rows, pts = rows[~found], pts[~found]
+        yield rows, pts
+
+
+def _map_block(system, rows: np.ndarray, pts: np.ndarray):
+    """(rows, images) of a block of lattice points; an empty one maps none."""
+    return rows, (np.asarray(system.forward(pts), dtype=float) if len(pts) else pts)
+
+
+def _chunk_args(boxset: BoxSet, chunks, epsilon: float, offsets: np.ndarray,
+                samples_per_axis: int, table: LatticeImages, mapped):
+    """The ``_chunk_edges`` arguments of each chunk, with the images of its
+    samples (B, S, dim) gathered from ``table``, once the chunk's block of
+    images from ``mapped`` is in the table."""
+    domain, depth = boxset.domain, boxset.depth
+    for (lo, hi), (got, img) in zip(chunks, mapped):
+        table.images[got] = img
+        codes = boxset.codes[lo:hi]
+        rows = np.searchsorted(table.keys, _sample_keys(domain, depth, codes, offsets, table.den,
+                                                        table.cells))
+        img = table.images.take(rows, axis=0).reshape(len(codes), len(offsets), domain.dim)
+        yield depth, codes, img, epsilon, samples_per_axis
+
+
+def _chunk_edges(system, depth: int, codes: np.ndarray, img: np.ndarray, epsilon: float,
+                 samples_per_axis: int):
+    """Edges out of one chunk of boxes, given by their codes and the images
+    of their samples (B, S, dim).
+
+    Returns (src, dst, spread): the position of each edge's source box
+    inside the chunk, the code of its destination cell, and each box's
+    image spread (None under a Lipschitz pad).  Every pair occurs once.
     """
     domain = system.domain
     dim = domain.dim
     n_axis = 1 << depth
     h = domain.box_width(depth)
     lo = np.asarray(domain.lower)
-    B, S = len(codes), len(offsets)
-    pts, rows, *index = _shared_samples(domain, depth, codes, offsets, samples_per_axis,
-                                        with_index=reuse is not None or keep)
-    if reuse is None:
-        img = np.asarray(system.forward(pts), dtype=float)
-    else:
-        axis = _lattice_axis(offsets, reuse.den)
-        found, pos = reuse.lookup(domain, depth, axis, index[0], pts)
-        img = np.empty_like(pts)
-        img[found] = reuse.images[pos[found]]
-        if not found.all():
-            img[~found] = system.forward(pts[~found])
-    lattice = None
-    if keep:
-        lattice = (_pack_index(index[0], _lattice_bits(depth, _lattice_den(samples_per_axis))),
-                   img)
-    img = img.take(rows, axis=0).reshape(B, S, dim)
+    B = len(codes)
 
     bad = ~np.isfinite(img).all(axis=(1, 2))
     if np.any(bad):
@@ -651,7 +655,7 @@ def _chunk_edges(
     live = np.all(lo_i <= hi_i, axis=-1, keepdims=True)
     boxes = np.flatnonzero(live.any(axis=(1, 2)))
     if len(boxes) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), spread, lattice
+        return np.empty(0, np.int64), np.empty(0, np.int64), spread
 
     # each box's window is the bounding range of its live rectangles; in it
     # a rectangle spans [a, b), and one that misses the grid spans nothing
@@ -686,7 +690,7 @@ def _chunk_edges(
             code = (code << depth) | (c % n_axis if per else c)
         src_parts.append(np.repeat(sel, hit.reshape(len(sel), -1).sum(axis=1)))
         dst_parts.append(code[hit])
-    return np.concatenate(src_parts), np.concatenate(dst_parts), spread, lattice
+    return np.concatenate(src_parts), np.concatenate(dst_parts), spread
 
 
 def _window_union(a, b, shape):
@@ -725,40 +729,21 @@ def _fold_axis(hit, axis: int, n_axis: int):
     return hit.reshape(hit.shape[:axis] + (k, n_axis) + hit.shape[axis + 1 :]).any(axis=axis)
 
 
-def _chunk_edges_by_name(args):
-    """Worker entry: rebuild the system from its registry name, then chunk."""
-    name, params, *rest = args
+def _by_name(task):
+    """Worker entry: fn(system, *args) on the system rebuilt by name."""
     from . import mapzoo
 
-    return _chunk_edges(mapzoo.make_system(name, params), *rest)
+    fn, name, params, args = task
+    return fn(mapzoo.make_system(name, params), *args)
 
 
-def _chunk_parts(system, boxset: BoxSet, chunks, epsilon, offsets, samples_per_axis, workers,
-                 reuse, keep):
-    """``_chunk_edges`` of each chunk of boxes, in chunk order, mapped lazily."""
-    depth, dim = boxset.depth, boxset.domain.dim
-    den = _lattice_den(samples_per_axis)
-    args = []
-    # each task carries only its own slice of the codes, and of the table the
-    # slice that covers its range of axis-0 lattice indices
-    for lo, hi in chunks:
-        window = None
-        if reuse is not None:
-            first, last = (int(c) >> (depth * (dim - 1)) for c in boxset.codes[[lo, hi - 1]])
-            first, last = first * den, (last + 1) * den
-            if boxset.domain.periodic[0] and last == den << depth:
-                first = 0  # the top face wraps to index 0
-            window = reuse.window(depth, first, last)
-        args.append((depth, boxset.codes[lo:hi], epsilon, offsets, samples_per_axis, window,
-                     keep))
-    if workers == 1:
-        for a in args:
-            yield _chunk_edges(system, *a)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_chunk_edges_by_name,
-                            [(system.registry_name, system.params, *a) for a in args],
-                            chunksize=1)
+def _run(system, pool, fn, args):
+    """fn(system, *a) for each a of ``args``, in order: lazily one at a
+    time, or submitted all at once to ``pool``, whose generator cancels the
+    tasks not yet started when it is closed."""
+    if pool is None:
+        return (fn(system, *a) for a in args)
+    return pool.map(_by_name, [(fn, system.registry_name, system.params, a) for a in args])
 
 
 def build_graph(
@@ -774,25 +759,26 @@ def build_graph(
     """Build the epsilon-transition graph of a map over a box set.
 
     Each box is sampled on a uniform grid (corners and center included).
-    The samples are shared lattice points, so neighbouring boxes share
-    their edge and corner samples, and each distinct point is mapped once
-    per chunk (see ``_shared_samples``), and not again at the next stage of
-    a scan (see ``reuse`` below).  An edge b -> b' is added
-    whenever the max-metric ball of radius epsilon + pad around a sampled
-    image point meets b'.  pad is lipschitz_hint * max_box_width / 2 when
-    the system carries a hint, else the empirical covering radius of the
-    image sample grid.
+    The samples are shared lattice points: the build finds the distinct
+    points of the whole set once, as one ``LatticeImages`` table, and maps
+    each of them once: each chunk of boxes maps, in one ``forward`` call,
+    the points that no chunk before it needed, and takes its samples'
+    images from the table.  An edge b -> b' is added whenever the
+    max-metric ball of radius epsilon + pad around a sampled image point
+    meets b'.  pad is lipschitz_hint * max_box_width / 2 when the system
+    carries a hint, else the empirical covering radius of the image sample
+    grid.
 
-    A scan passes the graph of one stage to the next through ``reuse``: the
+    A scan passes the table of one stage to the next through ``reuse``: the
     ``lattice_images`` of a graph of the same system and sample count at
     the same or a lower depth.  A point found there with the same
     coordinate bits is not mapped again; the maps are batch-invariant, so
     its image is the one a fresh call would give.  ``keep_images`` stores
-    this graph's own lattice images in ``lattice_images``.  Lattice keys
-    take ``_lattice_bits`` an axis: a table is looked up only where one axis
-    of an index fits in int64, and kept only where a whole key does.
+    this graph's table in ``lattice_images``; else the build drops it.
 
-    A box's edges are the union of its samples' cell rectangles, clipped on
+    With ``workers`` > 1 a process pool maps the chunks' points, then
+    enumerates their edges, each task getting only its chunk's images.  A
+    box's edges are the union of its samples' cell rectangles, clipped on
     non-periodic axes and wrapped on periodic ones (see the module
     docstring).  Chunks of boxes are disjoint in source box and each one's
     edges come out sorted, so the CSR needs no global dedupe: each chunk
@@ -800,8 +786,8 @@ def build_graph(
     whole-graph length is made but the CSR itself.  The CSR is int32 (see
     ``TransitionGraph``), so an ``edge_budget`` above 2^31 - 1 is rejected
     before anything is mapped.  The edge budget is checked after every
-    chunk, before the next one is mapped.  Output is independent of
-    ``workers`` and of ``reuse``.
+    chunk, with one worker before the points that only later chunks need
+    are mapped.  Output is independent of ``workers`` and of ``reuse``.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}")
@@ -824,10 +810,6 @@ def build_graph(
     den = _lattice_den(samples_per_axis)
     if reuse is not None and (reuse.den != den or reuse.depth > depth):
         raise ConfigError("lattice images come from another sample count or a deeper grid")
-    bits = _lattice_bits(depth, den)
-    if bits > 63:
-        reuse = None
-    keep = keep_images and bits * dim <= 63
     n = boxset.count
     # on a full cover a cell's index is its code
     full = n == 1 << (depth * dim)
@@ -836,28 +818,34 @@ def build_graph(
     # the empirical pad is reported from the spreads of up to 256 boxes
     # spaced evenly over the set
     probe = np.linspace(0, n - 1, min(n, 256)).astype(np.int64)
-    dst_parts, count_parts, spreads, lattice_parts = [], [], [], []
+    dst_parts, count_parts, spreads = [], [], []
     total = 0
-    parts = _chunk_parts(system, boxset, chunks, epsilon, offsets, samples_per_axis, workers,
-                         reuse, keep)
-    # closing the generator on a budget error cancels the pool's pending tasks
-    with contextlib.closing(parts):
-        for (lo, hi), (src, dst, spread, lattice) in zip(chunks, parts):
-            if spread is not None:
-                spreads.append(spread[probe[(probe >= lo) & (probe < hi)] - lo])
-            if lattice is not None:
-                lattice_parts.append(lattice)
-            if not full:
-                dst = boxset.indices_of(dst)
-                kept = dst >= 0
-                src, dst = src[kept], dst[kept]
-            total += len(src)
-            if total > edge_budget:
-                raise BudgetError(f"{total} edges exceed budget {edge_budget}")
-            keys = (src << _KEY_BITS) | dst
-            keys.sort()
-            dst_parts.append((keys & (_MAX_BOXES - 1)).astype(np.int32))
-            count_parts.append(np.bincount(src, minlength=hi - lo))
+    table, ends = _lattice_table(boxset, chunks, offsets, den)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        mapped = _run(system, pool, _map_block, _unmapped(
+            table, boxset.domain, _lattice_axis(offsets, den), [0, *ends], reuse))
+        parts = _run(system, pool, _chunk_edges, _chunk_args(
+            boxset, chunks, epsilon, offsets, samples_per_axis, table, mapped))
+        # closing the generator on a budget error cancels the pool's pending tasks
+        with contextlib.closing(parts):
+            for (lo, hi), (src, dst, spread) in zip(chunks, parts):
+                if spread is not None:
+                    spreads.append(spread[probe[(probe >= lo) & (probe < hi)] - lo])
+                if not full:
+                    dst = boxset.indices_of(dst)
+                    kept = dst >= 0
+                    src, dst = src[kept], dst[kept]
+                total += len(src)
+                if total > edge_budget:
+                    raise BudgetError(f"{total} edges exceed budget {edge_budget}")
+                keys = (src << _KEY_BITS) | dst
+                keys.sort()
+                dst_parts.append(_off_heap(len(keys), np.int32))
+                np.bitwise_and(keys, _MAX_BOXES - 1, out=dst_parts[-1], casting="unsafe")
+                count_parts.append(np.bincount(src, minlength=hi - lo))
+    images = table if keep_images else None
+    del table
     indices = np.concatenate(dst_parts)
     del dst_parts
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -875,15 +863,6 @@ def build_graph(
         pad_used = system.lipschitz_hint * hmax / (2.0 * (samples_per_axis - 1))
     else:
         pad_used = float(np.median(np.concatenate(spreads)) / (2.0 * (samples_per_axis - 1)))
-
-    images = None
-    if keep:
-        # neighbouring chunks share the points of their seam, with equal images
-        lattice_keys, lattice_img = (np.concatenate(c) for c in zip(*lattice_parts))
-        order = np.argsort(lattice_keys)
-        lattice_keys = lattice_keys[order]
-        first = np.diff(lattice_keys, prepend=-1) != 0
-        images = LatticeImages(depth, den, lattice_keys[first], lattice_img[order[first]])
     return TransitionGraph(boxset, epsilon, indptr, indices, pad_used, images)
 
 
@@ -912,7 +891,12 @@ def load_boxset(path) -> BoxSet:
         header = json.loads(fh.readline())
         if header.get("kind") != "boxset" or header.get("encoding") != "int64-le":
             raise ConfigError(f"{path} is not a binary boxset file")
-        codes = np.frombuffer(fh.read(8 * header["count"]), dtype="<i8").astype(np.int64)
+        size = 8 * header["count"]
+        payload = fh.read(size)
+        if len(payload) != size:
+            raise ConfigError(f"{path} holds {len(payload)} of the {size} code bytes its "
+                              "header counts")
+        codes = np.frombuffer(payload, dtype="<i8").astype(np.int64)
         return BoxSet(Domain.from_dict(header["domain"]), int(header["depth"]), codes)
 
 

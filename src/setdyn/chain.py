@@ -95,7 +95,7 @@ def cover_graph(
 ) -> TransitionGraph:
     """Transition graph of a system over the full cover of its domain at
     ``depth``; ``epsilon`` defaults to one box diameter.  ``reuse`` and
-    ``keep_images`` pass a scan's lattice images on (see ``build_graph``)."""
+    ``keep_images`` pass a scan's lattice table on (see ``build_graph``)."""
     cover = initial_cover(system.domain, depth)
     epsilon = system.domain.max_box_width(depth) if epsilon is None else float(epsilon)
     return build_graph(system, cover, epsilon, samples_per_axis=samples_per_axis, workers=workers,
@@ -473,10 +473,14 @@ def _new_witnesses(
     return new
 
 
-def check_schedule_depths(schedule) -> None:
-    """Reject a schedule whose depth decreases, before any graph is built: a
-    stage's absorbing sets are checked against the previous stage's refined
-    to its own depth, and a box set cannot be coarsened."""
+def check_schedule(schedule) -> None:
+    """Reject a schedule before any graph is built: a stage with a negative
+    depth or an epsilon that is negative or not finite, or depths that
+    decrease, since a stage's absorbing sets are checked against the
+    previous stage's refined to its own depth."""
+    for depth, eps in schedule:
+        if depth < 0 or not (eps >= 0 and math.isfinite(eps)):
+            raise ConfigError(f"depth {depth} and epsilon {eps} must be >= 0, epsilon finite")
     depths = [d for d, _ in schedule]
     if any(b < a for a, b in zip(depths, depths[1:])):
         raise ConfigError(f"schedule depths {depths} decrease; each stage must be "
@@ -506,10 +510,10 @@ def core_scan(
     attractor/repeller SCCs that appear inside the *previous* stage's
     absorbing sets, deduplicated across stages by geometric disjointness.
 
-    Each stage hands its graph's lattice images to the next, so a sample
-    point that two stages share with the same coordinate bits is mapped
-    once (see ``build_graph``); the graphs are the ones ``cover_graph``
-    builds alone.
+    Each stage maps every distinct sample lattice point of its cover once,
+    as one table, which it hands to the next stage, so a point that two
+    stages share with the same coordinate bits is mapped once in the scan
+    (see ``build_graph``); the graphs are the ones ``cover_graph`` builds.
     """
     target = np.asarray(target, dtype=float).reshape(1, -1)
     if target.shape[1] != system.dim:
@@ -519,7 +523,7 @@ def core_scan(
     schedule = [(int(d), float(e)) for d, e in schedule]
     if not schedule:
         raise ConfigError("schedule must contain at least one stage")
-    check_schedule_depths(schedule)
+    check_schedule(schedule)
 
     stages: list[StageResult] = []
     att_wit: list[tuple[int, BoxSet]] = []

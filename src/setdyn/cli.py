@@ -108,7 +108,7 @@ def _parse_schedule(raw) -> list[tuple[int, float]]:
             raise ConfigError(f"schedule stage {stage!r} must be a [depth, epsilon] pair")
     schedule = [(_number(int, d, "schedule depth"), _number(float, e, "schedule epsilon"))
                 for d, e in raw]
-    chain.check_schedule_depths(schedule)
+    chain.check_schedule(schedule)
     return schedule
 
 
@@ -140,13 +140,23 @@ def _make_system(args, cfg: dict) -> mapzoo.MapSystem:
     return mapzoo.make_system(name, _parse_params(getattr(args, "param", None), cfg))
 
 
-def _graph_samples(args, cfg: dict, default: int) -> int:
-    """Sample points per box axis for a graph build, checked before any
-    output directory is made."""
-    samples = _setting(args, cfg, "samples", default, int)
-    if samples < 2:
-        raise ConfigError(f"samples must be >= 2, got {samples}")
-    return samples
+def _graph_settings(args, cfg: dict, default_samples: int) -> tuple[int, int]:
+    """Sample points per box axis and worker count of a graph build,
+    checked before any output directory is made."""
+    samples = _setting(args, cfg, "samples", default_samples, int)
+    workers = _setting(args, cfg, "workers", 1, int)
+    if samples < 2 or workers < 1:
+        raise ConfigError(f"samples must be >= 2 and workers >= 1, got {samples} and {workers}")
+    return samples, workers
+
+
+def _cover_settings(args, cfg: dict) -> tuple[int, float | None]:
+    """Depth and epsilon (None: one box diameter) of a full-cover graph,
+    checked like a schedule stage before any output directory is made."""
+    depth, epsilon = _setting(args, cfg, "depth", 7, int), _setting(args, cfg, "epsilon")
+    epsilon = None if epsilon is None else _number(float, epsilon, "epsilon")
+    chain.check_schedule([(depth, 0.0 if epsilon is None else epsilon)])
+    return depth, epsilon
 
 
 def _out_dir(args, cfg: dict) -> str:
@@ -201,11 +211,8 @@ def _finite_or_none(x: float):
 def cmd_classify(args) -> int:
     cfg = _load_config(args.config)
     system = _make_system(args, cfg)
-    depth = _setting(args, cfg, "depth", 7, int)
-    epsilon = _setting(args, cfg, "epsilon")
-    epsilon = None if epsilon is None else _number(float, epsilon, "epsilon")
-    samples = _graph_samples(args, cfg, 4)
-    workers = _setting(args, cfg, "workers", 1, int)
+    depth, epsilon = _cover_settings(args, cfg)
+    samples, workers = _graph_settings(args, cfg, 4)
     out = _out_dir(args, cfg)
 
     graph = chain.cover_graph(system, depth, epsilon, samples, workers)
@@ -299,8 +306,7 @@ def cmd_core_scan(args) -> int:
         raise ConfigError("core-scan requires a schedule (--schedule depth:eps,...)")
     schedule = _parse_schedule(sched_raw)
     target = _domain_point(_setting(args, cfg, "target", [0.0] * system.dim), system, "target")
-    samples = _graph_samples(args, cfg, 3)
-    workers = _setting(args, cfg, "workers", 1, int)
+    samples, workers = _graph_settings(args, cfg, 3)
     gap_factor = _setting(args, cfg, "gap_factor", 4.0, float)
     trap_cfg = cfg.get("trap")
     if trap_cfg:
@@ -367,11 +373,8 @@ def cmd_merge_scan(args) -> int:
     if isinstance(values, str):
         values = [_number(float, v, "values") for v in values.split(",")]
     base = _parse_params(getattr(args, "param", None), cfg)
-    depth = _setting(args, cfg, "depth", 7, int)
-    samples = _graph_samples(args, cfg, 4)
-    workers = _setting(args, cfg, "workers", 1, int)
-    epsilon = _setting(args, cfg, "epsilon")
-    epsilon = None if epsilon is None else _number(float, epsilon, "epsilon")
+    depth, epsilon = _cover_settings(args, cfg)
+    samples, workers = _graph_settings(args, cfg, 4)
     out = _out_dir(args, cfg)
 
     rows = []

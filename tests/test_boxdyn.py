@@ -109,6 +109,15 @@ def test_too_deep_grid_to_sample_is_rejected():
         build_graph(system, BoxSet(cube, 15, [0, 1]), 0.0, samples_per_axis=2)
 
 
+@pytest.mark.parametrize("codes", [[-1, 3], [3, 16], [-1, 16, 3], [2**62]])
+def test_boxset_rejects_codes_out_of_range(codes):
+    # at depth 2 in 2-D the codes are 0..15; -1 and 16 used to alias to
+    # the cells (3, 3) and (0, 0)
+    with pytest.raises(ConfigError, match="out of range"):
+        BoxSet(UNIT_SQUARE, 2, codes)
+    assert BoxSet(UNIT_SQUARE, 2, [0, 15, 3]).count == 3
+
+
 # ---------------------------------------------------------------------------
 # set algebra
 # ---------------------------------------------------------------------------
@@ -347,6 +356,17 @@ def test_boxset_save_load_round_trip(tmp_path):
     again = boxdyn.load_boxset(path)
     assert again == bs
     assert again.domain == bs.domain
+
+
+@pytest.mark.parametrize("cut", [8, 12, 24])
+def test_load_boxset_rejects_a_short_payload(tmp_path, cut):
+    bs = _bs([[0, 0], [5, 3], [7, 7]], depth=3)
+    path = tmp_path / "set.boxes"
+    boxdyn.save_boxset(path, bs)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - cut])
+    with pytest.raises(ConfigError, match="code bytes"):
+        boxdyn.load_boxset(path)
 
 
 def test_write_pgm_exact_bytes(tmp_path):

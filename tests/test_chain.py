@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from setdyn import chain, mapzoo
+from setdyn import boxdyn, chain, mapzoo
 from setdyn.boxdyn import BoxSet, Domain, build_graph, initial_cover, point_codes
 from setdyn.errors import ConfigError
 
@@ -208,14 +208,17 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_graph_build_and_decompose_allocate_few_bytes_per_edge():
-    # rings_scan's d7 stage, 475,700 edges.  build_graph peaks near 10.5 and
-    # decompose near 8.8 bytes an edge; with int64 CSR arrays and whole-graph
-    # temporaries they peaked at 32.7 and 44.3.  The bound of 16 bytes an
-    # edge leaves 5.5 and 7.2 bytes of margin, less than the 8 that one more
-    # int64 array of edge length would take.
+def test_graph_build_and_decompose_allocate_few_bytes_per_edge(monkeypatch):
+    # rings_scan's d7 stage, 475,700 edges.  build_graph peaks near 14.6
+    # bytes an edge, 3.6 of them its lattice table, and decompose near 8.8;
+    # with int64 CSR arrays and whole-graph temporaries they peaked at 32.7
+    # and 44.3.  The bound of 16 bytes an edge is less than one more int64
+    # array of edge length would take.  tracemalloc does not see memory
+    # maps, so the table's images and the CSR parts, which the build keeps
+    # off the heap, are made numpy arrays here to be counted.
     import scipy.sparse.csgraph  # noqa: F401  (not counted in decompose's peak)
 
+    monkeypatch.setattr(boxdyn, "_off_heap", lambda n, dtype: np.zeros(n, dtype))
     system = mapzoo.make_system("nested_rings", {"step": 0.02})
     cover = initial_cover(system.domain, 7)
     graph, build_peak = _traced_peak(lambda: build_graph(system, cover, 0.015625,

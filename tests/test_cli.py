@@ -130,6 +130,9 @@ _TRAP_SCAN = {"system": "cat_map", "schedule": [[3, 0.1]],
                        "n_steps": 2, "depth": 3}}
 
 
+_MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02,0.03")
+
+
 @pytest.mark.parametrize("argv, cfg", [
     (("noisy",), {"system": "cat_map", "steps": "abc"}),
     ((*_NOISY, "--seed", "-1"), None),
@@ -158,6 +161,16 @@ _TRAP_SCAN = {"system": "cat_map", "schedule": [[3, 0.1]],
     (("core-scan", "--system", "cat_map", "--schedule", "5:0.05,4:0.1", "--target", "0.3,0.3",
       "--samples", "3"), None),
     (("core-scan",), {"system": "cat_map", "schedule": [[4, 0.1], [5, 0.05], [3, 0.1]]}),
+    (("merge-scan", *_MERGE, "--workers", "0"), None),
+    (("merge-scan", *_MERGE, "--depth", "-1"), None),
+    (("merge-scan", *_MERGE, "--epsilon", "-1"), None),
+    (("classify", "--system", "cat_map", "--depth", "3", "--workers", "0"), None),
+    (("classify", "--system", "cat_map", "--depth", "-1"), None),
+    (("classify", "--system", "cat_map", "--depth", "3", "--epsilon", "-1"), None),
+    (("core-scan", "--system", "cat_map", "--schedule", "3:0.1", "--workers", "0"), None),
+    (("core-scan", "--system", "cat_map", "--schedule=-1:0.1"), None),
+    (("core-scan", "--system", "cat_map", "--schedule", "3:-1"), None),
+    (("core-scan",), {"system": "cat_map", "schedule": [[3, 0.1], [4, "nan"]]}),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
         "core-scan trap seed -1", "core-scan trap without seed_radius",
         "core-scan trap center [NaN, 0]", "core-scan trap center [0, 0, 0]", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
@@ -165,7 +178,11 @@ _TRAP_SCAN = {"system": "cat_map", "schedule": [[3, 0.1]],
         "verify samples 0", "verify samples -1",
         "classify samples 1", "core-scan samples 1", "merge-scan samples 1",
         "core-scan target 5 outside [-1, 1]", "core-scan trap center -1.5 outside [-1, 1]",
-        "core-scan schedule 5:0.05,4:0.1", "core-scan schedule [[4, 0.1], [5, 0.05], [3, 0.1]]"])
+        "core-scan schedule 5:0.05,4:0.1", "core-scan schedule [[4, 0.1], [5, 0.05], [3, 0.1]]",
+        "merge-scan workers 0", "merge-scan depth -1", "merge-scan epsilon -1",
+        "classify workers 0", "classify depth -1", "classify epsilon -1",
+        "core-scan workers 0", "core-scan schedule -1:0.1", "core-scan schedule 3:-1",
+        "core-scan schedule epsilon nan"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"

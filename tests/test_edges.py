@@ -9,7 +9,7 @@ the cells past the top end, and both enumerators are checked against
 
 Both oracles map every box's samples on their own, in one batch, with no
 point shared between boxes (``_eval_chunk``), while ``build_graph`` maps
-each distinct lattice point of a chunk once.  Both take a sample's
+each distinct lattice point of its box set once.  Both take a sample's
 coordinate from its integer lattice index.
 """
 
@@ -411,9 +411,9 @@ def _lattice_sets_per_chunk(boxset, samples):
     ]
 
 
-def _distinct_points_per_chunk(boxset, samples):
-    """The number of distinct lattice indices among each chunk's samples."""
-    return [len(points) for points in _lattice_sets_per_chunk(boxset, samples)]
+def _lattice_set(boxset, samples):
+    """The distinct lattice indices among all the set's samples."""
+    return set().union(*_lattice_sets_per_chunk(boxset, samples))
 
 
 def _per_box_pad(system, boxset, samples):
@@ -441,14 +441,19 @@ def _shared_sample_case(case):
 
 
 @pytest.mark.parametrize("case", ["nf_timeq_full", "cat_map_centre", "sparse", "cat_map_seam"])
-def test_forward_maps_each_shared_point_once_per_chunk(case):
+def test_forward_maps_each_shared_point_once_per_build(case):
     system, boxset, samples = _shared_sample_case(case)
     epsilon = system.domain.max_box_width(boxset.depth)
     counted, calls = _counted(system)
     graph = build_graph(counted, boxset, epsilon, samples_per_axis=samples)
-    assert calls == _distinct_points_per_chunk(boxset, samples)
+    # every distinct lattice point of the set once, seams between chunks too
+    assert sum(calls) == len(_lattice_set(boxset, samples))
+    assert sum(calls) <= sum(len(p) for p in _lattice_sets_per_chunk(boxset, samples))
+    # at most one call a chunk, for the points no chunk before it needed
+    assert 0 < len(calls) <= -(-boxset.count // boxdyn._CHUNK_BOXES)
     if case == "nf_timeq_full":
-        assert (len(calls), sum(calls)) == (4, 17028)
+        # 17,028 when each chunk mapped its own points, seams twice
+        assert (len(calls), sum(calls)) == (4, 16641)
     assert sum(calls) < boxset.count * len(boxdyn._sample_offsets(2, samples))
     # the same graph as from each box's own samples, mapped without sharing
     _assert_same(graph, _reference_graph(system, boxset, epsilon, samples))
@@ -471,13 +476,16 @@ def test_lattice_coordinates_move_only_on_far_faces(name, samples):
         cover = initial_cover(domain, depth)
         h = domain.box_width(depth)
         old = domain.wrap(cover.lower_corners()[:, None, :] + offsets * h)
-        new = np.concatenate([
-            pts.take(rows, axis=0)
-            for pts, rows in (
-                boxdyn._shared_samples(domain, depth, cover.codes[lo:lo + boxdyn._CHUNK_BOXES],
-                                       offsets, samples)
-                for lo in range(0, cover.count, boxdyn._CHUNK_BOXES))
-        ]).reshape(old.shape)
+        # each box's samples as the build's lattice table gives them
+        den = boxdyn._lattice_den(samples)
+        chunks = [(lo, min(lo + boxdyn._CHUNK_BOXES, cover.count))
+                  for lo in range(0, cover.count, boxdyn._CHUNK_BOXES)]
+        table, _ = boxdyn._lattice_table(cover, chunks, offsets, den)
+        ((_, pts),) = boxdyn._unmapped(table, domain, boxdyn._lattice_axis(offsets, den),
+                                       [0, len(table.keys)], None)
+        rows = np.searchsorted(table.keys, boxdyn._sample_keys(domain, depth, cover.codes,
+                                                               offsets, den, table.cells))
+        new = pts[rows].reshape(old.shape)
         if name != "nf_timeq":
             assert np.array_equal(new.view(np.int64), old.view(np.int64))
             continue
@@ -493,44 +501,46 @@ def test_lattice_coordinates_move_only_on_far_faces(name, samples):
 
 
 def _scan_oracle_counts(domain, depths, samples, bitwise):
-    """The points each chunk of a scan over full covers at ``depths`` maps,
-    chunks that map none left out: its distinct lattice indices, minus those
-    present at the previous depth, and with ``bitwise`` minus only those
-    whose coordinate there has the same bits."""
+    """The points each stage of a scan over full covers at ``depths`` maps:
+    its distinct lattice indices, minus those present at the previous
+    depth, and with ``bitwise`` minus only those whose coordinate there has
+    the same bits."""
     counts, prev = [], None
     for depth in depths:
-        sets = _lattice_sets_per_chunk(initial_cover(domain, depth), samples)
-        for points in sets:
-            index = np.array(sorted(points), dtype=np.int64)
-            found = np.zeros(len(index), dtype=bool)
-            if prev is not None:
-                prev_depth, prev_points = prev
-                shift = depth - prev_depth
-                coarse = index >> shift
-                found = np.all(coarse << shift == index, axis=1)
-                found &= np.array([tuple(c) in prev_points for c in coarse.tolist()])
-                if bitwise:
-                    here = _lattice_coordinates(domain, depth, samples, index)
-                    there = _lattice_coordinates(domain, prev_depth, samples, coarse)
-                    found &= np.all(here.view(np.int64) == there.view(np.int64), axis=1)
-            counts.append(int(np.count_nonzero(~found)))
-        prev = (depth, set().union(*sets))
-    return [c for c in counts if c]
+        points = _lattice_set(initial_cover(domain, depth), samples)
+        index = np.array(sorted(points), dtype=np.int64)
+        found = np.zeros(len(index), dtype=bool)
+        if prev is not None:
+            prev_depth, prev_points = prev
+            shift = depth - prev_depth
+            coarse = index >> shift
+            found = np.all(coarse << shift == index, axis=1)
+            found &= np.array([tuple(c) in prev_points for c in coarse.tolist()])
+            if bitwise:
+                here = _lattice_coordinates(domain, depth, samples, index)
+                there = _lattice_coordinates(domain, prev_depth, samples, coarse)
+                found &= np.all(here.view(np.int64) == there.view(np.int64), axis=1)
+        counts.append(int(np.count_nonzero(~found)))
+        prev = (depth, points)
+    return counts
 
 
-def _captured_scan(monkeypatch, system, schedule, samples, workers=1):
-    """core_scan's certificate around the origin, and the graphs of its stages."""
-    graphs = []
+def _captured_scan(monkeypatch, system, schedule, samples, workers=1, calls=None):
+    """core_scan's certificate around the origin, the graphs of its stages,
+    and the points each stage mapped, from the ``calls`` of ``_counted``."""
+    graphs, mapped = [], []
 
     def build(*args, **kwargs):
+        start = len(calls) if calls is not None else 0
         graphs.append(build_graph(*args, **kwargs))
+        mapped.append(sum(calls[start:]) if calls is not None else None)
         return graphs[-1]
 
     with monkeypatch.context() as m:
         m.setattr(chain, "build_graph", build)
         cert = chain.core_scan(system, (0.0, 0.0), schedule, samples_per_axis=samples,
                                workers=workers)
-    return cert, graphs
+    return cert, graphs, mapped
 
 
 def _assert_stages_built_alone(system, schedule, samples, graphs):
@@ -548,14 +558,14 @@ def test_scan_maps_only_the_points_the_previous_stage_lacks(monkeypatch, tmp_pat
     schedule = [(4, 0.1), (5, 0.05), (6, 0.03)]
     depths = [d for d, _ in schedule]
     counted, calls = _counted(system)
-    cert, graphs = _captured_scan(monkeypatch, counted, schedule, 3)
-    assert calls == _scan_oracle_counts(system.domain, depths, 3, bitwise=False)
-    assert sum(calls) < sum(sum(_distinct_points_per_chunk(initial_cover(system.domain, d), 3))
-                            for d in depths)
+    cert, graphs, mapped = _captured_scan(monkeypatch, counted, schedule, 3, calls=calls)
+    assert mapped == _scan_oracle_counts(system.domain, depths, 3, bitwise=False)
+    # each point of the depth-6 lattice, 129 x 129 of them, once in the scan
+    assert sum(calls) == len(_lattice_set(initial_cover(system.domain, 6), 3)) == 16641
     _assert_stages_built_alone(system, schedule, 3, graphs)
 
-    # with two workers each task looks up its own slice of the table; the
-    # tasks fork from this process, so they see the counting make_system
+    # with two workers the pool maps each chunk's points; the tasks fork from this
+    # process, so they see the counting make_system
     log = tmp_path / "points"
     make = mapzoo.make_system
 
@@ -570,7 +580,7 @@ def test_scan_maps_only_the_points_the_previous_stage_lacks(monkeypatch, tmp_pat
         return dataclasses.replace(built, forward=forward)
 
     monkeypatch.setattr(mapzoo, "make_system", make_counted)
-    parallel, graphs = _captured_scan(monkeypatch, system, schedule, 3, workers=2)
+    parallel, graphs, _ = _captured_scan(monkeypatch, system, schedule, 3, workers=2)
     assert parallel == cert
     assert sum(int(n) for n in log.read_text().split()) == sum(calls)
     _assert_stages_built_alone(system, schedule, 3, graphs)
@@ -582,18 +592,19 @@ def test_scan_reuses_only_points_with_the_same_coordinate_bits(monkeypatch):
     system = mapzoo.make_system("nf_timeq", {})
     schedule = [(4, 0.1), (5, 0.05)]
     counted, calls = _counted(system)
-    _, graphs = _captured_scan(monkeypatch, counted, schedule, 3)
+    _, graphs, mapped = _captured_scan(monkeypatch, counted, schedule, 3, calls=calls)
     bitwise = _scan_oracle_counts(system.domain, [4, 5], 3, bitwise=True)
-    assert calls == bitwise
+    assert mapped == bitwise
     assert sum(_scan_oracle_counts(system.domain, [4, 5], 3, bitwise=False)) < sum(bitwise)
     _assert_stages_built_alone(system, schedule, 3, graphs)
 
 
 def test_lattice_keys_fit_in_int64_on_the_deepest_sampled_grid():
     # build_graph samples a 2-D grid up to depth 30, where (depth+1)*dim
-    # owner bits reach 62.  A lattice key at samples 3 takes 31 bits an
-    # axis at depth 29 and 32 at depth 30: the depth-29 table is kept and
-    # looked up, and the depth-30 graph keeps none
+    # owner bits reach 62.  A lattice key is an owner cell's rank among the
+    # set's owner cells times den^dim plus a slot, so it stays small at
+    # every depth: both the depth-29 and the depth-30 graph keep a table,
+    # and the depth-30 build finds its depth-29 points there
     domain = Domain((0.0, 0.0), (1.0, 1.0), (False, False))
     system = mapzoo.MapSystem(name="halve", dim=2, params={}, domain=domain,
                               forward=lambda pts: 0.5 * np.asarray(pts) + 0.25,
@@ -606,12 +617,20 @@ def test_lattice_keys_fit_in_int64_on_the_deepest_sampled_grid():
     counted, calls = _counted(system)
     table = build_graph(counted, coarse, eps, samples_per_axis=3, keep_images=True).lattice_images
     assert calls == [13 * 13] and len(table.keys) == 13 * 13
-    assert np.all(np.diff(table.keys) > 0) and table.keys[0] > 0
+    assert np.all(np.diff(table.keys) > 0)
+    # 7 x 7 owner cells, the last one's code 60 bits long
+    assert len(table.cells) == 49 and table.cells[-1] == ((1 << 28) + 3) * ((1 << 30) + 1)
     calls.clear()
     graph = build_graph(counted, fine, eps, samples_per_axis=3, reuse=table, keep_images=True)
-    assert graph.lattice_images is None
     assert calls == [25 * 25 - 13 * 13]
+    assert len(graph.lattice_images.keys) == 25 * 25
+    assert graph.lattice_images.cells[-1] >> 31 == (1 << 29) + 6
     _assert_same(graph, _reference_graph(system, fine, eps, 3))
-    # at samples 4 a key takes 32 bits an axis at depth 29 already
+    # a depth-30 table serves another depth-30 build whole
+    calls.clear()
+    again = build_graph(counted, fine, eps, samples_per_axis=3, reuse=graph.lattice_images)
+    assert calls == []
+    _assert_same(again, (graph.indptr, graph.indices))
+    # at samples 4 the depth-29 graph keeps a table too
     wide = build_graph(system, coarse, eps, samples_per_axis=4, keep_images=True)
-    assert wide.lattice_images is None
+    assert len(wide.lattice_images.keys) == len(_lattice_set(coarse, 4))
