@@ -62,6 +62,11 @@ _MAX_EDGES = np.iinfo(np.int32).max
 
 _CHUNK_BOXES = 1024
 
+# edges that one step of a pass over a CSR graph handles at once, and the
+# share of rows (one in _DENSE) above which a pass walks all rows
+_SLAB_EDGES = 1 << 15
+_DENSE = 4
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -358,10 +363,16 @@ def _check_box_count(n: int, budget: int = _MAX_BOXES) -> None:
         raise BudgetError(f"{n} boxes exceed the {_MAX_BOXES} that edge keys can index")
 
 
-def initial_cover(domain: Domain, depth: int, budget: int = BOX_BUDGET) -> BoxSet:
-    """Full covering of the domain at the given depth, guarded by a budget."""
+def check_cover(domain: Domain, depth: int, budget: int = BOX_BUDGET) -> None:
+    """Raise, before anything is allocated, when the full cover of the domain
+    at ``depth`` cannot be encoded or holds more than ``budget`` boxes."""
     _check_depth(domain, depth)
     _check_box_count(1 << (depth * domain.dim), budget)
+
+
+def initial_cover(domain: Domain, depth: int, budget: int = BOX_BUDGET) -> BoxSet:
+    """Full covering of the domain at the given depth, guarded by a budget."""
+    check_cover(domain, depth, budget)
     return BoxSet.full_cover(domain, depth)
 
 
@@ -419,15 +430,95 @@ def _as_int32(a, what: str) -> np.ndarray:
     return a.astype(np.int32)
 
 
+def _out_edges(indptr: np.ndarray, indices: np.ndarray, rows=None):
+    """Yield the out-edges of ``rows`` of a CSR graph in slabs of about
+    ``_SLAB_EDGES`` edges (a row longer than that is a slab of its own), as
+    (slab rows, their out-degrees, their destinations in row order); the
+    sources are ``np.repeat(slab_rows, degrees)``.  Empty slabs are skipped.
+
+    ``rows`` is None for all rows, or distinct row indices.  When more than
+    one row in ``_DENSE`` is asked for, the slabs are runs of consecutive
+    rows whose unwanted edges are masked out; else the wanted rows' edges
+    are gathered by position.  No array of edge length is made.
+    """
+    n = len(indptr) - 1
+    want = None
+    if rows is not None:
+        if len(rows) <= n // _DENSE:
+            yield from _gathered_edges(indptr, indices, np.asarray(rows))
+            return
+        want = np.zeros(n, dtype=bool)
+        want[rows] = True
+        if want.all():
+            want = None
+    cuts = np.searchsorted(indptr, np.arange(_SLAB_EDGES, indptr[-1], _SLAB_EDGES), "right") - 1
+    cuts = _unique(np.concatenate(([0], cuts, [n])))
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        if indptr[lo] == indptr[hi]:
+            continue
+        lens = np.diff(indptr[lo : hi + 1])
+        dst = indices[indptr[lo] : indptr[hi]]
+        if want is None:
+            yield np.arange(lo, hi), lens, dst
+        elif want[lo:hi].any():
+            w = want[lo:hi]
+            yield np.flatnonzero(w) + lo, lens[w], dst[np.repeat(w, lens)]
+
+
+def _gathered_edges(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """``_out_edges`` of a few rows, given as indices."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    if not len(ends) or not ends[-1]:
+        return
+    cuts = np.searchsorted(ends, np.arange(_SLAB_EDGES, ends[-1], _SLAB_EDGES))
+    cuts = _unique(np.concatenate(([0], cuts, [len(rows)])))
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        first = ends[a] - lens[a]
+        if ends[b - 1] == first:
+            continue
+        # position of each edge: its row's start plus its place in the row
+        pos = np.repeat(starts[a:b] - (ends[a:b] - lens[a:b] - first), lens[a:b])
+        pos += np.arange(ends[b - 1] - first)
+        yield rows[a:b], lens[a:b], indices[pos]
+
+
 def _transpose_csr(indptr: np.ndarray, indices: np.ndarray):
     """(indptr, indices) of the transposed square CSR pattern, rows sorted,
-    in the dtypes of the input."""
+    in the dtypes of the input.
+
+    A counting sort, one slab of ``_out_edges`` at a time: each slab sorts
+    its (destination, source) keys, so its sources into one node form a
+    sorted run, and the runs go to their rows' next free slots.  The slabs
+    come in source order, so every row ends up sorted.
+    """
     n = len(indptr) - 1
+    counts = np.zeros(n, dtype=np.int64)
+    for lo in range(0, len(indices), _SLAB_EDGES):
+        np.add.at(counts, indices[lo : lo + _SLAB_EDGES], 1)
     out_ptr = np.zeros(n + 1, dtype=indptr.dtype)
-    np.cumsum(np.bincount(indices, minlength=n), out=out_ptr[1:])
-    src = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-    # stable sort on destination keeps sources ascending within each row
-    return out_ptr, src[np.argsort(indices, kind="stable")]
+    np.cumsum(counts, out=out_ptr[1:])
+    free = out_ptr[:-1].astype(np.int64)  # each row's next free slot
+    out = np.empty_like(indices)
+    for rows, lens, dst in _out_edges(indptr, indices):
+        lo = rows[0]
+        bits = int(rows[-1] - lo).bit_length()
+        key = dst.astype(np.int32 if n << bits <= np.iinfo(np.int32).max else np.int64)
+        key <<= bits
+        key |= np.repeat(rows - lo, lens)
+        key.sort()
+        dst, src = key >> bits, key & ((1 << bits) - 1)
+        brk = np.ones(len(dst), dtype=bool)
+        np.not_equal(dst[1:], dst[:-1], out=brk[1:])
+        starts = np.flatnonzero(brk)
+        run = np.diff(starts, append=len(dst))
+        heads = dst[starts]
+        pos = np.repeat(free[heads] - starts, run)
+        pos += np.arange(len(dst))
+        out[pos] = src + lo
+        free[heads] += run
+    return out_ptr, out
 
 
 def _sample_offsets(dim: int, samples_per_axis: int) -> np.ndarray:

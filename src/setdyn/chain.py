@@ -22,9 +22,12 @@ BFS on the box graph itself that no command calls: it is the oracle the
 tests hold the condensation closures to, and a hook the benchmark's tracer
 wraps.
 
-scipy is imported inside the functions that use it: importing it costs
-about half a second, which ``noisy``, ``verify`` and ``portrait`` never
-need to pay.
+The SCCs come from forward-backward search with trimming (FW-BW-Trim:
+Fleischer, Hendrickson & Pinar, IPDPS workshops 2000; McLendon et al.,
+JPDC 65, 2005), written as whole-array numpy passes over the graph's int32
+CSR.  Every search, there and in the reach closures, is one level-
+synchronous BFS (``_search``) that handles its frontier's edges in bounded
+slabs, so the analysis needs no library beyond numpy.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ from .boxdyn import (
     LatticeImages,
     TransitionGraph,
     _check_depth,
+    _out_edges,
     _transpose_csr,
     _unique,
     build_graph,
+    check_cover,
     initial_cover,
     point_codes,
 )
@@ -50,10 +55,6 @@ from .errors import ConfigError
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
-
-# rows of the box graph whose edges ``decompose`` handles at once
-_SLAB_ROWS = 4096
-
 
 @dataclass
 class ChainDecomposition:
@@ -102,41 +103,118 @@ def cover_graph(
                        reuse=reuse, keep_images=keep_images)
 
 
+def _search(indptr: np.ndarray, indices: np.ndarray, seeds, seen: np.ndarray,
+            part: np.ndarray | None = None) -> None:
+    """Mark in ``seen`` every node that ``seeds`` reach through nodes not
+    yet seen: a level-synchronous BFS whose frontier's edges come in
+    ``_out_edges`` slabs.  With ``part`` a step only follows an edge whose
+    ends lie in the same partition."""
+    frontier = _unique(seeds)
+    seen[frontier] = True
+    while frontier.size:
+        new = []
+        for rows, lens, dst in _out_edges(indptr, indices, frontier):
+            keep = ~seen[dst]
+            if part is not None:
+                keep &= part[dst] == np.repeat(part[rows], lens)
+            dst = dst[keep]
+            seen[dst] = True
+            new.append(dst)
+        frontier = _unique(np.concatenate(new)) if new else frontier[:0]
+
+
+def _scc_roots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's strongly connected component.
+
+    FW-BW-Trim on all partitions at once.  The unlabelled nodes fall into
+    partitions, each a union of whole SCCs; at first there is one.  Trim: a
+    node with no in-edge or no out-edge from another node of its partition
+    is an SCC by itself, and labelling it may leave a neighbour without
+    one, so trimming runs as a worklist.  Then each partition takes one
+    pivot, the node with the largest in-degree x out-degree, and a forward
+    and a backward search from all pivots at once, each kept inside its
+    partition, find what every pivot reaches and is reached from.  Their
+    intersection is the pivot's SCC; the rest of a partition splits into
+    forward-only, backward-only and neither, and the rounds repeat until
+    every node is labelled.
+    """
+    n = len(indptr) - 1
+    t_ptr, t_idx = _transpose_csr(indptr, indices)
+    root = np.full(n, -1, dtype=np.int32)
+    part = np.zeros(n, dtype=np.int32)  # -1 once a node is labelled
+    # degrees inside the partitions, self-loops aside: at first every edge
+    # but the self-loops counts
+    loop = np.zeros(n, dtype=bool)
+    for rows, lens, dst in _out_edges(indptr, indices):
+        loop[dst[np.repeat(rows, lens) == dst]] = True
+    degree = tuple(np.diff(ptr).astype(np.int64) - loop for ptr in (indptr, t_ptr))
+    while True:
+        work = np.flatnonzero((part >= 0) & ((degree[0] == 0) | (degree[1] == 0)))
+        while work.size:
+            zeroed = []
+            for ptr, idx, deg in ((indptr, indices, degree[1]), (t_ptr, t_idx, degree[0])):
+                for rows, lens, dst in _out_edges(ptr, idx, work):
+                    dst = dst[part[dst] == np.repeat(part[rows], lens)]
+                    np.subtract.at(deg, dst, 1)
+                    zeroed.append(dst[deg[dst] == 0])
+            root[work] = work
+            part[work] = -1
+            work = _unique(np.concatenate(zeroed)) if zeroed else work[:0]
+            work = work[part[work] >= 0]
+
+        alive = np.flatnonzero(part >= 0)
+        if not alive.size:
+            return root
+        # lexsort is stable, so a tie goes to the smaller node
+        order = np.lexsort((-(degree[0][alive] * degree[1][alive]), part[alive]))
+        firsts = np.flatnonzero(np.diff(part[alive][order], prepend=-1))
+        pivots = alive[order[firsts]]
+        inside = part if len(pivots) > 1 else None
+        fw, bw = part < 0, part < 0
+        _search(indptr, indices, pivots, fw, inside)
+        _search(t_ptr, t_idx, pivots, bw, inside)
+        fw, bw = fw[alive], bw[alive]
+        # alive is sorted, so a partition's first SCC node is its smallest
+        scc = alive[fw & bw]
+        _, first, which = np.unique(part[scc], return_index=True, return_inverse=True)
+        root[scc] = scc[first][which]
+        part[scc] = -1
+        rest = ~(fw & bw)
+        alive = alive[rest]
+        _, part[alive] = np.unique(part[alive] * 4 + fw[rest] + 2 * bw[rest], return_inverse=True)
+
+        degree = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        for rows, lens, dst in _out_edges(indptr, indices, alive):
+            src = np.repeat(rows, lens)
+            inner = (part[dst] == part[src]) & (dst != src)
+            np.add.at(degree[0], src[inner], 1)
+            np.add.at(degree[1], dst[inner], 1)
+
+
 def decompose(graph: TransitionGraph) -> ChainDecomposition:
     """SCCs, condensation DAG and terminal/initial flags of a graph.
 
-    No temporary spans the whole edge list: scipy gets the graph's own int32
-    CSR arrays, which it uses without a copy, and the SCC ids at the ends of
-    the edges are formed in int32 one slab of ``_SLAB_ROWS`` rows at a time,
-    keeping int64 condensation keys only for the slab's distinct cross edges.
+    The SCCs come from ``_scc_roots``, which names each by its smallest
+    node; numbering those in node order gives the canonical ids.  No
+    temporary spans the whole edge list but the transposed int32 CSR that
+    the backward searches walk: every pass goes over ``_out_edges`` slabs,
+    and the condensation keeps int64 keys only for each slab's distinct
+    cross edges.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     n = graph.n_boxes
     indptr, indices = graph.indptr, graph.indices
-    # float64 is the data type connected_components works in, so it is the
-    # only array of edge length that the call adds
-    mat = csr_matrix((np.ones(graph.n_edges), indices, indptr), shape=(n, n))
-    _, labels = connected_components(mat, directed=True, connection="strong")
-    del mat
-
-    # canonical ids: order components by first node occurrence
-    _, first = np.unique(labels, return_index=True)
-    m = len(first)
-    rank = np.empty(m, dtype=np.int32)
-    rank[np.argsort(first, kind="stable")] = np.arange(m, dtype=np.int32)
-    scc = rank[labels]
+    roots = _scc_roots(indptr, indices)
+    is_root = roots == np.arange(n)
+    m = int(np.count_nonzero(is_root))
+    scc = (np.cumsum(is_root, dtype=np.int32) - 1)[roots]
     sizes = np.bincount(scc, minlength=m)
 
     # an SCC is recurrent when it holds an edge: a larger one has a cycle, and
     # the only edge inside a single box is its self-loop
     recurrent = np.zeros(m, dtype=bool)
-    key_parts = []
-    for lo in range(0, n, _SLAB_ROWS):
-        hi = min(lo + _SLAB_ROWS, n)
-        s_u = np.repeat(scc[lo:hi], np.diff(indptr[lo : hi + 1]))
-        s_v = scc[indices[indptr[lo] : indptr[hi]]]
+    key_parts = [np.empty(0, dtype=np.int64)]
+    for rows, lens, dst in _out_edges(indptr, indices):
+        s_u, s_v = np.repeat(scc[rows], lens), scc[dst]
         cross = s_u != s_v
         recurrent[s_u[~cross]] = True
         key_parts.append(_unique(s_u[cross] * np.int64(m) + s_v[cross]))
@@ -180,9 +258,6 @@ def reach_set(graph: TransitionGraph, members, forward: bool = True) -> BoxSet:
     those condensation closures against, and because perfbench/traced.py
     wraps ``chain.reach_set`` by name.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
     bs = graph.boxset
     if isinstance(members, BoxSet):
         members._check_compatible(bs)
@@ -195,17 +270,9 @@ def reach_set(graph: TransitionGraph, members, forward: bool = True) -> BoxSet:
     indptr, indices = graph.indptr, graph.indices
     if not forward:
         indptr, indices = _transpose_csr(indptr, indices)
-    # a virtual super-source n wired to every member lets a single C-level
-    # BFS cover the whole member set at once
-    n = graph.n_boxes
-    src = np.concatenate([np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)),
-                          np.full(len(idx), n, dtype=np.int64)])
-    dst = np.concatenate([indices, idx])
-    mat = csr_matrix((np.ones(len(src), np.int8), (src, dst)), shape=(n + 1, n + 1))
-    order = breadth_first_order(mat, n, directed=True, return_predecessors=False)
-    mask = np.zeros(n + 1, dtype=bool)
-    mask[order] = True
-    return BoxSet(bs.domain, bs.depth, bs.codes[mask[:n]])
+    seen = np.zeros(graph.n_boxes, dtype=bool)
+    _search(indptr, indices, idx, seen)
+    return BoxSet(bs.domain, bs.depth, bs.codes[seen])
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +511,11 @@ def _contained_with_slack(inner: BoxSet, outer_depth: int, outer: BoxSet) -> boo
 
 def _reached_sccs(dec: ChainDecomposition, s: int) -> np.ndarray:
     """Ids of the SCCs that SCC ``s`` reaches in the condensation, ``s``
-    included; their boxes are the reach closure of any box of ``s``."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
-    cond = csr_matrix(
-        (np.ones(len(dec.cond_indices), np.int8), dec.cond_indices, dec.cond_indptr),
-        shape=(dec.n_scc, dec.n_scc),
-    )
-    return breadth_first_order(cond, s, directed=True, return_predecessors=False)
+    included, in ascending order; their boxes are the reach closure of any
+    box of ``s``."""
+    seen = np.zeros(dec.n_scc, dtype=bool)
+    _search(dec.cond_indptr, dec.cond_indices, [s], seen)
+    return np.flatnonzero(seen)
 
 
 def _new_witnesses(
@@ -473,11 +536,12 @@ def _new_witnesses(
     return new
 
 
-def check_schedule(schedule) -> None:
+def check_schedule(domain, schedule) -> None:
     """Reject a schedule before any graph is built: a stage with a negative
-    depth or an epsilon that is negative or not finite, or depths that
+    depth or an epsilon that is negative or not finite, depths that
     decrease, since a stage's absorbing sets are checked against the
-    previous stage's refined to its own depth."""
+    previous stage's refined to its own depth, or a depth whose full cover
+    of ``domain`` cannot be encoded or exceeds the box budget."""
     for depth, eps in schedule:
         if depth < 0 or not (eps >= 0 and math.isfinite(eps)):
             raise ConfigError(f"depth {depth} and epsilon {eps} must be >= 0, epsilon finite")
@@ -485,6 +549,8 @@ def check_schedule(schedule) -> None:
     if any(b < a for a, b in zip(depths, depths[1:])):
         raise ConfigError(f"schedule depths {depths} decrease; each stage must be "
                           "at least as deep as the one before")
+    for depth in depths:
+        check_cover(domain, depth)
 
 
 def core_scan(
@@ -523,7 +589,7 @@ def core_scan(
     schedule = [(int(d), float(e)) for d, e in schedule]
     if not schedule:
         raise ConfigError("schedule must contain at least one stage")
-    check_schedule(schedule)
+    check_schedule(system.domain, schedule)
 
     stages: list[StageResult] = []
     att_wit: list[tuple[int, BoxSet]] = []

@@ -93,7 +93,7 @@ def _parse_params(pairs, cfg: dict) -> dict:
     return params
 
 
-def _parse_schedule(raw) -> list[tuple[int, float]]:
+def _parse_schedule(raw, domain) -> list[tuple[int, float]]:
     if isinstance(raw, str):
         stages = []
         for part in raw.split(","):
@@ -108,7 +108,7 @@ def _parse_schedule(raw) -> list[tuple[int, float]]:
             raise ConfigError(f"schedule stage {stage!r} must be a [depth, epsilon] pair")
     schedule = [(_number(int, d, "schedule depth"), _number(float, e, "schedule epsilon"))
                 for d, e in raw]
-    chain.check_schedule(schedule)
+    chain.check_schedule(domain, schedule)
     return schedule
 
 
@@ -150,12 +150,13 @@ def _graph_settings(args, cfg: dict, default_samples: int) -> tuple[int, int]:
     return samples, workers
 
 
-def _cover_settings(args, cfg: dict) -> tuple[int, float | None]:
-    """Depth and epsilon (None: one box diameter) of a full-cover graph,
-    checked like a schedule stage before any output directory is made."""
+def _cover_settings(args, cfg: dict, domain) -> tuple[int, float | None]:
+    """Depth and epsilon (None: one box diameter) of a full cover of
+    ``domain``, checked like a schedule stage before any output directory
+    is made."""
     depth, epsilon = _setting(args, cfg, "depth", 7, int), _setting(args, cfg, "epsilon")
     epsilon = None if epsilon is None else _number(float, epsilon, "epsilon")
-    chain.check_schedule([(depth, 0.0 if epsilon is None else epsilon)])
+    chain.check_schedule(domain, [(depth, 0.0 if epsilon is None else epsilon)])
     return depth, epsilon
 
 
@@ -211,7 +212,7 @@ def _finite_or_none(x: float):
 def cmd_classify(args) -> int:
     cfg = _load_config(args.config)
     system = _make_system(args, cfg)
-    depth, epsilon = _cover_settings(args, cfg)
+    depth, epsilon = _cover_settings(args, cfg, system.domain)
     samples, workers = _graph_settings(args, cfg, 4)
     out = _out_dir(args, cfg)
 
@@ -304,7 +305,7 @@ def cmd_core_scan(args) -> int:
     sched_raw = _setting(args, cfg, "schedule")
     if sched_raw is None:
         raise ConfigError("core-scan requires a schedule (--schedule depth:eps,...)")
-    schedule = _parse_schedule(sched_raw)
+    schedule = _parse_schedule(sched_raw, system.domain)
     target = _domain_point(_setting(args, cfg, "target", [0.0] * system.dim), system, "target")
     samples, workers = _graph_settings(args, cfg, 3)
     gap_factor = _setting(args, cfg, "gap_factor", 4.0, float)
@@ -373,7 +374,9 @@ def cmd_merge_scan(args) -> int:
     if isinstance(values, str):
         values = [_number(float, v, "values") for v in values.split(",")]
     base = _parse_params(getattr(args, "param", None), cfg)
-    depth, epsilon = _cover_settings(args, cfg)
+    # the cover's checks need only the domain's dimension, which no
+    # parameter value changes
+    depth, epsilon = _cover_settings(args, cfg, mapzoo.make_system(name).domain)
     samples, workers = _graph_settings(args, cfg, 4)
     out = _out_dir(args, cfg)
 

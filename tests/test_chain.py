@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from setdyn import boxdyn, chain, mapzoo
 from setdyn.boxdyn import BoxSet, Domain, build_graph, initial_cover, point_codes
@@ -178,15 +180,15 @@ def _reference_decomposition(g):
 
 @pytest.mark.parametrize("name, depth", [("nested_rings", 6), ("cat_map", 5), ("nf_timeq", 5)])
 def test_condensation_equals_numpy_unique_reference(name, depth, monkeypatch):
-    # decompose works on the int32 CSR a slab of rows at a time and dedupes
+    # decompose works on the int32 CSR a slab of edges at a time and dedupes
     # the condensation's edge keys by sorting; the reference takes
-    # whole-graph int64 arrays and np.unique.  Slabs of 7 rows split every
+    # whole-graph int64 arrays and np.unique.  Slabs of 100 edges split every
     # row range the default slab keeps whole.
     g = chain.cover_graph(mapzoo.make_system(name, {}), depth, samples_per_axis=3)
     assert g.indptr.dtype == g.indices.dtype == np.int32
     scc, recurrent, cond_indptr, cond_indices = _reference_decomposition(g)
-    for slab in (chain._SLAB_ROWS, 7):
-        monkeypatch.setattr(chain, "_SLAB_ROWS", slab)
+    for slab in (boxdyn._SLAB_EDGES, 100):
+        monkeypatch.setattr(boxdyn, "_SLAB_EDGES", slab)
         dec = chain.decompose(g)
         assert np.array_equal(dec.scc_id, scc)
         assert np.array_equal(dec.recurrent_scc, recurrent)
@@ -195,6 +197,107 @@ def test_condensation_equals_numpy_unique_reference(name, depth, monkeypatch):
         assert dec.cond_indices.dtype == np.int64
     # cat_map is one recurrent class, so its condensation has no edge
     assert (len(cond_indices) > 0) == (name != "cat_map")
+
+
+@st.composite
+def _digraphs(draw):
+    """(n, edges) of a random digraph.  Along a random order of the nodes it
+    takes forward edges, a path through every node, and cycles over random
+    intervals, which nest or merge; then a few edges in any direction and
+    self-loops.  Each part may be absent, so the graphs range from no edge
+    at all over long chains to many cycles strung on a DAG, with isolated
+    nodes among them."""
+    n = draw(st.integers(1, 60))
+    pos = st.integers(0, n - 1)
+    order = draw(st.permutations(range(n)))
+    edges = [(order[min(i, j)], order[max(i, j)])
+             for i, j in draw(st.lists(st.tuples(pos, pos), max_size=2 * n))]
+    if draw(st.booleans()):
+        edges += zip(order, order[1:])
+    for i, j in draw(st.lists(st.tuples(pos, pos), max_size=6)):
+        i, j = min(i, j), max(i, j)
+        edges += [*zip(order[i:j], order[i + 1 : j + 1]), (order[j], order[i])]
+    edges += draw(st.lists(st.tuples(pos, pos), max_size=n // 4))
+    edges += [(v, v) for v in draw(st.lists(pos, max_size=5))]
+    return n, edges
+
+
+_RANDOM_DIGRAPHS = settings(max_examples=300, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_RANDOM_DIGRAPHS
+@given(case=_digraphs())
+def test_decompose_matches_scipy_on_random_digraphs(case, graph_from_edges, monkeypatch):
+    # slabs of 4 edges make every pass take several slabs, and its gathered
+    # and masked forms both come up
+    monkeypatch.setattr(boxdyn, "_SLAB_EDGES", 4)
+    g = graph_from_edges(*case)
+    scc, recurrent, cond_indptr, cond_indices = _reference_decomposition(g)
+    dec = chain.decompose(g)
+    assert np.array_equal(dec.scc_id, scc)
+    assert np.array_equal(dec.recurrent_scc, recurrent)
+    assert np.array_equal(dec.cond_indptr, cond_indptr)
+    assert np.array_equal(dec.cond_indices, cond_indices)
+
+
+def test_decompose_keeps_trim_and_searches_inside_partitions(graph_from_edges):
+    # The first round's pivot 0 finds K = {0..3}; B = {4, 5} reaches K, F =
+    # {6..10} is reached from it, and 11 is neither.  In the second round
+    # the trim labels 11, whose edge to 6 must not count against F, and the
+    # search from B's pivot 4 must not follow 4 -> 6 into F, where C = {6, 7}
+    # reaches D = {8, 9, 10}, F's pivot's SCC, but is not reached from it.
+    clique = [(a, b) for a in range(4) for b in range(4) if a != b]
+    triangle = [(a, b) for a in (8, 9, 10) for b in (8, 9, 10) if a != b]
+    g = graph_from_edges(12, [*clique, *triangle, (4, 5), (5, 4), (5, 0), (0, 6), (6, 7),
+                              (7, 6), (7, 8), (4, 6), (4, 11), (11, 6)])
+    dec = chain.decompose(g)
+    assert np.array_equal(dec.scc_id, _reference_decomposition(g)[0])
+    assert dec.scc_id.tolist() == [0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 4]
+
+
+def _scipy_bfs(indptr, indices, n, sources) -> set:
+    """Nodes that scipy's breadth_first_order reaches from any source."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    mat = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    return {int(v) for s in sources
+            for v in breadth_first_order(mat, s, directed=True, return_predecessors=False)}
+
+
+def _scipy_transpose(indptr, indices, n):
+    from scipy.sparse import csr_matrix
+
+    t = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n)).T.tocsr()
+    t.sort_indices()
+    return t.indptr, t.indices
+
+
+@_RANDOM_DIGRAPHS
+@given(case=_digraphs(), data=st.data())
+def test_searches_match_scipy_breadth_first_order(case, data, graph_from_edges, monkeypatch):
+    # reach_set and _reached_sccs search with chain._search; scipy's BFS on
+    # scipy's own transposes is the oracle
+    monkeypatch.setattr(boxdyn, "_SLAB_EDGES", 4)
+    n, edges = case
+    g = graph_from_edges(n, edges)
+    t_indptr, t_indices = _scipy_transpose(g.indptr, g.indices, n)
+    assert all(map(np.array_equal, boxdyn._transpose_csr(g.indptr, g.indices),
+                   (t_indptr, t_indices)))
+    members = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    assert set(chain.reach_set(g, members).codes) == _scipy_bfs(g.indptr, g.indices, n, members)
+    assert (set(chain.reach_set(g, members, forward=False).codes)
+            == _scipy_bfs(t_indptr, t_indices, n, members))
+
+    dec = chain.decompose(g)
+    m = dec.n_scc
+    r_indptr, r_indices = _scipy_transpose(dec.cond_indptr, dec.cond_indices, m)
+    rev = chain._reversed(dec)
+    for s in {int(dec.scc_id[v]) for v in members}:
+        assert list(chain._reached_sccs(dec, s)) == sorted(
+            _scipy_bfs(dec.cond_indptr, dec.cond_indices, m, [s]))
+        assert list(chain._reached_sccs(rev, s)) == sorted(_scipy_bfs(r_indptr, r_indices, m, [s]))
 
 
 def _traced_peak(fn):
@@ -209,17 +312,18 @@ def _traced_peak(fn):
 
 
 def test_graph_build_and_decompose_allocate_few_bytes_per_edge(monkeypatch):
-    # rings_scan's d7 stage, 475,700 edges.  build_graph peaks near 14.6
-    # bytes an edge, 3.6 of them its lattice table, and decompose near 8.8;
-    # with int64 CSR arrays and whole-graph temporaries they peaked at 32.7
-    # and 44.3.  The bound of 16 bytes an edge is less than one more int64
-    # array of edge length would take.  tracemalloc does not see memory
-    # maps, so the table's images and the CSR parts, which the build keeps
-    # off the heap, are made numpy arrays here to be counted.
-    import scipy.sparse.csgraph  # noqa: F401  (not counted in decompose's peak)
-
+    # rings_scan's d7 stage, 475,700 edges.  build_graph peaks near 15
+    # bytes an edge, 3.6 of them its lattice table, and decompose near 7.5,
+    # 4 of them the transposed CSR; with int64 CSR arrays and whole-graph
+    # temporaries they peaked at 32.7 and 44.3.  The bound of 16 bytes an
+    # edge is less than one more int64 array of edge length would take.
+    # tracemalloc does not see memory maps, so the table's images and the
+    # CSR parts, which the build keeps off the heap, are made numpy arrays
+    # here to be counted.  A small graph is built and decomposed first, so
+    # that modules numpy imports on first use (numpy.ma, 0.8 MiB) are not.
     monkeypatch.setattr(boxdyn, "_off_heap", lambda n, dtype: np.zeros(n, dtype))
     system = mapzoo.make_system("nested_rings", {"step": 0.02})
+    chain.decompose(build_graph(system, initial_cover(system.domain, 3), 0.1, samples_per_axis=3))
     cover = initial_cover(system.domain, 7)
     graph, build_peak = _traced_peak(lambda: build_graph(system, cover, 0.015625,
                                                          samples_per_axis=3))

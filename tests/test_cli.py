@@ -171,6 +171,9 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
     (("core-scan", "--system", "cat_map", "--schedule=-1:0.1"), None),
     (("core-scan", "--system", "cat_map", "--schedule", "3:-1"), None),
     (("core-scan",), {"system": "cat_map", "schedule": [[3, 0.1], [4, "nan"]]}),
+    (("classify", "--system", "cat_map", "--depth", "40"), None),
+    (("core-scan", "--system", "cat_map", "--schedule", "3:0.1,40:0.01"), None),
+    (("merge-scan", *_MERGE, "--depth", "40"), None),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
         "core-scan trap seed -1", "core-scan trap without seed_radius",
         "core-scan trap center [NaN, 0]", "core-scan trap center [0, 0, 0]", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
@@ -182,7 +185,8 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
         "merge-scan workers 0", "merge-scan depth -1", "merge-scan epsilon -1",
         "classify workers 0", "classify depth -1", "classify epsilon -1",
         "core-scan workers 0", "core-scan schedule -1:0.1", "core-scan schedule 3:-1",
-        "core-scan schedule epsilon nan"])
+        "core-scan schedule epsilon nan", "classify depth 40", "core-scan schedule 3:0.1,40:0.01",
+        "merge-scan depth 40"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"
@@ -191,6 +195,19 @@ def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     out = tmp_path / "out"
     assert _run(*argv, "--out", str(out)) == 2
     assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--system", "cat_map", "--depth", "14"),
+    ("core-scan", "--system", "cat_map", "--schedule", "14:0.01"),
+    ("merge-scan", *_MERGE, "--depth", "14"),
+], ids=lambda argv: argv[0])
+def test_box_budget_exit_3_before_any_output(argv, tmp_path, capsys):
+    # a 2-d full cover at depth 14 holds 2^28 boxes, past the global budget
+    out = tmp_path / "out"
+    assert _run(*argv, "--out", str(out)) == 3
+    assert "budget exceeded:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -265,19 +282,28 @@ def test_noisy_histogram_and_heatmap(tmp_path):
 
 
 def test_import_and_noisy_run_leave_scipy_unloaded(tmp_path):
-    # scipy serves only the graph analysis; importing it costs about half a
-    # second, which a command that builds no graph should not pay
-    code = (
-        "import sys; from setdyn import cli; assert 'scipy' not in sys.modules; "
-        "code = cli.main(['noisy', '--system', 'cat_map', '--steps', '20', '--trials', '2', "
-        f"'--depth', '4', '--out', {str(tmp_path)!r}]); "
-        "assert code == 0; assert 'scipy' not in sys.modules, 'noisy imported scipy'"
-    )
+    # the graph analysis is numpy only; importing scipy would cost about a
+    # third of a second and 30 MiB, which no command should pay
+    cfg = tmp_path / "trap.json"
+    cfg.write_text(json.dumps(_TRAP_SCAN))
+    runs = [
+        ["noisy", "--system", "cat_map", "--steps", "20", "--trials", "2", "--depth", "4"],
+        ["classify", "--system", "cat_map", "--depth", "4", "--samples", "3"],
+        ["core-scan", "--config", str(cfg)],
+        ["merge-scan", "--system", "cubic_interval", "--sweep-param", "a",
+         "--values", "0.25", "--depth", "4"],
+    ]
+    code = "import sys; from setdyn import cli; assert 'scipy' not in sys.modules\n"
+    for argv in runs:
+        code += (f"assert cli.main({argv + ['--out', str(tmp_path / argv[0])]!r}) == 0\n"
+                 f"assert 'scipy' not in sys.modules, {argv[0] + ' imported scipy'!r}\n")
     src = os.path.dirname(os.path.dirname(setdyn.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "noisy.csv").exists()
+    assert (tmp_path / "noisy" / "noisy.csv").exists()
+    assert "trap" in json.loads((tmp_path / "core-scan" / "certificate.json").read_text())
+    assert ",ok," in (tmp_path / "merge-scan" / "sweep.csv").read_text()
 
 
 def test_merge_scan_keeps_going_past_errors(tmp_path):
