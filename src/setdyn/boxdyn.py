@@ -38,6 +38,7 @@ depths.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import mmap
@@ -62,10 +63,8 @@ _MAX_EDGES = np.iinfo(np.int32).max
 
 _CHUNK_BOXES = 1024
 
-# edges that one step of a pass over a CSR graph handles at once, and the
-# share of rows (one in _DENSE) above which a pass walks all rows
+# edges that one step of a pass over a CSR graph handles at once
 _SLAB_EDGES = 1 << 15
-_DENSE = 4
 
 
 @dataclass(frozen=True)
@@ -436,51 +435,32 @@ def _out_edges(indptr: np.ndarray, indices: np.ndarray, rows=None):
     (slab rows, their out-degrees, their destinations in row order); the
     sources are ``np.repeat(slab_rows, degrees)``.  Empty slabs are skipped.
 
-    ``rows`` is None for all rows, or distinct row indices.  When more than
-    one row in ``_DENSE`` is asked for, the slabs are runs of consecutive
-    rows whose unwanted edges are masked out; else the wanted rows' edges
-    are gathered by position.  No array of edge length is made.
+    ``rows`` is None for all rows, whose slabs are runs of consecutive rows,
+    or distinct row indices, whose edges are gathered by position.  No array
+    of edge length is made.
     """
-    n = len(indptr) - 1
-    want = None
-    if rows is not None:
-        if len(rows) <= n // _DENSE:
-            yield from _gathered_edges(indptr, indices, np.asarray(rows))
-            return
-        want = np.zeros(n, dtype=bool)
-        want[rows] = True
-        if want.all():
-            want = None
-    cuts = np.searchsorted(indptr, np.arange(_SLAB_EDGES, indptr[-1], _SLAB_EDGES), "right") - 1
-    cuts = _unique(np.concatenate(([0], cuts, [n])))
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        if indptr[lo] == indptr[hi]:
-            continue
-        lens = np.diff(indptr[lo : hi + 1])
-        dst = indices[indptr[lo] : indptr[hi]]
-        if want is None:
-            yield np.arange(lo, hi), lens, dst
-        elif want[lo:hi].any():
-            w = want[lo:hi]
-            yield np.flatnonzero(w) + lo, lens[w], dst[np.repeat(w, lens)]
-
-
-def _gathered_edges(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
-    """``_out_edges`` of a few rows, given as indices."""
+    if rows is None:
+        n = len(indptr) - 1
+        cuts = np.searchsorted(indptr, np.arange(_SLAB_EDGES, indptr[-1], _SLAB_EDGES), "right") - 1
+        for lo, hi in itertools.pairwise(sorted({0, *cuts.tolist(), n})):
+            if indptr[lo] != indptr[hi]:
+                yield np.arange(lo, hi), np.diff(indptr[lo : hi + 1]), indices[indptr[lo] : indptr[hi]]
+        return
+    rows = np.asarray(rows)
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
     ends = np.cumsum(lens)
     if not len(ends) or not ends[-1]:
         return
+    base = ends - lens  # where each row's edges begin among the gathered ones
     cuts = np.searchsorted(ends, np.arange(_SLAB_EDGES, ends[-1], _SLAB_EDGES))
-    cuts = _unique(np.concatenate(([0], cuts, [len(rows)])))
-    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        first = ends[a] - lens[a]
-        if ends[b - 1] == first:
+    for a, b in itertools.pairwise(sorted({0, *cuts.tolist(), len(rows)})):
+        lo, hi = base[a], ends[b - 1]
+        if lo == hi:
             continue
         # position of each edge: its row's start plus its place in the row
-        pos = np.repeat(starts[a:b] - (ends[a:b] - lens[a:b] - first), lens[a:b])
-        pos += np.arange(ends[b - 1] - first)
+        pos = np.repeat(starts[a:b] - base[a:b], lens[a:b])
+        pos += np.arange(lo, hi)
         yield rows[a:b], lens[a:b], indices[pos]
 
 

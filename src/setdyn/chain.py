@@ -131,12 +131,19 @@ def _scc_roots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     node with no in-edge or no out-edge from another node of its partition
     is an SCC by itself, and labelling it may leave a neighbour without
     one, so trimming runs as a worklist.  Then each partition takes one
-    pivot, the node with the largest in-degree x out-degree, and a forward
-    and a backward search from all pivots at once, each kept inside its
-    partition, find what every pivot reaches and is reached from.  Their
-    intersection is the pivot's SCC; the rest of a partition splits into
-    forward-only, backward-only and neither, and the rounds repeat until
-    every node is labelled.
+    pivot, and a forward and a backward search from all pivots at once,
+    each kept inside its partition, find what every pivot reaches and is
+    reached from.  Their intersection is the pivot's SCC; the rest of a
+    partition splits into forward-only, backward-only and neither, and the
+    rounds repeat until every node is labelled.
+
+    The pivot is the partition's node with the smallest key
+    ``node * 0x9E3779B1 mod 2^32``, a fixed scramble of the node order, so
+    it falls at a pseudo-random place in the partition and splits it evenly
+    on average, as FW-BW's expected-time analysis assumes.  A pivot chosen
+    by node order or by degree can sit at one end of a chain of small SCCs
+    in every round, which costs one round per SCC and a search along the
+    whole chain in each.
     """
     n = len(indptr) - 1
     t_ptr, t_idx = _transpose_csr(indptr, indices)
@@ -151,9 +158,13 @@ def _scc_roots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     while True:
         work = np.flatnonzero((part >= 0) & ((degree[0] == 0) | (degree[1] == 0)))
         while work.size:
+            # a node without in-edges only lowers its successors' in-degrees,
+            # one without out-edges its predecessors' out-degrees
             zeroed = []
-            for ptr, idx, deg in ((indptr, indices, degree[1]), (t_ptr, t_idx, degree[0])):
-                for rows, lens, dst in _out_edges(ptr, idx, work):
+            sides = ((indptr, indices, degree[1], work[degree[1][work] == 0]),
+                     (t_ptr, t_idx, degree[0], work[degree[0][work] == 0]))
+            for ptr, idx, deg, sources in sides:
+                for rows, lens, dst in _out_edges(ptr, idx, sources):
                     dst = dst[part[dst] == np.repeat(part[rows], lens)]
                     np.subtract.at(deg, dst, 1)
                     zeroed.append(dst[deg[dst] == 0])
@@ -165,8 +176,7 @@ def _scc_roots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
         alive = np.flatnonzero(part >= 0)
         if not alive.size:
             return root
-        # lexsort is stable, so a tie goes to the smaller node
-        order = np.lexsort((-(degree[0][alive] * degree[1][alive]), part[alive]))
+        order = np.lexsort((alive.astype(np.uint32) * np.uint32(0x9E3779B1), part[alive]))
         firsts = np.flatnonzero(np.diff(part[alive][order], prepend=-1))
         pivots = alive[order[firsts]]
         inside = part if len(pivots) > 1 else None

@@ -29,7 +29,7 @@ import numpy as np
 from . import chain, flows, mapzoo, revcore
 # build_graph is unused here but stays a module attribute: perfbench/traced.py
 # wraps cli.build_graph by name
-from .boxdyn import BoxSet, build_graph, save_boxset, write_pgm, write_pgm_heat  # noqa: F401
+from .boxdyn import BoxSet, _check_depth, build_graph, save_boxset, write_pgm, write_pgm_heat  # noqa: F401
 from .errors import BudgetError, ConfigError, NumericsError, SetdynError
 
 ATTRACTOR_SHADE = 64
@@ -320,6 +320,7 @@ def cmd_core_scan(args) -> int:
             depth=_number(int, trap_cfg.get("depth", schedule[-1][0]), "trap depth"),
             seed=_setting(args, cfg, "seed", 0, int),
         )
+        _check_depth(system.domain, trap["depth"])
     out = _out_dir(args, cfg)
 
     cert = chain.core_scan(

@@ -229,8 +229,7 @@ _RANDOM_DIGRAPHS = settings(max_examples=300, deadline=None,
 @_RANDOM_DIGRAPHS
 @given(case=_digraphs())
 def test_decompose_matches_scipy_on_random_digraphs(case, graph_from_edges, monkeypatch):
-    # slabs of 4 edges make every pass take several slabs, and its gathered
-    # and masked forms both come up
+    # slabs of 4 edges make every pass take several slabs
     monkeypatch.setattr(boxdyn, "_SLAB_EDGES", 4)
     g = graph_from_edges(*case)
     scc, recurrent, cond_indptr, cond_indices = _reference_decomposition(g)
@@ -245,8 +244,8 @@ def test_decompose_keeps_trim_and_searches_inside_partitions(graph_from_edges):
     # The first round's pivot 0 finds K = {0..3}; B = {4, 5} reaches K, F =
     # {6..10} is reached from it, and 11 is neither.  In the second round
     # the trim labels 11, whose edge to 6 must not count against F, and the
-    # search from B's pivot 4 must not follow 4 -> 6 into F, where C = {6, 7}
-    # reaches D = {8, 9, 10}, F's pivot's SCC, but is not reached from it.
+    # search from B's pivot 5 must not follow 4 -> 6 into F, where C = {6, 7}
+    # reaches D = {8, 9, 10}, F's pivot 10's SCC, but is not reached from it.
     clique = [(a, b) for a in range(4) for b in range(4) if a != b]
     triangle = [(a, b) for a in (8, 9, 10) for b in (8, 9, 10) if a != b]
     g = graph_from_edges(12, [*clique, *triangle, (4, 5), (5, 4), (5, 0), (0, 6), (6, 7),
@@ -254,6 +253,22 @@ def test_decompose_keeps_trim_and_searches_inside_partitions(graph_from_edges):
     dec = chain.decompose(g)
     assert np.array_equal(dec.scc_id, _reference_decomposition(g)[0])
     assert dec.scc_id.tolist() == [0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 4]
+
+
+def test_decompose_splits_a_chain_of_small_sccs_in_few_rounds(graph_from_edges, monkeypatch):
+    # 500 two-cycles, each linked to the next: a pivot at one end of the
+    # chain would find one SCC a round, so 500 rounds of two searches each
+    k = 500
+    edges = [(2 * i + a, 2 * i + 1 - a) for i in range(k) for a in (0, 1)]
+    edges += [(2 * i + 1, 2 * i + 2) for i in range(k - 1)]
+    g = graph_from_edges(2 * k, edges)
+    searches = []
+    search = chain._search
+    monkeypatch.setattr(chain, "_search", lambda *a: searches.append(1) or search(*a))
+    dec = chain.decompose(g)
+    assert np.array_equal(dec.scc_id, np.arange(2 * k) // 2)
+    assert dec.cond_indices.tolist() == list(range(1, k))
+    assert len(searches) <= 60
 
 
 def _scipy_bfs(indptr, indices, n, sources) -> set:

@@ -174,6 +174,7 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
     (("classify", "--system", "cat_map", "--depth", "40"), None),
     (("core-scan", "--system", "cat_map", "--schedule", "3:0.1,40:0.01"), None),
     (("merge-scan", *_MERGE, "--depth", "40"), None),
+    (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "depth": 40}}),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
         "core-scan trap seed -1", "core-scan trap without seed_radius",
         "core-scan trap center [NaN, 0]", "core-scan trap center [0, 0, 0]", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
@@ -186,7 +187,7 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
         "classify workers 0", "classify depth -1", "classify epsilon -1",
         "core-scan workers 0", "core-scan schedule -1:0.1", "core-scan schedule 3:-1",
         "core-scan schedule epsilon nan", "classify depth 40", "core-scan schedule 3:0.1,40:0.01",
-        "merge-scan depth 40"])
+        "merge-scan depth 40", "core-scan trap depth 40"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"
