@@ -976,41 +976,43 @@ def load_boxset(path) -> BoxSet:
 # ---------------------------------------------------------------------------
 
 
-def write_pgm(path, domain: Domain, depth: int, layers, background: int = 0) -> None:
-    """Binary PGM (P5) raster of box-set membership classes.
+def _write_raster(path, domain: Domain, depth: int, layers, background: int = 0) -> None:
+    """Binary PGM (P5) of the depth grid of a 2-dimensional domain.
 
-    ``layers`` is a list of (BoxSet, shade) painted in order (later layers
-    overwrite earlier ones).  Raster rows run from the top of the domain
-    (largest second coordinate) downward, columns left to right.  Only
-    2-dimensional domains can be rasterized.
+    ``layers`` holds (coords, shade) pairs painted in order, so later
+    layers overwrite earlier ones.  Raster rows run from the top of the
+    domain (largest second coordinate) downward, columns left to right.
     """
     if domain.dim != 2:
         raise ConfigError("PGM export requires a 2-dimensional domain")
     n = 1 << depth
     raster = np.full((n, n), np.uint8(background), dtype=np.uint8)
-    for bs, shade in layers:
-        if bs.depth != depth or bs.domain != domain:
-            raise ConfigError("layer grid does not match raster grid")
-        if not (0 <= shade <= 255):
-            raise ConfigError("shade must be in [0, 255]")
-        c = bs.coords()
-        raster[n - 1 - c[:, 1], c[:, 0]] = np.uint8(shade)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{n} {n}\n255\n".encode("ascii"))
-        fh.write(raster.tobytes())
-
-
-def write_pgm_heat(path, domain: Domain, depth: int, codes: np.ndarray, counts: np.ndarray) -> None:
-    """PGM heat raster: shade proportional to count, 255 at the maximum."""
-    if domain.dim != 2:
-        raise ConfigError("PGM export requires a 2-dimensional domain")
-    n = 1 << depth
-    raster = np.zeros((n, n), dtype=np.uint8)
-    if len(codes):
-        coords = unpack_codes(np.asarray(codes, np.int64), depth, 2)
-        peak = float(np.max(counts))
-        shade = np.maximum(1, np.round(255.0 * np.asarray(counts) / peak)).astype(np.uint8)
+    for coords, shade in layers:
         raster[n - 1 - coords[:, 1], coords[:, 0]] = shade
     with open(path, "wb") as fh:
         fh.write(f"P5\n{n} {n}\n255\n".encode("ascii"))
         fh.write(raster.tobytes())
+
+
+def write_pgm(path, domain: Domain, depth: int, layers, background: int = 0) -> None:
+    """PGM raster of box-set membership classes: ``layers`` is a list of
+    (BoxSet, shade) on the raster's grid, painted in order."""
+    def painted():  # checks and unpacks one layer at a time, as it is painted
+        for bs, shade in layers:
+            if bs.depth != depth or bs.domain != domain:
+                raise ConfigError("layer grid does not match raster grid")
+            if not (0 <= shade <= 255):
+                raise ConfigError("shade must be in [0, 255]")
+            yield bs.coords(), np.uint8(shade)
+
+    _write_raster(path, domain, depth, painted(), background)
+
+
+def write_pgm_heat(path, domain: Domain, depth: int, codes: np.ndarray, counts: np.ndarray) -> None:
+    """PGM heat raster: shade proportional to count, 255 at the maximum."""
+    layers = []
+    if len(codes):
+        peak = float(np.max(counts))
+        shade = np.maximum(1, np.round(255.0 * np.asarray(counts) / peak)).astype(np.uint8)
+        layers.append((unpack_codes(np.asarray(codes, np.int64), depth, 2), shade))
+    _write_raster(path, domain, depth, layers)

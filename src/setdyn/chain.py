@@ -7,7 +7,9 @@ attractor for epsilon-orbits, an initial SCC a repeller; an attractor with
 no incoming condensation edge attracts nothing from outside and is a
 candidate reversible core.  ``core_scan`` tracks such a candidate through a
 refinement schedule and collects the dissipative attractors/repellers that
-split off inside the previous stage's absorbing neighbourhoods.
+split off inside the previous stage's absorbing neighbourhoods.  Every box
+set carries its own depth, so sets from two stages are compared on the
+deeper stage's grid.
 
 Reachability is read off the condensation: a box path from a box of SCC s
 to a box v exists exactly when a condensation path runs from s to the SCC
@@ -82,12 +84,6 @@ class ChainDecomposition:
             self.graph.boxset.depth,
             self.graph.boxset.codes[mask],
         )
-
-    def recurrent_nodes(self) -> np.ndarray:
-        return self.recurrent_scc[self.scc_id]
-
-    def cond_successors(self, s: int) -> np.ndarray:
-        return self.cond_indices[self.cond_indptr[s] : self.cond_indptr[s + 1]]
 
 
 def cover_graph(
@@ -249,9 +245,8 @@ def decompose(graph: TransitionGraph) -> ChainDecomposition:
 
 def chain_recurrent(dec: ChainDecomposition) -> BoxSet:
     """Boxes lying in recurrent SCCs: the combinatorial chain-recurrent set."""
-    mask = dec.recurrent_nodes()
     bs = dec.graph.boxset
-    return BoxSet(bs.domain, bs.depth, bs.codes[mask])
+    return BoxSet(bs.domain, bs.depth, bs.codes[dec.recurrent_scc[dec.scc_id]])
 
 
 # ---------------------------------------------------------------------------
@@ -296,29 +291,7 @@ class RecurrentSCC:
 
     scc: int
     boxes: BoxSet
-    size: int
     dissipative: bool
-    witness: BoxSet | None = None
-
-
-def _topo_order(dec: ChainDecomposition) -> np.ndarray:
-    m = dec.n_scc
-    indeg = np.zeros(m, dtype=np.int64)
-    np.add.at(indeg, dec.cond_indices, 1)
-    order = np.empty(m, dtype=np.int64)
-    stack = list(np.nonzero(indeg == 0)[0][::-1])
-    k = 0
-    while stack:
-        s = stack.pop()
-        order[k] = s
-        k += 1
-        for t in dec.cond_successors(s):
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                stack.append(t)
-    if k != m:
-        raise ConfigError("condensation graph is not acyclic")
-    return order
 
 
 def _reversed(dec: ChainDecomposition) -> ChainDecomposition:
@@ -329,38 +302,17 @@ def _reversed(dec: ChainDecomposition) -> ChainDecomposition:
                    terminal=dec.initial, initial=dec.terminal)
 
 
-def _unique_terminal_dp(dec: ChainDecomposition):
-    """For each SCC, the unique sink it must end in, or -1 when mixed."""
-    val = np.full(dec.n_scc, -1, dtype=np.int64)
-    for s in _topo_order(dec)[::-1]:
-        if dec.terminal[s]:
-            val[s] = s
-            continue
-        vals = np.unique(val[dec.cond_successors(s)])
-        val[s] = vals[0] if len(vals) == 1 and vals[0] >= 0 else -1
-    return val
-
-
-def attractors(dec: ChainDecomposition, with_basins: bool = False) -> list[RecurrentSCC]:
-    """Recurrent terminal SCCs; with ``with_basins`` each carries the boxes
-    whose every epsilon-future ends in it (a basin-of-uniqueness witness)."""
+def attractors(dec: ChainDecomposition) -> list[RecurrentSCC]:
+    """Recurrent terminal SCCs, in id order; one is dissipative when it is
+    not also initial, that is when it attracts boxes from outside."""
     ids = np.nonzero(dec.terminal & dec.recurrent_scc)[0]
-    val = _unique_terminal_dp(dec) if with_basins else None
-    return [
-        RecurrentSCC(
-            scc=int(s),
-            boxes=dec.scc_boxes(int(s)),
-            size=int(dec.scc_sizes[s]),
-            dissipative=not bool(dec.initial[s]),
-            witness=None if val is None else dec.scc_boxes(np.nonzero(val == s)[0]),
-        )
-        for s in ids
-    ]
+    return [RecurrentSCC(int(s), dec.scc_boxes(int(s)), not bool(dec.initial[s])) for s in ids]
 
 
-def repellers(dec: ChainDecomposition, with_basins: bool = False) -> list[RecurrentSCC]:
-    """Recurrent initial SCCs: attractors of the reversed graph."""
-    return attractors(_reversed(dec), with_basins)
+def repellers(dec: ChainDecomposition) -> list[RecurrentSCC]:
+    """Recurrent initial SCCs: the attractors of the reversed condensation,
+    with the same SCC ids."""
+    return attractors(_reversed(dec))
 
 
 def full_attractor(dec: ChainDecomposition) -> BoxSet:
@@ -375,13 +327,12 @@ def full_repeller(dec: ChainDecomposition) -> BoxSet:
 
 @dataclass
 class ClassifyReport:
-    """Trichotomy verdict for one graph, with the sets that witness it."""
+    """Trichotomy verdict for one graph, with the sets that witness it; the
+    graph's epsilon and depth are read off the graph itself."""
 
     classification: str
     n_scc: int
     n_boxes: int
-    epsilon: float
-    depth: int
     attractors: list[RecurrentSCC]
     repellers: list[RecurrentSCC]
     full_attractor: BoxSet
@@ -421,8 +372,6 @@ def classify(graph: TransitionGraph, dec: ChainDecomposition | None = None) -> C
         classification=verdict,
         n_scc=dec.n_scc,
         n_boxes=graph.n_boxes,
-        epsilon=graph.epsilon,
-        depth=graph.boxset.depth,
         attractors=att,
         repellers=rep,
         full_attractor=f_att,
@@ -476,8 +425,8 @@ class CoreCertificate:
     gap_factor: float
     stages: list[StageResult]
     core_persistent: bool
-    attractor_witnesses: list[tuple[int, BoxSet]]
-    repeller_witnesses: list[tuple[int, BoxSet]]
+    attractor_witnesses: list[BoxSet]
+    repeller_witnesses: list[BoxSet]
 
     @property
     def n_attractor_witnesses(self) -> int:
@@ -504,19 +453,15 @@ def _min_gap(domain, a: BoxSet, b: BoxSet) -> float:
     return best
 
 
-def _disjoint_at_common_depth(a_depth: int, a: BoxSet, b_depth: int, b: BoxSet) -> bool:
-    if a_depth < b_depth:
-        a = a.refine_to(b_depth)
-    elif b_depth < a_depth:
-        b = b.refine_to(a_depth)
-    return a.intersection(b).count == 0
+def _disjoint_at_common_depth(a: BoxSet, b: BoxSet) -> bool:
+    depth = max(a.depth, b.depth)
+    return a.refine_to(depth).intersection(b.refine_to(depth)).count == 0
 
 
-def _contained_with_slack(inner: BoxSet, outer_depth: int, outer: BoxSet) -> bool:
-    """inner (deeper grid) inside outer refined to inner's depth, plus one
-    box ring of slack for quantization."""
-    grown = outer.refine_to(inner.depth).dilate(1) if outer_depth < inner.depth else outer.dilate(1)
-    return inner.issubset(grown)
+def _contained_with_slack(inner: BoxSet, outer: BoxSet) -> bool:
+    """inner (at least as deep) inside outer refined to inner's depth, plus
+    one box ring of slack for quantization."""
+    return inner.issubset(outer.refine_to(inner.depth).dilate(1))
 
 
 def _reached_sccs(dec: ChainDecomposition, s: int) -> np.ndarray:
@@ -528,9 +473,7 @@ def _reached_sccs(dec: ChainDecomposition, s: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _new_witnesses(
-    dec: ChainDecomposition, s: int, depth: int, prev_depth: int, prev_abs: BoxSet, known: list
-) -> list[BoxSet]:
+def _new_witnesses(dec: ChainDecomposition, s: int, prev_abs: BoxSet, known: list) -> list[BoxSet]:
     """Dissipative attractors other than SCC ``s`` that lie in the previous
     stage's absorbing set and are disjoint from every ``known`` witness; they
     are appended to ``known`` and returned."""
@@ -538,10 +481,10 @@ def _new_witnesses(
     for cand in attractors(dec):
         if cand.scc == s or not cand.dissipative:
             continue
-        if not _contained_with_slack(cand.boxes, prev_depth, prev_abs):
+        if not _contained_with_slack(cand.boxes, prev_abs):
             continue
-        if all(_disjoint_at_common_depth(depth, cand.boxes, d0, w0) for d0, w0 in known):
-            known.append((depth, cand.boxes))
+        if all(_disjoint_at_common_depth(cand.boxes, w) for w in known):
+            known.append(cand.boxes)
             new.append(cand.boxes)
     return new
 
@@ -602,8 +545,8 @@ def core_scan(
     check_schedule(system.domain, schedule)
 
     stages: list[StageResult] = []
-    att_wit: list[tuple[int, BoxSet]] = []
-    rep_wit: list[tuple[int, BoxSet]] = []
+    att_wit: list[BoxSet] = []
+    rep_wit: list[BoxSet] = []
 
     images = None
     for i, (depth, eps) in enumerate(schedule):
@@ -647,13 +590,13 @@ def core_scan(
         fwd_abs = dec.scc_boxes(fwd)
         bwd_abs = dec.scc_boxes(bwd)
         prev = stages[-1] if stages else None
-        nested_fwd = prev is None or _contained_with_slack(fwd_abs, prev.depth, prev.fwd_absorbing)
-        nested_bwd = prev is None or _contained_with_slack(bwd_abs, prev.depth, prev.bwd_absorbing)
+        nested_fwd = prev is None or _contained_with_slack(fwd_abs, prev.fwd_absorbing)
+        nested_bwd = prev is None or _contained_with_slack(bwd_abs, prev.bwd_absorbing)
         new_att: list[BoxSet] = []
         new_rep: list[BoxSet] = []
         if prev is not None:
-            new_att = _new_witnesses(dec, s, depth, prev.depth, prev.fwd_absorbing, att_wit)
-            new_rep = _new_witnesses(rev, s, depth, prev.depth, prev.bwd_absorbing, rep_wit)
+            new_att = _new_witnesses(dec, s, prev.fwd_absorbing, att_wit)
+            new_rep = _new_witnesses(rev, s, prev.bwd_absorbing, rep_wit)
 
         stages.append(
             StageResult(
@@ -708,8 +651,6 @@ class NoisyOrbitReport:
     codes: np.ndarray
     counts: np.ndarray
     n_exits: int
-    n_trials: int
-    n_steps: int
     burn_in: int
     boxset: BoxSet
 
@@ -771,8 +712,6 @@ def noisy_attractor(
         codes=codes,
         counts=counts,
         n_exits=int(np.count_nonzero(exit_step < n_steps)),
-        n_trials=n_trials,
-        n_steps=n_steps,
         burn_in=skip,
         boxset=BoxSet(domain, depth, codes),
     )

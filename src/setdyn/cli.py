@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import chain, flows, mapzoo, revcore
+from . import chain, flows, mapzoo
 # build_graph is unused here but stays a module attribute: perfbench/traced.py
 # wraps cli.build_graph by name
 from .boxdyn import BoxSet, _check_depth, build_graph, save_boxset, write_pgm, write_pgm_heat  # noqa: F401
@@ -166,6 +166,13 @@ def _out_dir(args, cfg: dict) -> str:
     return out
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -189,15 +196,12 @@ def _boxset_summary(bs: BoxSet) -> dict:
 
 
 def _scc_summary(item: chain.RecurrentSCC) -> dict:
-    out = {
+    return {
         "scc": item.scc,
-        "size": item.size,
+        "size": item.boxes.count,
         "dissipative": item.dissipative,
         "boxes": _boxset_summary(item.boxes),
     }
-    if item.witness is not None:
-        out["witness"] = _boxset_summary(item.witness)
-    return out
 
 
 def _finite_or_none(x: float):
@@ -342,10 +346,10 @@ def cmd_core_scan(args) -> int:
         "n_attractor_witnesses": cert.n_attractor_witnesses,
         "n_repeller_witnesses": cert.n_repeller_witnesses,
         "attractor_witnesses": [
-            {"depth": d, "boxes": _boxset_summary(b)} for d, b in cert.attractor_witnesses
+            {"depth": b.depth, "boxes": _boxset_summary(b)} for b in cert.attractor_witnesses
         ],
         "repeller_witnesses": [
-            {"depth": d, "boxes": _boxset_summary(b)} for d, b in cert.repeller_witnesses
+            {"depth": b.depth, "boxes": _boxset_summary(b)} for b in cert.repeller_witnesses
         ],
         "stages": [_stage_doc(st) for st in cert.stages],
     }
@@ -356,7 +360,7 @@ def cmd_core_scan(args) -> int:
 
     _write_json(os.path.join(out, "certificate.json"), doc)
     for side, wits in (("att", cert.attractor_witnesses), ("rep", cert.repeller_witnesses)):
-        for i, (_, bs) in enumerate(wits):
+        for i, bs in enumerate(wits):
             save_boxset(os.path.join(out, f"witness_{side}_{i}.boxes"), bs)
     print(f"{cert.system}: core_persistent={cert.core_persistent} "
           f"witnesses={cert.n_attractor_witnesses}+{cert.n_repeller_witnesses}")
@@ -395,11 +399,8 @@ def cmd_merge_scan(args) -> int:
             ])
         except SetdynError as e:
             rows.append([repr(float(v)), "error", "", "", "", "", "", f"{type(e).__name__}: {e}"])
-    with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([pname, "status", "classification", "n_scc",
-                    "n_attractors", "n_repellers", "overlap_jaccard", "detail"])
-        w.writerows(rows)
+    _write_csv(os.path.join(out, "sweep.csv"), [pname, "status", "classification", "n_scc",
+               "n_attractors", "n_repellers", "overlap_jaccard", "detail"], rows)
     print(f"swept {pname} over {len(values)} values")
     return 0
 
@@ -412,42 +413,44 @@ def cmd_portrait(args) -> int:
     step = _setting(args, cfg, "step", flows.DEFAULT_STEP, float)
     n_orbits = _setting(args, cfg, "orbits", 12, int)
     seed = _setting(args, cfg, "seed", 0, int)
-    out = _out_dir(args, cfg)
 
-    with open(os.path.join(out, "equilibria.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "V", "phi", "kind", "eig1_re", "eig1_im", "eig2_re", "eig2_im"])
-        for eq in flows.equilibria(D, beta):
-            e1, e2 = eq.eigenvalues
-            w.writerow([eq.name, repr(eq.V), repr(eq.phi), eq.kind,
-                        repr(e1.real), repr(e1.imag), repr(e2.real), repr(e2.imag)])
-
+    # everything is computed before --out is made, so a bad setting leaves
+    # no partial output behind
+    equilibria = []
+    for eq in flows.equilibria(D, beta):
+        e1, e2 = eq.eigenvalues
+        equilibria.append([eq.name, repr(eq.V), repr(eq.phi), eq.kind,
+                           repr(e1.real), repr(e1.imag), repr(e2.real), repr(e2.imag)])
     rng = np.random.default_rng(seed)
     rhs = flows.limit_rhs(D, beta)
-    with open(os.path.join(out, "orbits.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["orbit", "t", "V", "phi"])
-        for k in range(n_orbits):
-            x0 = np.array([rng.uniform(-2.5, 2.5), rng.uniform(0, 2 * math.pi)])
-            traj = flows.integrate(rhs, x0, T=T, step=step)
-            stride = max(1, len(traj.times) // 400)
-            for t, (V, phi) in zip(traj.times[::stride], traj.states[::stride]):
-                w.writerow([str(k), repr(float(t)), repr(float(V)), repr(float(phi))])
-
-    Vg = np.linspace(-2.5, 2.5, 101)
+    orbits = []
+    for k in range(n_orbits):
+        x0 = np.array([rng.uniform(-2.5, 2.5), rng.uniform(0, 2 * math.pi)])
+        traj = flows.integrate(rhs, x0, T=T, step=step)
+        stride = max(1, len(traj.times) // 400)
+        orbits += [[str(k), repr(float(t)), repr(float(V)), repr(float(phi))]
+                   for t, (V, phi) in zip(traj.times[::stride], traj.states[::stride])]
     Pg = np.linspace(0.0, 2 * math.pi, 101)
-    with open(os.path.join(out, "levels.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["V", "phi", "K"])
-        for V in Vg:
-            K = flows.first_integral_K(np.full_like(Pg, V), Pg, D, beta)
-            for phi, kv in zip(Pg, np.atleast_1d(K)):
-                w.writerow([repr(float(V)), repr(float(phi)), repr(float(kv))])
+    levels = []
+    for V in np.linspace(-2.5, 2.5, 101):
+        K = flows.first_integral_K(np.full_like(Pg, V), Pg, D, beta)
+        levels += [[repr(float(V)), repr(float(phi)), repr(float(kv))]
+                   for phi, kv in zip(Pg, np.atleast_1d(K))]
+
+    out = _out_dir(args, cfg)
+    _write_csv(os.path.join(out, "equilibria.csv"),
+               ["name", "V", "phi", "kind", "eig1_re", "eig1_im", "eig2_re", "eig2_im"], equilibria)
+    _write_csv(os.path.join(out, "orbits.csv"), ["orbit", "t", "V", "phi"], orbits)
+    _write_csv(os.path.join(out, "levels.csv"), ["V", "phi", "K"], levels)
     print(f"portrait for D={D} beta={beta} written")
     return 0
 
 
 def cmd_verify(args) -> int:
+    # only verify needs revcore, and with it fractions and decimal: about
+    # 0.35 MiB that the other commands' peak RSS need not carry
+    from . import revcore
+
     cfg = _load_config(args.config)
     system = _make_system(args, cfg)
     n_samples = _setting(args, cfg, "samples", 100, int)
@@ -543,17 +546,16 @@ def cmd_noisy(args) -> int:
     trials = _setting(args, cfg, "trials", 8, int)
     depth = _setting(args, cfg, "depth", 7, int)
     seed = _setting(args, cfg, "seed", 0, int)
-    out = _out_dir(args, cfg)
 
+    # noisy_attractor checks the settings, so --out is made only after it
     rep = chain.noisy_attractor(
         system, x0, noise, n_steps=steps, n_trials=trials, depth=depth, seed=seed
     )
+    out = _out_dir(args, cfg)
     centers = rep.boxset.centers() if rep.boxset.count else np.empty((0, system.dim))
-    with open(os.path.join(out, "noisy.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["code", *[f"x{i}" for i in range(system.dim)], "count"])
-        for code, cen, cnt in zip(rep.codes, centers, rep.counts):
-            w.writerow([str(int(code)), *[repr(float(c)) for c in cen], str(int(cnt))])
+    _write_csv(os.path.join(out, "noisy.csv"), ["code", *[f"x{i}" for i in range(system.dim)], "count"],
+               ([str(int(code)), *[repr(float(c)) for c in cen], str(int(cnt))]
+                for code, cen, cnt in zip(rep.codes, centers, rep.counts)))
     if system.dim == 2:
         write_pgm_heat(os.path.join(out, "noisy.pgm"), system.domain, depth, rep.codes, rep.counts)
     print(f"{system.name}: {rep.boxset.count} boxes visited, {rep.n_exits} exits")

@@ -334,8 +334,8 @@ def _step_grid(T, step: float):
     """
     if not (step > 0 and math.isfinite(step)):
         raise ConfigError(f"step must be positive, got {step!r}")
-    span = np.unique(np.abs(T))
-    if len(span) != 1 or not math.isfinite(span[0]):
+    span = np.abs(np.ravel(T))
+    if not span.size or not math.isfinite(span[0]) or np.any(span != span[0]):
         raise ConfigError(f"T must be finite, with one |T| for all points, got {T!r}")
     n = max(1, math.ceil(float(span[0]) / step - 1e-12))
     return n, T / n

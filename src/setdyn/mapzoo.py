@@ -31,13 +31,13 @@ class MapSystem:
 
     ``involution_fixed`` describes the fixed set of the involution, when one
     is known, as a dict: {"kind": "line", "point": p, "direction": u,
-    "range": (t0, t1)} for the curve p + t*u, or {"kind": "point",
-    "point": p}.  ``sample_region`` bounds the region where round-trip and
-    symmetry identities are exact (inside any boundary clamp); sampling
-    helpers default to it.  ``forward_inverse(a, b)``, when given, returns
-    ``(forward(a), inverse(b))`` with the same bits from one batched call;
-    nf_timeq has it, because on the trap's small batches numpy's per-call
-    overhead dominates, and one call over both costs far less than two.
+    "range": (t0, t1)} for the curve p + t*u.  ``sample_region`` bounds the
+    region where round-trip and symmetry identities are exact (inside any
+    boundary clamp); sampling helpers default to it.
+    ``forward_inverse(a, b)``, when given, returns ``(forward(a),
+    inverse(b))`` with the same bits from one batched call; nf_timeq has it,
+    because on the trap's small batches numpy's per-call overhead dominates,
+    and one call over both costs far less than two.
     """
 
     name: str
@@ -75,7 +75,6 @@ class MapSystem:
 @dataclass(frozen=True)
 class InverseReport:
     max_error: float
-    n_samples: int
     tol: float
 
     @property
@@ -96,7 +95,7 @@ def check_inverse_consistency(
     pts = system.sample_points(n_samples, seed=seed, region=region)
     back = system.inverse(system.forward(pts))
     err = float(np.max(system.domain.distance(back, system.domain.wrap(pts))))
-    return InverseReport(max_error=err, n_samples=n_samples, tol=tol)
+    return InverseReport(max_error=err, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ _FD_STEP = 1e-6
 class ReversibilityReport:
     max_residual: float
     involution_residual: float
-    n_samples: int
     tol: float
 
     @property
@@ -66,7 +65,6 @@ def verify_reversibility(
     return ReversibilityReport(
         max_residual=res,
         involution_residual=involution_residual(system, g, n_samples, seed),
-        n_samples=n_samples,
         tol=tol,
     )
 
@@ -278,8 +276,6 @@ class SymmetricPoint:
 class SymmetricScan:
     points: list[SymmetricPoint]
     degenerate: bool
-    n_grid: int
-    searched: str
 
 
 def find_symmetric_fixed_points(
@@ -293,8 +289,8 @@ def find_symmetric_fixed_points(
 ) -> SymmetricScan:
     """Scan Fix(g) for symmetric fixed (or periodic) points of f^period.
 
-    The fixed set must be described as a point or a parameterized line
-    (see MapSystem.involution_fixed).  Candidates are parameters t where
+    The fixed set must be described as a parameterized line (see
+    MapSystem.involution_fixed).  Candidates are parameters t where
     f^period maps the curve point back onto the fixed set; a candidate is a
     fixed point when the full displacement lands within ``point_tol``.
     When more than half the grid already consists of fixed points the map is
@@ -309,16 +305,6 @@ def find_symmetric_fixed_points(
         )
     if g is None:
         raise ConfigError("system has no involution; pass involution= explicitly")
-
-    if desc["kind"] == "point":
-        p = np.asarray(desc["point"], dtype=float)
-        res = _full_residual(system, p[None, :], period)[0]
-        pts = []
-        if res < point_tol:
-            pts.append(
-                SymmetricPoint(tuple(p.tolist()), period, float(res), multipliers_at(system, p, period))
-            )
-        return SymmetricScan(points=pts, degenerate=False, n_grid=1, searched="point")
 
     if desc["kind"] != "line":
         raise ConfigError(f"unsupported fixed-set kind {desc['kind']!r}")
@@ -339,7 +325,7 @@ def find_symmetric_fixed_points(
             )
             for i in range(0, n_grid, max(1, n_grid // 16))
         ]
-        return SymmetricScan(points=pts, degenerate=True, n_grid=n_grid, searched="line")
+        return SymmetricScan(points=pts, degenerate=True)
 
     s = (image - p0[None, :]) @ normal  # signed distance of image from Fix(g)
 
@@ -365,17 +351,10 @@ def find_symmetric_fixed_points(
             continue
         last_t = t
         x = p0 + t * u
-        res = _full_residual(system, x[None, :], period)[0]
+        res = float(np.max(np.abs(system.iterate(x[None, :], period) - x)))
         if res < point_tol:
-            points.append(
-                SymmetricPoint(tuple(x.tolist()), period, float(res), multipliers_at(system, x, period))
-            )
-    return SymmetricScan(points=points, degenerate=False, n_grid=n_grid, searched="line")
-
-
-def _full_residual(system: MapSystem, pts: np.ndarray, period: int) -> np.ndarray:
-    image = system.iterate(pts, period)
-    return np.max(np.abs(image - pts), axis=1)
+            points.append(SymmetricPoint(tuple(x.tolist()), period, res, multipliers_at(system, x, period)))
+    return SymmetricScan(points=points, degenerate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +368,9 @@ class SpotReport:
     theta: float
     epsilon: float
     k: int
-    matrix: tuple
     det_is_exactly_one: bool
     power_residual: float
     max_return_error: float
-    n_samples: int
 
 
 def periodic_spot_check(
@@ -449,9 +426,7 @@ def periodic_spot_check(
         theta=float(theta),
         epsilon=float(eps),
         k=k,
-        matrix=tuple(map(tuple, M.tolist())),
         det_is_exactly_one=det == 1,
         power_residual=power_residual,
         max_return_error=ret_err,
-        n_samples=n_samples,
     )

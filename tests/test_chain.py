@@ -63,19 +63,6 @@ def test_selfloop_counts_as_recurrent(graph_from_edges):
     assert not bool(dec.recurrent_scc[dec.scc_id[1]])
 
 
-def test_attractor_basins_witness_uniqueness(graph_from_edges):
-    # 4 -> both cycles: no unique terminal, so 4 is in neither witness
-    g = graph_from_edges(
-        6, [(0, 1), (1, 0), (2, 3), (3, 2), (4, 0), (4, 2), (5, 0)]
-    )
-    dec = chain.decompose(g)
-    atts = chain.attractors(dec, with_basins=True)
-    by_boxes = {frozenset(int(c) for c in a.boxes.codes): a for a in atts}
-    cyc01 = by_boxes[frozenset({0, 1})]
-    assert 5 in set(cyc01.witness.codes)
-    assert 4 not in set(cyc01.witness.codes)
-
-
 def test_condensation_flags_on_diamond(graph_from_edges):
     # source 0 splits to 1 and 2, both drain into sink 3 (all singletons)
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 3), (0, 0)])
@@ -117,14 +104,13 @@ def test_shared_box_forces_identical_terminal_initial_scc(graph_from_edges):
                     assert a.scc == r.scc
                     assert a.boxes == r.boxes
                     assert bool(dec.terminal[a.scc]) and bool(dec.initial[a.scc])
-        # repellers, basins included, are the attractors of the reversed graph
-        reps = chain.repellers(dec, with_basins=True)
+        # repellers are the attractors of the reversed graph
+        reps = chain.repellers(dec)
         g_rev = graph_from_edges(n, [(b, a) for a, b in edges])
-        rev_atts = chain.attractors(chain.decompose(g_rev), with_basins=True)
+        rev_atts = chain.attractors(chain.decompose(g_rev))
         assert len(reps) == len(rev_atts)
         for r, a in zip(reps, rev_atts):
             assert r.boxes == a.boxes
-            assert r.witness == a.witness
             assert r.dissipative == a.dissipative
 
 
@@ -422,6 +408,49 @@ def test_core_scan_sets_match_box_graph_reach(name, target):
         gap = chain._min_gap(system.domain, fwd.intersection(chain.full_attractor(dec)),
                              bwd.intersection(chain.full_repeller(dec)))
         assert st.gap == gap
+
+
+@pytest.mark.parametrize("schedule", [
+    [(5, 0.06), (5, 0.03), (5, 0.03)],  # the third stage finds the second's witness again
+    [(5, 0.03), (5, 0.04)],  # the forward set is nested only with the ring of slack
+    [(5, 0.03), (5, 0.12)],  # neither set is nested
+])
+def test_core_scan_with_a_repeated_depth_matches_box_graph_reach(schedule):
+    # stages at one depth compare their sets on one grid, where refine_to is
+    # the identity: nesting is containment in the previous set plus one
+    # ring, and a witness is new when it misses every known one
+    system = mapzoo.make_system("nested_rings", {})
+    target = (0.0, 0.0)
+    cert = chain.core_scan(system, target, schedule, samples_per_axis=3)
+    att, rep = [], []
+    prev = None
+    for st, (depth, eps) in zip(cert.stages, schedule):
+        g = chain.cover_graph(system, depth, eps, 3)
+        t_idx = int(g.boxset.indices_of(point_codes(system.domain, depth, np.array([target])))[0])
+        fwd = chain.reach_set(g, [t_idx])
+        bwd = chain.reach_set(g, [t_idx], forward=False)
+        assert st.fwd_absorbing == fwd
+        assert st.bwd_absorbing == bwd
+        if prev is None:
+            assert st.nested_fwd and st.nested_bwd
+            assert st.new_attractors == [] and st.new_repellers == []
+        else:
+            assert st.nested_fwd == fwd.issubset(prev[0].dilate(1))
+            assert st.nested_bwd == bwd.issubset(prev[1].dilate(1))
+            dec = chain.decompose(g)
+            s = dec.scc_id[t_idx]
+            for found, cands, outer, known in ((st.new_attractors, chain.attractors(dec), prev[0], att),
+                                               (st.new_repellers, chain.repellers(dec), prev[1], rep)):
+                new = []
+                for c in cands:
+                    if (c.dissipative and c.scc != s and c.boxes.issubset(outer.dilate(1))
+                            and all(c.boxes.intersection(w).count == 0 for w in known)):
+                        known.append(c.boxes)
+                        new.append(c.boxes)
+                assert found == new
+        prev = fwd, bwd
+    assert cert.attractor_witnesses == att
+    assert cert.repeller_witnesses == rep
 
 
 def test_noisy_attractor_deterministic_and_batch_invariant():

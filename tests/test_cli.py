@@ -175,6 +175,11 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
     (("core-scan", "--system", "cat_map", "--schedule", "3:0.1,40:0.01"), None),
     (("merge-scan", *_MERGE, "--depth", "40"), None),
     (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "depth": 40}}),
+    ((*_NOISY, "--depth", "40"), None),
+    ((*_NOISY, "--noise", "-1"), None),
+    ((*_NOISY, "--steps", "-3"), None),
+    (("portrait", "--T", "1", "--orbits", "1", "--step", "0"), None),
+    (("portrait", "--T", "0", "--orbits", "1"), None),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
         "core-scan trap seed -1", "core-scan trap without seed_radius",
         "core-scan trap center [NaN, 0]", "core-scan trap center [0, 0, 0]", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
@@ -187,7 +192,8 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
         "classify workers 0", "classify depth -1", "classify epsilon -1",
         "core-scan workers 0", "core-scan schedule -1:0.1", "core-scan schedule 3:-1",
         "core-scan schedule epsilon nan", "classify depth 40", "core-scan schedule 3:0.1,40:0.01",
-        "merge-scan depth 40", "core-scan trap depth 40"])
+        "merge-scan depth 40", "core-scan trap depth 40", "noisy depth 40", "noisy noise -1",
+        "noisy steps -3", "portrait step 0", "portrait T 0"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"
@@ -233,6 +239,20 @@ def test_core_scan_certificate_validates(tmp_path):
     assert doc["core_persistent"] is True
     assert doc["trap"]["forward"]["bounded"] is True
     assert doc["trap"]["backward"]["contains_center"] is True
+
+
+def test_zero_epsilon_reports_validate(tmp_path):
+    # epsilon 0 is a valid chain noise: the pad still covers the image
+    assert _run("classify", "--system", "cubic_interval", "--depth", "5", "--epsilon", "0",
+                "--out", str(tmp_path / "c")) == 0
+    doc = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert doc["epsilon"] == 0.0
+    jsonschema.validate(doc, _schema("classify_report.schema.json"))
+    assert _run("core-scan", "--system", "cubic_interval", "--schedule", "4:0,5:0",
+                "--target", "0", "--samples", "3", "--out", str(tmp_path / "s")) == 0
+    doc = json.loads((tmp_path / "s" / "certificate.json").read_text())
+    assert [st["epsilon"] for st in doc["stages"]] == [0.0, 0.0]
+    jsonschema.validate(doc, _schema("core_certificate.schema.json"))
 
 
 def test_verify_report_validates(tmp_path):
@@ -305,6 +325,19 @@ def test_import_and_noisy_run_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "noisy" / "noisy.csv").exists()
     assert "trap" in json.loads((tmp_path / "core-scan" / "certificate.json").read_text())
     assert ",ok," in (tmp_path / "merge-scan" / "sweep.csv").read_text()
+
+
+def test_only_verify_imports_revcore(tmp_path):
+    # revcore brings fractions and decimal along, which no other command needs
+    classify = ["classify", "--system", "cat_map", "--depth", "3", "--out", str(tmp_path)]
+    verify = ["verify", "--system", "cat_map", "--samples", "5", "--out", str(tmp_path)]
+    code = (f"import sys; from setdyn import cli; assert cli.main({classify!r}) == 0\n"
+            "assert 'setdyn.revcore' not in sys.modules and 'fractions' not in sys.modules\n"
+            f"assert cli.main({verify!r}) == 0; assert 'setdyn.revcore' in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(setdyn.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_merge_scan_keeps_going_past_errors(tmp_path):

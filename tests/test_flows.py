@@ -268,3 +268,9 @@ def test_flow_map_rejects_per_point_times_of_different_size():
         flows.flow_map(lambda y: -y, z, np.array([1.0, 0.5]))
     with pytest.raises(ConfigError):
         flows.flow_map(lambda y: -y, z, np.array([1.0, np.nan]))
+    with pytest.raises(ConfigError):
+        flows.flow_map(lambda y: -y, z, np.array([np.nan, np.nan]))
+    with pytest.raises(ConfigError):
+        flows.flow_map(lambda y: -y, z, np.array([np.inf, -np.inf]))
+    with pytest.raises(ConfigError):
+        flows.flow_map(lambda y: -y, z[:0], np.array([]))
