@@ -38,11 +38,11 @@ depths.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
 import mmap
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +100,27 @@ class Domain:
         """Largest cell width at the given depth: one box diameter in the max metric."""
         return float(np.max(self.box_width(depth)))
 
+    @functools.cached_property
+    def _torus(self):
+        """(lower, width) as 0-d arrays when every axis is periodic with the
+        same lower bound and width, else None."""
+        w = self.widths
+        if all(self.periodic) and len(set(self.lower)) == 1 and np.all(w == w[0]):
+            return np.array(self.lower[0]), np.array(w[0])
+        return None
+
     def wrap(self, pts: np.ndarray) -> np.ndarray:
-        """Wrap periodic axes into [lower, upper); other axes pass through."""
+        """Wrap periodic axes into [lower, upper); other axes pass through.
+
+        On a torus with one lower bound and width for all axes the wrap is a
+        single whole-array expression with 0-d bounds.  Each coordinate goes
+        through the same operations as on the per-axis path, so the bits
+        agree.  Bounds broadcast per axis, as (dim,) vectors, were slower
+        than the loop on blocks of ~10^4 points, so other domains keep it.
+        """
+        if self._torus is not None:
+            lo, w = self._torus
+            return lo + np.mod(np.asarray(pts, dtype=float) - lo, w)
         pts = np.array(pts, dtype=float, copy=True)
         lo = np.asarray(self.lower)
         w = self.widths
@@ -120,7 +139,7 @@ class Domain:
             if not per:
                 x = pts[..., ax]
                 inside[..., ax] = (x >= self.lower[ax] - atol) & (x <= self.upper[ax] + atol)
-        return np.all(inside, axis=-1)
+        return np.logical_and.reduce(inside, axis=-1)
 
     def signed_diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a - b per axis, taken the short way round on periodic axes."""
@@ -892,7 +911,11 @@ def build_graph(
     dst_parts, count_parts, spreads = [], [], []
     total = 0
     table, ends = _lattice_table(boxset, chunks, offsets, den)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: the process pool module costs every command ~17 ms
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     with pool or contextlib.nullcontext():
         mapped = _run(system, pool, _map_block, _unmapped(
             table, boxset.domain, _lattice_axis(offsets, den), [0, *ends], reuse))

@@ -671,8 +671,13 @@ def noisy_attractor(
     domain with a single ``forward`` call.  Each trial still draws its own
     kicks from a stream seeded (seed, trial), and every operation acts on
     each point alone, so the histogram is reproducible and does not depend
-    on the batching.  Orbits leaving the domain on a non-periodic axis are
-    counted as exits and stop contributing; they are not mapped again.
+    on the batching.  Orbits leaving the domain on a non-periodic axis, or
+    turning non-finite, are counted as exits and stop contributing; they
+    are not mapped again.
+
+    A step costs a few whole-batch numpy calls: until the first exit the
+    kicks are read and the states written by basic indexing, and only from
+    then on through the index array of the trials still live.
     """
     for name, n in (("n_steps", n_steps), ("n_trials", n_trials)):
         if not isinstance(n, (int, np.integer)) or n < 0:
@@ -692,14 +697,16 @@ def noisy_attractor(
 
     states = np.empty_like(kicks)
     exit_step = np.full(n_trials, n_steps)
-    live = np.arange(n_trials)
+    # a slice, so that steps index by view, until a trial leaves the domain
+    live = slice(None)
     x = np.repeat(x0, n_trials, axis=0)
     for k in range(n_steps):
-        if live.size == 0:
+        if not len(x):
             break
         x = domain.wrap(system.forward(x) + kicks[k, live])
         inside = domain.contains(x, atol=0.0)
         if not inside.all():
+            live = np.arange(n_trials)[live]
             exit_step[live[~inside]] = k
             live = live[inside]
             x = x[inside]

@@ -167,6 +167,9 @@ def _out_dir(args, cfg: dict) -> str:
 
 
 def _write_csv(path: str, header: list, rows) -> None:
+    """Write ``rows`` under ``header``; the csv module writes a Python float
+    as its repr and an int in decimal, so rows built from ``ndarray.tolist()``
+    need no per-element formatting."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -413,6 +416,8 @@ def cmd_portrait(args) -> int:
     step = _setting(args, cfg, "step", flows.DEFAULT_STEP, float)
     n_orbits = _setting(args, cfg, "orbits", 12, int)
     seed = _setting(args, cfg, "seed", 0, int)
+    if n_orbits < 0:
+        raise ConfigError(f"orbits must be >= 0, got {n_orbits}")
 
     # everything is computed before --out is made, so a bad setting leaves
     # no partial output behind
@@ -422,20 +427,20 @@ def cmd_portrait(args) -> int:
         equilibria.append([eq.name, repr(eq.V), repr(eq.phi), eq.kind,
                            repr(e1.real), repr(e1.imag), repr(e2.real), repr(e2.imag)])
     rng = np.random.default_rng(seed)
-    rhs = flows.limit_rhs(D, beta)
+    x0 = np.array([[rng.uniform(-2.5, 2.5), rng.uniform(0, 2 * math.pi)]
+                   for _ in range(n_orbits)]).reshape(n_orbits, 2)
+    # one batch: all orbits step together, each truncated on its own
+    traj = flows.integrate(flows.limit_rhs(D, beta), x0, T=T, step=step)
     orbits = []
-    for k in range(n_orbits):
-        x0 = np.array([rng.uniform(-2.5, 2.5), rng.uniform(0, 2 * math.pi)])
-        traj = flows.integrate(rhs, x0, T=T, step=step)
-        stride = max(1, len(traj.times) // 400)
-        orbits += [[str(k), repr(float(t)), repr(float(V)), repr(float(phi))]
-                   for t, (V, phi) in zip(traj.times[::stride], traj.states[::stride])]
+    for k, m in enumerate(traj.lengths.tolist()):
+        stride = max(1, m // 400)
+        rows = np.column_stack([traj.times[:m:stride], traj.states[:m:stride, k]])
+        orbits += [[k, *row] for row in rows.tolist()]
     Pg = np.linspace(0.0, 2 * math.pi, 101)
     levels = []
-    for V in np.linspace(-2.5, 2.5, 101):
+    for V in np.linspace(-2.5, 2.5, 101).tolist():
         K = flows.first_integral_K(np.full_like(Pg, V), Pg, D, beta)
-        levels += [[repr(float(V)), repr(float(phi)), repr(float(kv))]
-                   for phi, kv in zip(Pg, np.atleast_1d(K))]
+        levels += [[V, *row] for row in np.column_stack([Pg, K]).tolist()]
 
     out = _out_dir(args, cfg)
     _write_csv(os.path.join(out, "equilibria.csv"),
@@ -554,8 +559,8 @@ def cmd_noisy(args) -> int:
     out = _out_dir(args, cfg)
     centers = rep.boxset.centers() if rep.boxset.count else np.empty((0, system.dim))
     _write_csv(os.path.join(out, "noisy.csv"), ["code", *[f"x{i}" for i in range(system.dim)], "count"],
-               ([str(int(code)), *[repr(float(c)) for c in cen], str(int(cnt))]
-                for code, cen, cnt in zip(rep.codes, centers, rep.counts)))
+               ([code, *cen, cnt] for code, cen, cnt in
+                zip(rep.codes.tolist(), centers.tolist(), rep.counts.tolist())))
     if system.dim == 2:
         write_pgm_heat(os.path.join(out, "noisy.pgm"), system.domain, depth, rep.codes, rep.counts)
     print(f"{system.name}: {rep.boxset.count} boxes visited, {rep.n_exits} exits")

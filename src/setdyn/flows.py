@@ -303,13 +303,21 @@ def equilibria(D: float, beta: float) -> list[Equilibrium]:
 
 @dataclass
 class Trajectory:
-    """A fixed-step orbit segment.  ``states`` has shape (n+1, dim) (or (n+1,)
-    complex); ``blowup`` marks truncation by the norm guard."""
+    """Fixed-step orbit segments on one time grid ``times``.
+
+    For one orbit ``states`` has shape (n+1, dim), or (n+1,) complex, and
+    ``blowup`` is a bool marking truncation by the norm guard.  For a batch
+    of N orbits ``states`` has shape (n+1, N, dim) and ``blowup`` holds one
+    bool per orbit; orbit i is ``states[:lengths[i], i]`` at times
+    ``times[:lengths[i]]``, and its rows past ``lengths[i]`` are NaN.
+    ``lengths`` has one entry per orbit, a single one for one orbit.
+    """
 
     times: np.ndarray
     states: np.ndarray
     step: float
-    blowup: bool = False
+    blowup: bool | np.ndarray
+    lengths: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
@@ -366,27 +374,50 @@ def _rk4_steps(field, y, n: int, h: float, project=None):
 def integrate(field, x0, T: float, step: float = DEFAULT_STEP) -> Trajectory:
     """Integrate an autonomous field with classical RK4 at a uniform step.
 
+    ``x0`` is one initial state, of shape (dim,) or a complex scalar, or a
+    batch of N states of shape (N, dim) that step together as one array.
+    A batch orbit has the same bits as its one-orbit run as long as
+    ``field`` acts on each row alone, as the fields of this module do.
+
     ``T`` may be negative (backward integration); the actual step is
-    T / ceil(|T|/step) so the grid divides T exactly.  When the norm guard
-    trips the trajectory is truncated and flagged instead of raising.
+    T / ceil(|T|/step) so the grid divides T exactly.  Each orbit is
+    truncated and flagged at its first state that is non-finite or has a
+    coordinate above ``BLOWUP_NORM`` in modulus, instead of raising; the
+    others go on, and the run stops once every orbit is truncated.
     """
     n, h = _step_grid(T, step)
     if T == 0:
         raise ConfigError("T must be nonzero")
     y = np.asarray(x0)
     y = y.astype(complex) if np.iscomplexobj(y) else y.astype(float)
-    times = [0.0]
-    states = [y]
-    blowup = False
-    for k, y in enumerate(_rk4_steps(field, y, n, h)):
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_NORM:
-            blowup = True
-            break
-        times.append((k + 1) * h)
-        states.append(y)
-    return Trajectory(
-        times=np.array(times), states=np.array(states), step=abs(h), blowup=blowup
-    )
+    batch = y.ndim == 2
+    # an orbit still running has length n + 1
+    lengths = np.full(len(y) if batch else 1, n + 1)
+    states = np.empty((n + 1, *y.shape), dtype=y.dtype)
+    states[0] = y
+    # a truncated orbit keeps stepping with the others, so its overflows
+    # are silenced; the guard flags them
+    with np.errstate(all="ignore"):
+        # an empty batch takes no steps
+        for k, y in enumerate(_rk4_steps(field, y, n if lengths.size else 0, h), 1):
+            states[k] = y
+            # NaN fails the comparison, so this also catches non-finite states
+            if np.abs(y).max() <= BLOWUP_NORM:
+                continue
+            cut = lengths > n
+            if batch:
+                cut &= ~(np.abs(y).max(axis=-1) <= BLOWUP_NORM)
+            lengths[cut] = k
+            if lengths.max() <= n:
+                break
+    m = lengths.max(initial=1)
+    for i in np.flatnonzero(lengths < m):
+        states[lengths[i]:, i] = np.nan
+    times = np.arange(m) * h
+    times[0] = 0.0  # not -0.0 when h < 0
+    blowup = lengths <= n
+    return Trajectory(times=times, states=states[:m], step=abs(h),
+                      blowup=blowup if batch else bool(blowup[0]), lengths=lengths)
 
 
 def flow_map(field, x, T, step: float = DEFAULT_STEP, project=None):
@@ -475,10 +506,10 @@ def _planar_rhs(field2):
 
     def rhs(y):
         y = np.asarray(y, dtype=float)
-        a_dot, b_dot = field2(y[..., 0], y[..., 1])
-        return np.stack(
-            [np.asarray(a_dot, dtype=float), np.asarray(b_dot, dtype=float)], axis=-1
-        )
+        # written into one array: np.stack costs half the field on small batches
+        out = np.empty(y.shape)
+        out[..., 0], out[..., 1] = field2(y[..., 0], y[..., 1])
+        return out
 
     return rhs
 

@@ -551,6 +551,105 @@ def test_noisy_attractor_maps_all_trials_in_one_call_per_step():
     assert sum(batched) == sum(per_trial)
 
 
+def _trial_state(system, x0, noise, trial, n_steps, seed=0):
+    """State of one noisy trial after ``n_steps`` steps, stepped by hand."""
+    kicks = np.random.default_rng((seed, trial)).uniform(-noise, noise, size=(n_steps, system.dim))
+    x = np.asarray(x0, dtype=float).reshape(1, -1)
+    for kick in kicks:
+        x = system.domain.wrap(system.forward(x) + kick)
+    return x[0]
+
+
+def _poisoned(system, targets, sizes):
+    """The system with ``forward`` turning NaN exactly at the given points,
+    and logging the batch size of every call."""
+    targets = np.asarray(targets, dtype=float)
+
+    def forward(pts):
+        sizes.append(len(pts))
+        out = system.forward(pts)
+        out[(pts[:, None] == targets[None]).all(axis=-1).any(axis=-1)] = np.nan
+        return out
+
+    return dataclasses.replace(system, forward=forward)
+
+
+def test_noisy_attractor_counts_a_nan_trial_on_a_torus_as_an_exit():
+    # the cat map's torus has no edge to leave by; trial 2 leaves by turning
+    # NaN at step 100, so 3 * 270 + 70 states are kept after the burn-in
+    cat = mapzoo.make_system("cat_map", {})
+    args = ((0.2, 0.7), 5e-3, 300, 4, 6)
+    system = _poisoned(cat, [_trial_state(cat, (0.2, 0.7), 5e-3, 2, 100)], [])
+    rep = chain.noisy_attractor(system, *args)
+    codes, counts, n_exits = _reference_noisy_attractor(system, *args)
+    assert rep.n_exits == n_exits == 1
+    assert int(rep.counts.sum()) == 3 * 270 + 70
+    assert np.array_equal(rep.codes, codes) and np.array_equal(rep.counts, counts)
+
+
+def test_noisy_attractor_switches_to_the_live_trials_partway():
+    # no trial exits for 60 steps; then trial 1 turns NaN at step 60 and
+    # trial 3 at step 150, after the loop has switched to the live index
+    cat = mapzoo.make_system("cat_map", {})
+    args = ((0.2, 0.7), 5e-3, 300, 4, 6)
+    targets = [_trial_state(cat, (0.2, 0.7), 5e-3, 1, 60),
+               _trial_state(cat, (0.2, 0.7), 5e-3, 3, 150)]
+    sizes = []
+    rep = chain.noisy_attractor(_poisoned(cat, targets, sizes), *args)
+    assert sizes == [4] * 61 + [3] * 90 + [2] * 149
+    codes, counts, n_exits = _reference_noisy_attractor(_poisoned(cat, targets, []), *args)
+    assert rep.n_exits == n_exits == 2
+    assert int(rep.counts.sum()) == 2 * 270 + 30 + 120
+    assert np.array_equal(rep.codes, codes) and np.array_equal(rep.counts, counts)
+
+
+def _per_axis_wrap(domain, pts):
+    """``Domain.wrap``'s per-axis loop, kept as the oracle of its
+    whole-array path on a torus."""
+    pts = np.array(pts, dtype=float, copy=True)
+    lo = np.asarray(domain.lower)
+    w = domain.widths
+    for ax, per in enumerate(domain.periodic):
+        if per:
+            pts[..., ax] = lo[ax] + np.mod(pts[..., ax] - lo[ax], w[ax])
+    return pts
+
+
+_WRAP_EDGES = [-1e-20, 1e-20, -0.0, 0.0, -5e-324, 5e-324, 1.0, -1.0, 1.0 - 2**-53,
+               -(2**-53), 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 8, 10_000]), dim=st.integers(1, 3),
+       lo=st.sampled_from([0.0, -0.0, -1.0, 0.25, -math.pi]),
+       width=st.sampled_from([1.0, 2 * math.pi, 0.1, 3.0]), mixed_zero=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
+       edges=st.lists(st.sampled_from(_WRAP_EDGES) | st.floats(width=64), max_size=24))
+def test_torus_wrap_has_the_per_axis_bits(n, dim, lo, width, mixed_zero, seed, edges):
+    lower = [lo] * dim
+    if mixed_zero and lo == 0.0:
+        lower[0] = -lo  # 0.0 and -0.0 are one bound
+    domain = Domain(tuple(lower), (lo + width,) * dim, (True,) * dim)
+    assert domain._torus is not None
+    rng = np.random.default_rng(seed)
+    pts = lo + width * rng.uniform(-3.0, 4.0, size=(n, dim))
+    pts.reshape(-1)[rng.integers(0, pts.size, size=len(edges))] = edges
+    with np.errstate(invalid="ignore"):  # inf mod w is NaN
+        got, want = domain.wrap(pts), _per_axis_wrap(domain, pts)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_wrap_keeps_the_per_axis_loop_off_a_uniform_torus():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-3.0, 3.0, size=(100, 2))
+    for domain in (Domain((0.0, 0.0), (1.0, 2.0), (True, True)),
+                   Domain((0.0, 0.5), (1.0, 1.5), (True, True)),
+                   Domain((0.0, 0.0), (1.0, 1.0), (True, False))):
+        assert domain._torus is None
+        assert domain.wrap(pts).tobytes() == _per_axis_wrap(domain, pts).tobytes()
+
+
 @pytest.mark.parametrize("kw", [
     dict(n_steps=-1), dict(n_trials=-2), dict(n_steps=2.5), dict(depth=-1),
     dict(noise=float("nan")), dict(noise=float("inf")), dict(noise=-0.1),

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -6,10 +8,11 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import setdyn
-from setdyn import cli
+from setdyn import cli, flows
 from setdyn.errors import NumericsError
 
 
@@ -180,6 +183,10 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
     ((*_NOISY, "--steps", "-3"), None),
     (("portrait", "--T", "1", "--orbits", "1", "--step", "0"), None),
     (("portrait", "--T", "0", "--orbits", "1"), None),
+    (("portrait", "--T", "1", "--orbits", "-2"), None),
+    (("portrait", "--T", "0", "--orbits", "0"), None),
+    (("portrait", "--T", "1", "--orbits", "0", "--step", "0"), None),
+    (("portrait",), {"orbits": 0, "T": "nan"}),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
         "core-scan trap seed -1", "core-scan trap without seed_radius",
         "core-scan trap center [NaN, 0]", "core-scan trap center [0, 0, 0]", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
@@ -193,7 +200,8 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
         "core-scan workers 0", "core-scan schedule -1:0.1", "core-scan schedule 3:-1",
         "core-scan schedule epsilon nan", "classify depth 40", "core-scan schedule 3:0.1,40:0.01",
         "merge-scan depth 40", "core-scan trap depth 40", "noisy depth 40", "noisy noise -1",
-        "noisy steps -3", "portrait step 0", "portrait T 0"])
+        "noisy steps -3", "portrait step 0", "portrait T 0", "portrait orbits -2",
+        "portrait orbits 0 T 0", "portrait orbits 0 step 0", "config portrait orbits 0 T nan"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"
@@ -292,6 +300,50 @@ def test_portrait_writes_three_csvs(tmp_path):
     assert (tmp_path / "levels.csv").read_text().startswith("V,phi,K")
 
 
+def _reference_portrait_orbits(D, beta, T, step, n_orbits, seed):
+    """orbits.csv as the earlier ``portrait`` wrote it: one ``integrate``
+    call per orbit, with that call's list-building loop, kept as the oracle
+    of the batched run."""
+    rng = np.random.default_rng(seed)
+    rhs = flows.limit_rhs(D, beta)
+    n, h = flows._step_grid(T, step)
+    rows = []
+    for k in range(n_orbits):
+        x0 = np.array([rng.uniform(-2.5, 2.5), rng.uniform(0, 2 * math.pi)])
+        times, states = [0.0], [x0]
+        for i, y in enumerate(flows._rk4_steps(rhs, x0, n, h)):
+            if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > flows.BLOWUP_NORM:
+                break
+            times.append((i + 1) * h)
+            states.append(y)
+        stride = max(1, len(times) // 400)
+        rows += [[str(k), repr(float(t)), repr(float(V)), repr(float(phi))]
+                 for t, (V, phi) in zip(times[::stride], states[::stride])]
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([["orbit", "t", "V", "phi"], *rows])
+    return text.getvalue().encode()
+
+
+def test_readme_portrait_orbits_match_the_per_orbit_loop(tmp_path):
+    # the README example: 12 orbits of 20,000 steps from seed 0
+    assert _run("portrait", "--D", "0", "--beta", "1", "--T", "20", "--out", str(tmp_path)) == 0
+    want = _reference_portrait_orbits(0.0, 1.0, 20.0, flows.DEFAULT_STEP, 12, 0)
+    assert (tmp_path / "orbits.csv").read_bytes() == want
+
+
+def test_portrait_orbits_cut_by_the_norm_guard_match_the_per_orbit_loop(tmp_path, monkeypatch):
+    # V' = V^2 blows up at t = 1/V0: inside T = 2 for the starts with V0 > 0.5,
+    # so those orbits are cut at their own lengths and strided by them
+    monkeypatch.setattr(flows, "limit_rhs", lambda D, beta: lambda y: y * y * np.array([1.0, 0.0]))
+    assert _run("portrait", "--T", "2", "--orbits", "8", "--seed", "3", "--out", str(tmp_path)) == 0
+    got = (tmp_path / "orbits.csv").read_bytes()
+    assert got == _reference_portrait_orbits(0.0, 1.0, 2.0, flows.DEFAULT_STEP, 8, 3)
+    ends = {}
+    for row in csv.DictReader(io.StringIO(got.decode())):
+        ends[row["orbit"]] = float(row["t"])
+    assert len(ends) == 8 and min(ends.values()) < 1.0 and max(ends.values()) == 2.0
+
+
 def test_noisy_histogram_and_heatmap(tmp_path):
     assert _run("noisy", "--system", "cat_map", "--x0", "0.2,0.7",
                 "--noise", "0.01", "--steps", "200", "--trials", "2",
@@ -314,10 +366,11 @@ def test_import_and_noisy_run_leave_scipy_unloaded(tmp_path):
         ["merge-scan", "--system", "cubic_interval", "--sweep-param", "a",
          "--values", "0.25", "--depth", "4"],
     ]
-    code = "import sys; from setdyn import cli; assert 'scipy' not in sys.modules\n"
+    # with one worker no command needs the process pool module either
+    unloaded = "for m in ('scipy', 'concurrent.futures.process'): assert m not in sys.modules, m\n"
+    code = "import sys; from setdyn import cli\n" + unloaded
     for argv in runs:
-        code += (f"assert cli.main({argv + ['--out', str(tmp_path / argv[0])]!r}) == 0\n"
-                 f"assert 'scipy' not in sys.modules, {argv[0] + ' imported scipy'!r}\n")
+        code += f"assert cli.main({argv + ['--out', str(tmp_path / argv[0])]!r}) == 0\n" + unloaded
     src = os.path.dirname(os.path.dirname(setdyn.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))

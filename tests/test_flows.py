@@ -252,6 +252,68 @@ def test_integrate_validates_arguments():
         flows.integrate(lambda y: y, np.array([1.0]), T=1.0, step=-1e-3)
 
 
+def _assert_orbit_is_its_own_run(traj, i, single):
+    """Orbit i of a batch trajectory has the bits of its one-orbit run."""
+    m = traj.lengths[i]
+    assert m == len(single) and traj.blowup[i] == single.blowup
+    assert traj.times[:m].tobytes() == single.times.tobytes()
+    assert traj.states[:m, i].reshape(single.states.shape).tobytes() == single.states.tobytes()
+    assert np.isnan(traj.states[m:, i]).all()
+
+
+def test_batched_integrate_matches_one_orbit_runs_bitwise():
+    rng = np.random.default_rng(7)
+    starts = np.column_stack([rng.uniform(-2.5, 2.5, 6), rng.uniform(0, 2 * math.pi, 6)])
+    rhs = flows.limit_rhs(0.3, 2.5)
+    traj = flows.integrate(rhs, starts, T=3.0, step=1e-3)
+    assert traj.states.shape == (3001, 6, 2) and not traj.blowup.any()
+    for i, x0 in enumerate(starts):
+        _assert_orbit_is_its_own_run(traj, i, flows.integrate(rhs, x0, T=3.0, step=1e-3))
+    # complex states: a batch of (N, 1) against complex scalars, backward in time
+    rhs = flows.nf_rhs(_params(mu=0.01, delta=0.02))
+    z0 = np.array([[0.3 + 0.1j], [-0.2 + 0.25j], [0.05 - 0.4j]])
+    traj = flows.integrate(rhs, z0, T=-0.5, step=1e-3)
+    assert traj.times[0] == 0.0 and not math.copysign(1.0, traj.times[0]) < 0
+    for i, z in enumerate(z0[:, 0]):
+        _assert_orbit_is_its_own_run(traj, i, flows.integrate(rhs, np.array(z), T=-0.5, step=1e-3))
+
+
+def test_batched_integrate_truncates_each_orbit_on_its_own():
+    # y' = y^2 from y0 blows up at t = 1/y0: inside the run for 2.0 and 1.25,
+    # not for 0.5 or -1.0; the orbits that blow up stop at different steps
+    starts = np.array([[0.5], [2.0], [-1.0], [1.25]])
+    traj = flows.integrate(lambda y: y ** 2, starts, T=1.0, step=1e-4)
+    assert traj.blowup.tolist() == [False, True, False, True]
+    assert traj.lengths[0] == traj.lengths[2] == 10001 == len(traj)
+    assert traj.lengths[1] < traj.lengths[3] < 10001
+    for i, x0 in enumerate(starts):
+        _assert_orbit_is_its_own_run(traj, i, flows.integrate(lambda y: y ** 2, x0, T=1.0, step=1e-4))
+
+
+def test_batched_integrate_stops_when_every_orbit_is_cut():
+    calls = []
+
+    def field(y):
+        calls.append(len(y))
+        return y ** 2
+
+    traj = flows.integrate(field, np.array([[2.0], [4.0]]), T=1.0, step=1e-3)
+    assert traj.blowup.all() and len(traj) == traj.lengths.max() < 1001
+    assert len(calls) == 4 * (len(traj))  # the step past the longest orbit is the last
+
+
+def test_empty_batch_checks_its_settings_and_takes_no_step():
+    def field(y):
+        raise AssertionError("an empty batch was stepped")
+
+    traj = flows.integrate(field, np.empty((0, 2)), T=1.0)
+    assert traj.states.shape == (1, 0, 2) and traj.lengths.size == 0
+    with pytest.raises(ConfigError):
+        flows.integrate(field, np.empty((0, 2)), T=0.0)
+    with pytest.raises(ConfigError):
+        flows.integrate(field, np.empty((0, 2)), T=1.0, step=0.0)
+
+
 def test_flow_map_matches_integrate_endpoints():
     p = _params(mu=0.01, delta=0.02)
     rhs = flows.nf_rhs(p)
