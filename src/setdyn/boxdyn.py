@@ -259,12 +259,6 @@ class BoxSet:
             self.domain, self.depth, np.intersect1d(self.codes, other.codes, assume_unique=True)
         )
 
-    def difference(self, other: "BoxSet") -> "BoxSet":
-        self._check_compatible(other)
-        return BoxSet(
-            self.domain, self.depth, np.setdiff1d(self.codes, other.codes, assume_unique=True)
-        )
-
     def issubset(self, other: "BoxSet") -> bool:
         self._check_compatible(other)
         return bool(np.all(np.isin(self.codes, other.codes, assume_unique=True)))
@@ -819,12 +813,20 @@ def _fold_axis(hit, axis: int, n_axis: int):
     return hit.reshape(hit.shape[:axis] + (k, n_axis) + hit.shape[axis + 1 :]).any(axis=axis)
 
 
-def _by_name(task):
-    """Worker entry: fn(system, *args) on the system rebuilt by name."""
-    from . import mapzoo
+# the build's system in a pool worker, stored there by _keep_system
+_worker_system = None
 
-    fn, name, params, args = task
-    return fn(mapzoo.make_system(name, params), *args)
+
+def _keep_system(system) -> None:
+    """Pool initializer: keep the build's system for the worker's tasks."""
+    global _worker_system
+    _worker_system = system
+
+
+def _call(task):
+    """Worker entry: fn(system, *args) on the system the worker was forked with."""
+    fn, args = task
+    return fn(_worker_system, *args)
 
 
 def _run(system, pool, fn, args):
@@ -833,7 +835,7 @@ def _run(system, pool, fn, args):
     tasks not yet started when it is closed."""
     if pool is None:
         return (fn(system, *a) for a in args)
-    return pool.map(_by_name, [(fn, system.registry_name, system.params, a) for a in args])
+    return pool.map(_call, [(fn, a) for a in args])
 
 
 def build_graph(
@@ -866,18 +868,22 @@ def build_graph(
     its image is the one a fresh call would give.  ``keep_images`` stores
     this graph's table in ``lattice_images``; else the build drops it.
 
-    With ``workers`` > 1 a process pool maps the chunks' points, then
-    enumerates their edges, each task getting only its chunk's images.  A
-    box's edges are the union of its samples' cell rectangles, clipped on
-    non-periodic axes and wrapped on periodic ones (see the module
-    docstring).  Chunks of boxes are disjoint in source box and each one's
-    edges come out sorted, so the CSR needs no global dedupe: each chunk
-    adds its destinations as int32 and its row lengths, and no array of
-    whole-graph length is made but the CSR itself.  The CSR is int32 (see
-    ``TransitionGraph``), so an ``edge_budget`` above 2^31 - 1 is rejected
-    before anything is mapped.  The edge budget is checked after every
-    chunk, with one worker before the points that only later chunks need
-    are mapped.  Output is independent of ``workers`` and of ``reuse``.
+    With ``workers`` > 1 a pool of processes forked from the caller maps
+    the chunks' points, then enumerates their edges, each task getting only
+    its chunk's images.  Each worker keeps ``system`` as it was passed, so
+    any system builds in parallel, a hand-built one included, and no task
+    carries it.  The parent gathers every chunk's images before the edge
+    tasks are submitted.  A box's edges are the union of its samples' cell
+    rectangles, clipped on non-periodic axes and wrapped on periodic ones
+    (see the module docstring).  Chunks of boxes are disjoint in source box
+    and each one's edges come out sorted, so the CSR needs no global
+    dedupe: each chunk adds its destinations as int32 and its row lengths,
+    and no array of whole-graph length is made but the CSR itself.  The CSR
+    is int32 (see ``TransitionGraph``), so an ``edge_budget`` above
+    2^31 - 1 is rejected before anything is mapped.  The edge budget is
+    checked after every chunk, with one worker before the points that only
+    later chunks need are mapped.  Output is independent of ``workers`` and
+    of ``reuse``.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}")
@@ -887,8 +893,6 @@ def build_graph(
         raise ConfigError("system and box set dimensions differ")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    if workers > 1 and getattr(system, "registry_name", None) is None:
-        raise ConfigError("parallel build requires a registry-buildable system")
     if edge_budget > _MAX_EDGES:
         raise ConfigError(f"edge budget {edge_budget} exceeds {_MAX_EDGES}, the int32 CSR limit")
     _check_box_count(boxset.count)
@@ -914,8 +918,13 @@ def build_graph(
     pool = None
     if workers > 1:
         # imported here: the process pool module costs every command ~17 ms
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
+
+        # fork, not Python 3.14's default forkserver: a forked worker gets the
+        # system as it is, closures and all, where another start would pickle it
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   _keep_system, (system,))
     with pool or contextlib.nullcontext():
         mapped = _run(system, pool, _map_block, _unmapped(
             table, boxset.domain, _lattice_axis(offsets, den), [0, *ends], reuse))
@@ -999,17 +1008,18 @@ def load_boxset(path) -> BoxSet:
 # ---------------------------------------------------------------------------
 
 
-def _write_raster(path, domain: Domain, depth: int, layers, background: int = 0) -> None:
+def _write_raster(path, domain: Domain, depth: int, layers) -> None:
     """Binary PGM (P5) of the depth grid of a 2-dimensional domain.
 
     ``layers`` holds (coords, shade) pairs painted in order, so later
-    layers overwrite earlier ones.  Raster rows run from the top of the
-    domain (largest second coordinate) downward, columns left to right.
+    layers overwrite earlier ones, over a background of 0.  Raster rows run
+    from the top of the domain (largest second coordinate) downward,
+    columns left to right.
     """
     if domain.dim != 2:
         raise ConfigError("PGM export requires a 2-dimensional domain")
     n = 1 << depth
-    raster = np.full((n, n), np.uint8(background), dtype=np.uint8)
+    raster = np.zeros((n, n), dtype=np.uint8)
     for coords, shade in layers:
         raster[n - 1 - coords[:, 1], coords[:, 0]] = shade
     with open(path, "wb") as fh:
@@ -1017,7 +1027,7 @@ def _write_raster(path, domain: Domain, depth: int, layers, background: int = 0)
         fh.write(raster.tobytes())
 
 
-def write_pgm(path, domain: Domain, depth: int, layers, background: int = 0) -> None:
+def write_pgm(path, domain: Domain, depth: int, layers) -> None:
     """PGM raster of box-set membership classes: ``layers`` is a list of
     (BoxSet, shade) on the raster's grid, painted in order."""
     def painted():  # checks and unpacks one layer at a time, as it is painted
@@ -1028,7 +1038,7 @@ def write_pgm(path, domain: Domain, depth: int, layers, background: int = 0) -> 
                 raise ConfigError("shade must be in [0, 255]")
             yield bs.coords(), np.uint8(shade)
 
-    _write_raster(path, domain, depth, painted(), background)
+    _write_raster(path, domain, depth, painted())
 
 
 def write_pgm_heat(path, domain: Domain, depth: int, codes: np.ndarray, counts: np.ndarray) -> None:

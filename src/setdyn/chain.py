@@ -386,6 +386,10 @@ def classify(graph: TransitionGraph, dec: ChainDecomposition | None = None) -> C
 # core scan
 # ---------------------------------------------------------------------------
 
+# a stage's attractor and repeller sides have separated once their gap
+# exceeds GAP_FACTOR * (epsilon + pad + box width); see core_scan
+GAP_FACTOR = 4.0
+
 
 @dataclass
 class StageResult:
@@ -422,7 +426,6 @@ class CoreCertificate:
     params: dict
     target: tuple
     schedule: list[tuple[int, float]]
-    gap_factor: float
     stages: list[StageResult]
     core_persistent: bool
     attractor_witnesses: list[BoxSet]
@@ -511,7 +514,6 @@ def core_scan(
     target,
     schedule,
     samples_per_axis: int = 4,
-    gap_factor: float = 4.0,
     workers: int = 1,
 ) -> CoreCertificate:
     """Track a candidate reversible core through a refinement schedule.
@@ -520,7 +522,7 @@ def core_scan(
     terminal and initial (attracts and repels nothing from outside), or the
     attractors reachable from it and the repellers reaching it have not
     separated: their minimal distance stays below
-    ``gap_factor * (epsilon + pad + box width)``, the resolution at which
+    ``GAP_FACTOR * (epsilon + pad + box width)``, the resolution at which
     one-way transport between them is distinguishable from noise.  The core
     is persistent when every stage passes.
 
@@ -567,7 +569,7 @@ def core_scan(
 
         # SCCs the target reaches, and SCCs that reach it
         fwd, bwd = _reached_sccs(dec, s), _reached_sccs(rev, s)
-        gap_tol = gap_factor * (eps + g.pad + system.domain.max_box_width(depth))
+        gap_tol = GAP_FACTOR * (eps + g.pad + system.domain.max_box_width(depth))
         if terminal and init:
             gap = 0.0
         else:
@@ -631,7 +633,6 @@ def core_scan(
         params=dict(getattr(system, "params", {})),
         target=tuple(float(x) for x in target[0]),
         schedule=schedule,
-        gap_factor=gap_factor,
         stages=stages,
         core_persistent=all(st.ok for st in stages),
         attractor_witnesses=att_wit,

@@ -315,7 +315,6 @@ def cmd_core_scan(args) -> int:
     schedule = _parse_schedule(sched_raw, system.domain)
     target = _domain_point(_setting(args, cfg, "target", [0.0] * system.dim), system, "target")
     samples, workers = _graph_settings(args, cfg, 3)
-    gap_factor = _setting(args, cfg, "gap_factor", 4.0, float)
     trap_cfg = cfg.get("trap")
     if trap_cfg:
         trap = dict(
@@ -330,21 +329,14 @@ def cmd_core_scan(args) -> int:
         _check_depth(system.domain, trap["depth"])
     out = _out_dir(args, cfg)
 
-    cert = chain.core_scan(
-        system,
-        target,
-        schedule,
-        samples_per_axis=samples,
-        gap_factor=gap_factor,
-        workers=workers,
-    )
+    cert = chain.core_scan(system, target, schedule, samples_per_axis=samples, workers=workers)
     doc = {
         "command": "core_scan",
         "system": cert.system,
         "params": cert.params,
         "target": list(cert.target),
         "schedule": [[d, e] for d, e in cert.schedule],
-        "gap_factor": cert.gap_factor,
+        "gap_factor": chain.GAP_FACTOR,
         "core_persistent": cert.core_persistent,
         "n_attractor_witnesses": cert.n_attractor_witnesses,
         "n_repeller_witnesses": cert.n_repeller_witnesses,
@@ -462,7 +454,6 @@ def cmd_verify(args) -> int:
     if n_samples < 1:
         raise ConfigError(f"samples must be >= 1, got {n_samples}")
     seed = _setting(args, cfg, "seed", 0, int)
-    tol = _setting(args, cfg, "tol", 1e-8, float)
     out = _out_dir(args, cfg)
 
     doc: dict = {
@@ -473,7 +464,7 @@ def cmd_verify(args) -> int:
     }
 
     if system.involution is not None and system.inverse is not None:
-        rep = revcore.verify_reversibility(system, n_samples=n_samples, seed=seed, tol=tol)
+        rep = revcore.verify_reversibility(system, n_samples=n_samples, seed=seed)
         doc["reversibility"] = {
             "max_residual": rep.max_residual,
             "involution_residual": rep.involution_residual,
@@ -519,7 +510,7 @@ def cmd_verify(args) -> int:
         ]
         doc["degenerate_scan"] = scan.degenerate
 
-    if system.registry_name == "periodic_spot":
+    if system.name == "periodic_spot":
         q = int(system.params["q"])
         eps = float(system.params["epsilon"])
         theta = math.acos(1.0 - q * eps)
@@ -579,7 +570,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="system parameter override (repeatable)")
     p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--workers", type=int, help="parallel graph-build workers")
+    p.add_argument("--workers", type=int,
+                   help="graph-build processes, forked with the system (default 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -596,12 +588,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="sample grid points per axis")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("core-scan", help="refinement scan around a target point")
+    p = sub.add_parser("core-scan", help="refinement scan around a target point (separation "
+                       f"tolerance {chain.GAP_FACTOR:g} x (epsilon + pad + box width))")
     _add_common(p)
     p.add_argument("--schedule", help="comma list of depth:epsilon stages")
     p.add_argument("--target", help="comma-separated coordinates")
     p.add_argument("--samples", type=int)
-    p.add_argument("--gap-factor", type=float, dest="gap_factor")
     p.set_defaults(func=cmd_core_scan)
 
     p = sub.add_parser("merge-scan", help="parameter sweep of the classification")
@@ -625,7 +617,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="reversibility and symmetric-point report")
     _add_common(p)
     p.add_argument("--samples", type=int)
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("noisy", help="bounded-noise orbit histogram")

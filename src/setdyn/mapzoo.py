@@ -24,6 +24,9 @@ from .errors import ConfigError, NumericsError
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
 
+# largest round-trip residual that check_inverse_consistency passes
+_ROUNDTRIP_TOL = 1e-9
+
 
 @dataclass
 class MapSystem:
@@ -51,7 +54,6 @@ class MapSystem:
     involution_fixed: dict | None = None
     lipschitz_hint: float | None = None
     sample_region: Domain | None = None
-    registry_name: str | None = None
     extras: dict = field(default_factory=dict)
 
     def sample_points(self, n: int, seed: int = 0, region: Domain | None = None) -> np.ndarray:
@@ -62,13 +64,10 @@ class MapSystem:
         hi = np.asarray(region.upper)
         return lo + (hi - lo) * rng.random((n, self.dim))
 
-    def iterate(self, pts: np.ndarray, n_steps: int, inverse: bool = False) -> np.ndarray:
-        step = self.inverse if inverse else self.forward
-        if step is None:
-            raise ConfigError(f"system {self.name!r} has no inverse")
+    def iterate(self, pts: np.ndarray, n_steps: int) -> np.ndarray:
         out = np.asarray(pts, dtype=float)
         for _ in range(n_steps):
-            out = step(out)
+            out = self.forward(out)
         return out
 
 
@@ -85,17 +84,16 @@ class InverseReport:
 def check_inverse_consistency(
     system: MapSystem,
     n_samples: int = 100,
-    tol: float = 1e-9,
     seed: int = 0,
-    region: Domain | None = None,
 ) -> InverseReport:
-    """Max round-trip residual of inverse(forward(x)) over random samples."""
+    """Max round-trip residual of inverse(forward(x)) over random samples of
+    the system's sample region."""
     if system.inverse is None:
         raise ConfigError(f"system {system.name!r} has no inverse")
-    pts = system.sample_points(n_samples, seed=seed, region=region)
+    pts = system.sample_points(n_samples, seed=seed)
     back = system.inverse(system.forward(pts))
     err = float(np.max(system.domain.distance(back, system.domain.wrap(pts))))
-    return InverseReport(max_error=err, tol=tol)
+    return InverseReport(max_error=err, tol=_ROUNDTRIP_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -110,26 +108,25 @@ def newton_inverse_1d(
     x0: np.ndarray,
     lo: float,
     hi: float,
-    tol: float = NEWTON_TOL,
-    maxit: int = NEWTON_MAXIT,
 ) -> np.ndarray:
-    """Vectorized safeguarded Newton solve of f(x) = y on [lo, hi].
+    """Vectorized safeguarded Newton solve of f(x) = y on [lo, hi], to a
+    residual below NEWTON_TOL in at most NEWTON_MAXIT steps.
 
     Iterates are clipped to the bracket, which keeps the solve stable for
     monotone maps whose derivative is bounded away from zero on the bracket.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     y = np.asarray(y, dtype=float)
-    for _ in range(maxit):
+    for _ in range(NEWTON_MAXIT):
         r = f(x) - y
-        if np.max(np.abs(r)) < tol:
+        if np.max(np.abs(r)) < NEWTON_TOL:
             break
         x = np.clip(x - r / fprime(x), lo, hi)
     else:
         r = f(x) - y
-        if np.max(np.abs(r)) >= tol * 10:
+        if np.max(np.abs(r)) >= NEWTON_TOL * 10:
             raise NumericsError(
-                f"inverse Newton solve did not reach {tol} in {maxit} iterations"
+                f"inverse Newton solve did not reach {NEWTON_TOL} in {NEWTON_MAXIT} iterations"
             )
     return x
 
@@ -514,6 +511,4 @@ def make_system(name: str, params: dict | None = None) -> MapSystem:
             merged[key] = float(value)
             if not math.isfinite(merged[key]):
                 raise ConfigError(f"parameter {key!r} must be finite, got {value}")
-    system = _BUILDERS[name](merged)
-    system.registry_name = name
-    return system
+    return _BUILDERS[name](merged)

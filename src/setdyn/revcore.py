@@ -21,6 +21,16 @@ from .mapzoo import MapSystem
 
 _FD_STEP = 1e-6
 
+# the fixed-point finders' grid sizes, bisection width and displacement
+# bounds (see their docstrings), and the half-width of the square that
+# periodic_spot_check samples
+_FIXED_GRID = 4096
+_SYMMETRIC_GRID = 2048
+_REFINE_TOL = 1e-10
+_ACCEPT_TOL = 1e-12
+_POINT_TOL = 1e-8
+_SPOT_HALFWIDTH = 0.25
+
 
 # ---------------------------------------------------------------------------
 # reversibility verification
@@ -47,13 +57,12 @@ def involution_residual(system: MapSystem, involution, n_samples: int = 100, see
 
 def verify_reversibility(
     system: MapSystem,
-    involution=None,
     n_samples: int = 100,
     seed: int = 0,
     tol: float = 1e-8,
 ) -> ReversibilityReport:
-    """Check f^{-1} = g∘f∘g (and g∘g = id) on random sample points."""
-    g = involution or system.involution
+    """Check f^{-1} = g∘f∘g (and g∘g = id), g the system's involution, on random points."""
+    g = system.involution
     if g is None:
         raise ConfigError(f"system {system.name!r} has no involution to verify")
     if system.inverse is None:
@@ -171,25 +180,21 @@ def _signed_displacement(system: MapSystem, x: np.ndarray) -> np.ndarray:
     return system.domain.signed_diff(system.forward(x[..., None]), x[..., None])[..., 0]
 
 
-def find_fixed_points(
-    system: MapSystem,
-    n_grid: int = 4096,
-    refine_tol: float = 1e-10,
-    accept_tol: float = 1e-12,
-) -> list[FixedPoint]:
+def find_fixed_points(system: MapSystem) -> list[FixedPoint]:
     """All fixed points of a one-dimensional map, including tangential ones.
 
-    Transversal roots come from sign changes of the displacement f(x) - x;
-    semi-stable points, where the displacement touches zero without changing
-    sign, come from sign changes of its derivative whose displacement value
-    is below ``accept_tol``.  Roots are bisected to ``refine_tol``.
+    Transversal roots come from sign changes of the displacement f(x) - x
+    on a grid of ``_FIXED_GRID`` points; semi-stable points, where the
+    displacement touches zero without changing sign, come from sign changes
+    of its derivative whose displacement value is below ``_ACCEPT_TOL``.
+    Roots are bisected to ``_REFINE_TOL``.
     """
     if system.dim != 1:
         raise ConfigError("find_fixed_points handles one-dimensional systems; "
                           "use find_symmetric_fixed_points in higher dimension")
     lo, hi = system.domain.lower[0], system.domain.upper[0]
     per = system.domain.periodic[0]
-    xs = np.linspace(lo, hi, n_grid, endpoint=not per)
+    xs = np.linspace(lo, hi, _FIXED_GRID, endpoint=not per)
     d = _signed_displacement(system, xs)
 
     def disp(x):
@@ -204,26 +209,25 @@ def find_fixed_points(
     n_seg = len(xs) if per else len(xs) - 1
     for i in range(n_seg):
         a = xs[i]
-        b = xs[(i + 1) % len(xs)] if per and i == len(xs) - 1 else xs[min(i + 1, len(xs) - 1)]
-        if per and i == len(xs) - 1:
-            b = hi  # wrap segment [last grid point, upper == lower]
+        # on a circle the last segment wraps: [last grid point, upper == lower]
+        b = xs[i + 1] if i + 1 < len(xs) else hi
         da, db = d[i], d[(i + 1) % len(xs)]
         if da == 0.0:
             roots.append(float(a))
             continue
         if da * db < 0:
-            roots.append(_bisect(disp, a, b, refine_tol))
+            roots.append(_bisect(disp, a, b, _REFINE_TOL))
         else:
             pa, pb = dprime(a), dprime(b)
             if pa * pb < 0:
-                t = _bisect(dprime, a, b, refine_tol)
-                if abs(disp(t)) < accept_tol:
+                t = _bisect(dprime, a, b, _REFINE_TOL)
+                if abs(disp(t)) < _ACCEPT_TOL:
                     roots.append(t)
-    if not per and abs(d[-1]) < accept_tol:
+    if not per and abs(d[-1]) < _ACCEPT_TOL:
         roots.append(float(xs[-1]))
 
     out: list[FixedPoint] = []
-    spacing = (hi - lo) / n_grid
+    spacing = (hi - lo) / _FIXED_GRID
     for r in sorted(roots):
         r_wrapped = (r - lo) % (hi - lo) + lo if per else r
         if out and _axis_dist(system, r_wrapped, out[-1].location[0]) < 2 * spacing:
@@ -278,33 +282,24 @@ class SymmetricScan:
     degenerate: bool
 
 
-def find_symmetric_fixed_points(
-    system: MapSystem,
-    involution=None,
-    fixed_set: dict | None = None,
-    period: int = 1,
-    n_grid: int = 2048,
-    refine_tol: float = 1e-10,
-    point_tol: float = 1e-8,
-) -> SymmetricScan:
-    """Scan Fix(g) for symmetric fixed (or periodic) points of f^period.
+def find_symmetric_fixed_points(system: MapSystem, period: int = 1) -> SymmetricScan:
+    """Scan Fix(g) of the system's involution g for symmetric fixed (or
+    periodic) points of f^period.
 
     The fixed set must be described as a parameterized line (see
-    MapSystem.involution_fixed).  Candidates are parameters t where
-    f^period maps the curve point back onto the fixed set; a candidate is a
-    fixed point when the full displacement lands within ``point_tol``.
-    When more than half the grid already consists of fixed points the map is
-    degenerate along the curve (e.g. the identity) and the scan reports that
-    instead of an arbitrary subset.
+    MapSystem.involution_fixed).  Candidates are parameters t, on a grid of
+    ``_SYMMETRIC_GRID`` points, where f^period maps the curve point back
+    onto the fixed set; a candidate is a fixed point when the full
+    displacement lands within ``_POINT_TOL``.  When more than half the grid
+    already consists of fixed points the map is degenerate along the curve
+    (e.g. the identity) and the scan reports that instead of an arbitrary
+    subset.
     """
-    g = involution or system.involution
-    desc = fixed_set or system.involution_fixed
+    desc = system.involution_fixed
     if desc is None:
-        raise ConfigError(
-            "no fixed-set description available; pass fixed_set= explicitly"
-        )
-    if g is None:
-        raise ConfigError("system has no involution; pass involution= explicitly")
+        raise ConfigError("system has no fixed-set description (involution_fixed)")
+    if system.involution is None:
+        raise ConfigError("system has no involution")
 
     if desc["kind"] != "line":
         raise ConfigError(f"unsupported fixed-set kind {desc['kind']!r}")
@@ -314,16 +309,16 @@ def find_symmetric_fixed_points(
     t0, t1 = desc["range"]
     normal = np.array([-u[1], u[0]]) / math.hypot(u[0], u[1])
 
-    ts = np.linspace(t0, t1, n_grid)
+    ts = np.linspace(t0, t1, _SYMMETRIC_GRID)
     curve = p0[None, :] + ts[:, None] * u[None, :]
     image = system.iterate(curve, period)
     disp_full = np.max(np.abs(image - curve), axis=1)
-    if np.mean(disp_full < point_tol) > 0.5:
+    if np.mean(disp_full < _POINT_TOL) > 0.5:
         pts = [
             SymmetricPoint(
                 tuple(curve[i].tolist()), period, float(disp_full[i]), multipliers_at(system, curve[i], period)
             )
-            for i in range(0, n_grid, max(1, n_grid // 16))
+            for i in range(0, _SYMMETRIC_GRID, _SYMMETRIC_GRID // 16)
         ]
         return SymmetricScan(points=pts, degenerate=True)
 
@@ -335,15 +330,15 @@ def find_symmetric_fixed_points(
         return float((y - p0) @ normal)
 
     roots: list[float] = []
-    for i in range(n_grid - 1):
+    for i in range(_SYMMETRIC_GRID - 1):
         if s[i] == 0.0:
             roots.append(float(ts[i]))
         elif s[i] * s[i + 1] < 0:
-            roots.append(_bisect(s_of, float(ts[i]), float(ts[i + 1]), refine_tol))
+            roots.append(_bisect(s_of, float(ts[i]), float(ts[i + 1]), _REFINE_TOL))
     if s[-1] == 0.0:
         roots.append(float(ts[-1]))
 
-    spacing = (t1 - t0) / n_grid
+    spacing = (t1 - t0) / _SYMMETRIC_GRID
     points: list[SymmetricPoint] = []
     last_t = None
     for t in sorted(roots):
@@ -352,7 +347,7 @@ def find_symmetric_fixed_points(
         last_t = t
         x = p0 + t * u
         res = float(np.max(np.abs(system.iterate(x[None, :], period) - x)))
-        if res < point_tol:
+        if res < _POINT_TOL:
             points.append(SymmetricPoint(tuple(x.tolist()), period, res, multipliers_at(system, x, period)))
     return SymmetricScan(points=points, degenerate=False)
 
@@ -378,7 +373,6 @@ def periodic_spot_check(
     theta: float,
     n_samples: int = 100,
     seed: int = 0,
-    halfwidth: float = 0.25,
 ) -> SpotReport:
     """Verify the elliptic-rotation normal behaviour of the spot map.
 
@@ -415,7 +409,7 @@ def periodic_spot_check(
     power_residual = float(np.max(np.abs(Mk - np.eye(2))))
 
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-halfwidth, halfwidth, size=(n_samples, 2))
+    pts = rng.uniform(-_SPOT_HALFWIDTH, _SPOT_HALFWIDTH, size=(n_samples, 2))
     cur = pts.copy()
     for _ in range(k):
         cur = cur @ M.T

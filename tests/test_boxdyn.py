@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,12 +128,11 @@ def _bs(coords, domain=UNIT_SQUARE, depth=3):
     return BoxSet.from_coords(domain, depth, np.array(coords))
 
 
-def test_union_intersection_difference():
+def test_union_intersection_issubset():
     a = _bs([[0, 0], [1, 1], [2, 2]])
     b = _bs([[1, 1], [3, 3]])
     assert a.union(b).count == 4
     assert a.intersection(b).count == 1
-    assert a.difference(b).count == 2
     assert a.intersection(b).issubset(a)
     assert not a.issubset(b)
 
@@ -257,6 +257,30 @@ def test_graph_workers_agree():
     assert p1.n_edges > 0
     assert np.array_equal(p1.indptr, p2.indptr)
     assert np.array_equal(p1.indices, p2.indices)
+
+
+def test_graph_workers_build_the_callers_system():
+    # the workers fork with the system as passed: a registry system with its
+    # map swapped keeps the swapped map, and a hand-built one with closures
+    # (4,096 boxes, four chunks) builds in parallel too
+    cubic = mapzoo.make_system("cubic_interval", {})
+    identity = dataclasses.replace(cubic, forward=lambda pts: np.asarray(pts, dtype=float))
+    shift = np.array([0.3, 0.1])
+    hand = mapzoo.MapSystem(name="skew", dim=2, params={}, domain=TORUS,
+                            forward=lambda pts: TORUS.wrap(0.5 * pts + shift))
+    edges = []
+    for system, epsilon in ((identity, 0.01), (hand, 0.02)):
+        cover = initial_cover(system.domain, 6)
+        g1 = build_graph(system, cover, epsilon, samples_per_axis=3, workers=1)
+        g2 = build_graph(system, cover, epsilon, samples_per_axis=3, workers=2)
+        assert np.array_equal(g1.indptr, g2.indptr)
+        assert np.array_equal(g1.indices, g2.indices)
+        assert g1.pad == g2.pad
+        edges.append(g2.n_edges)
+    # the identity's graph, not the cubic map's
+    cubic_graph = build_graph(cubic, initial_cover(cubic.domain, 6), 0.01, samples_per_axis=3)
+    assert edges[0] != cubic_graph.n_edges
+    assert edges[1] > 0
 
 
 def test_graph_edge_budget_enforced():

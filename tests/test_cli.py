@@ -366,8 +366,9 @@ def test_import_and_noisy_run_leave_scipy_unloaded(tmp_path):
         ["merge-scan", "--system", "cubic_interval", "--sweep-param", "a",
          "--values", "0.25", "--depth", "4"],
     ]
-    # with one worker no command needs the process pool module either
-    unloaded = "for m in ('scipy', 'concurrent.futures.process'): assert m not in sys.modules, m\n"
+    # with one worker no command needs the process pool or multiprocessing either
+    unloaded = ("for m in ('scipy', 'concurrent.futures.process', 'multiprocessing'):"
+                " assert m not in sys.modules, m\n")
     code = "import sys; from setdyn import cli\n" + unloaded
     for argv in runs:
         code += f"assert cli.main({argv + ['--out', str(tmp_path / argv[0])]!r}) == 0\n" + unloaded

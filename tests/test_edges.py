@@ -564,23 +564,17 @@ def test_scan_maps_only_the_points_the_previous_stage_lacks(monkeypatch, tmp_pat
     assert sum(calls) == len(_lattice_set(initial_cover(system.domain, 6), 3)) == 16641
     _assert_stages_built_alone(system, schedule, 3, graphs)
 
-    # with two workers the pool maps each chunk's points; the tasks fork from this
-    # process, so they see the counting make_system
+    # with two workers the pool maps each chunk's points; the workers fork
+    # with the system as passed, so its forward call logs to a file
     log = tmp_path / "points"
-    make = mapzoo.make_system
 
-    def make_counted(name, params):
-        built = make(name, params)
+    def forward(pts):
+        with open(log, "a") as fh:
+            fh.write(f"{len(pts)}\n")
+        return system.forward(pts)
 
-        def forward(pts):
-            with open(log, "a") as fh:
-                fh.write(f"{len(pts)}\n")
-            return built.forward(pts)
-
-        return dataclasses.replace(built, forward=forward)
-
-    monkeypatch.setattr(mapzoo, "make_system", make_counted)
-    parallel, graphs, _ = _captured_scan(monkeypatch, system, schedule, 3, workers=2)
+    logged = dataclasses.replace(system, forward=forward)
+    parallel, graphs, _ = _captured_scan(monkeypatch, logged, schedule, 3, workers=2)
     assert parallel == cert
     assert sum(int(n) for n in log.read_text().split()) == sum(calls)
     _assert_stages_built_alone(system, schedule, 3, graphs)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from setdyn import flows, mapzoo
-from setdyn.errors import ConfigError
+from setdyn.errors import ConfigError, NumericsError
 
 ALL_SYSTEMS = mapzoo.list_systems()
 
@@ -293,5 +293,6 @@ def test_periodic_spot_involution_conjugates_inverse():
 
 def test_newton_inverse_rejects_bad_bracket():
     # inverting y = x^3 around a bracket that excludes the preimage
-    with pytest.raises(Exception):
-        mapzoo.newton_inverse_1d(lambda x: x ** 3, np.array([8.0]), lo=-1.0, hi=1.0)
+    with pytest.raises(NumericsError, match="did not reach"):
+        mapzoo.newton_inverse_1d(lambda x: x ** 3, lambda x: 3.0 * x ** 2, np.array([8.0]),
+                                 np.array([0.5]), lo=-1.0, hi=1.0)
