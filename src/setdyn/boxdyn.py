@@ -129,16 +129,16 @@ class Domain:
                 pts[..., ax] = lo[ax] + np.mod(pts[..., ax] - lo[ax], w[ax])
         return pts
 
-    def contains(self, pts: np.ndarray, atol: float = 0.0):
-        """Boolean mask of points inside the closed rectangle, grown by
-        ``atol`` on non-periodic axes.  A periodic axis wraps, so there any
-        finite coordinate is inside; a non-finite one is outside on every axis."""
+    def contains(self, pts: np.ndarray):
+        """Boolean mask of points inside the closed rectangle.  A periodic
+        axis wraps, so there any finite coordinate is inside; a non-finite
+        one is outside on every axis."""
         pts = np.asarray(pts, dtype=float)
         inside = np.isfinite(pts)
         for ax, per in enumerate(self.periodic):
             if not per:
                 x = pts[..., ax]
-                inside[..., ax] = (x >= self.lower[ax] - atol) & (x <= self.upper[ax] + atol)
+                inside[..., ax] = (x >= self.lower[ax]) & (x <= self.upper[ax])
         return np.logical_and.reduce(inside, axis=-1)
 
     def signed_diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -342,7 +342,7 @@ class ClassifyReport:
     overlap_jaccard: float
 
 
-def classify(graph: TransitionGraph, dec: ChainDecomposition | None = None) -> ClassifyReport:
+def classify(graph: TransitionGraph) -> ClassifyReport:
     """Conservative / Dissipative / Mixed verdict for a transition graph.
 
     Conservative: a single recurrent SCC covering every box.  Dissipative:
@@ -354,7 +354,7 @@ def classify(graph: TransitionGraph, dec: ChainDecomposition | None = None) -> C
     of the full attractor is itself, and an initial SCC has no incoming one,
     so the backward closure of the full repeller is itself.
     """
-    dec = dec or decompose(graph)
+    dec = decompose(graph)
     att = attractors(dec)
     rep = repellers(dec)
     f_att = full_attractor(dec)
@@ -705,7 +705,7 @@ def noisy_attractor(
         if not len(x):
             break
         x = domain.wrap(system.forward(x) + kicks[k, live])
-        inside = domain.contains(x, atol=0.0)
+        inside = domain.contains(x)
         if not inside.all():
             live = np.arange(n_trials)[live]
             exit_step[live[~inside]] = k

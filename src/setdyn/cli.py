@@ -7,9 +7,11 @@ system parameter and tracks attractor/repeller overlap, ``portrait`` dumps
 the slow-system phase portrait, ``verify`` runs the reversibility tool set
 and ``noisy`` the bounded-noise orbit histogram.
 
-All options can come from a JSON config file (--config); explicit flags win
-over the file.  Outputs are deterministic byte-for-byte for a fixed config
-and seed, independent of --workers.
+A JSON config file (--config) stands for the flags its keys name (see
+``_flags``), read before the command line's own by the same parser, so a
+flag on the command line wins and a key that names no flag of the command
+is a configuration error.  Outputs are deterministic byte-for-byte for a
+fixed config and seed, independent of --workers.
 
 Exit codes: 0 success, 2 invalid configuration, 3 budget exceeded,
 4 numerical failure.
@@ -42,128 +44,103 @@ OVERLAP_SHADE = 255
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are configuration errors (exit 2),
+    whether the bad flag came from the command line or a config file."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _table(val, what: str) -> dict:
+    if not isinstance(val, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {val!r}")
+    return val
+
+
+def _flags(table: dict) -> list[str]:
+    """The flags a config table stands for: each key ``k`` becomes
+    ``--k=value`` with ``_`` written as ``-``, a list is comma-joined (a
+    schedule's [depth, epsilon] stages as ``depth:epsilon``), ``params``
+    becomes one ``--param key=value`` per key, and a null value leaves the
+    setting unset."""
+    flags = []
+    for key, val in table.items():
+        if val is None:
+            continue
+        if key == "params":
+            flags += [f"--param={k}={v}" for k, v in _table(val, "params").items()]
+            continue
+        if isinstance(val, list):
+            val = ",".join(":".join(map(str, v)) if isinstance(v, list) else str(v) for v in val)
+        flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
+
+
+def _config_flags(path: str, cmd: str, trap_parser) -> tuple[list[str], argparse.Namespace | None]:
+    """The flags of config file ``path``, and its ``trap`` table parsed by
+    ``trap_parser``: only ``core-scan`` reads one, and no flag sets it."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = _table(json.load(fh), f"config {path}")
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return cfg
+    trap = cfg.pop("trap", None)
+    if "config" in cfg:
+        raise ConfigError(f"config {path} names another config file")
+    if trap is not None:
+        if cmd != "core-scan":
+            raise ConfigError(f"config {path}: only core-scan reads a trap table")
+        trap = trap_parser.parse_args(_flags(_table(trap, "trap")))
+    return _flags(cfg), trap
 
 
-def _setting(args, cfg: dict, key: str, default=None, kind=None):
-    """Flag beats config file beats default; ``kind`` (int or float)
-    converts the value through ``_number``."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None:
-        val = cfg.get(key, default)
-    return val if kind is None else _number(kind, val, key)
-
-
-def _number(kind, raw, what: str):
-    """``kind(raw)`` for a setting, with a configuration error where the
-    conversion fails; a seed must also be >= 0, as numpy's generators
-    require."""
-    try:
-        val = kind(raw)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {raw!r}") from e
-    if what == "seed" and val < 0:
-        raise ConfigError(f"seed must be >= 0, got {val}")
-    return val
-
-
-def _parse_params(pairs, cfg: dict) -> dict:
-    params = dict(cfg.get("params", {}))
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--param expects key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        try:
-            params[key] = float(raw)
-        except ValueError as e:
-            raise ConfigError(f"parameter {key!r} has non-numeric value {raw!r}") from e
-    return params
-
-
-def _parse_schedule(raw, domain) -> list[tuple[int, float]]:
-    if isinstance(raw, str):
-        stages = []
-        for part in raw.split(","):
-            if ":" not in part:
-                raise ConfigError(f"schedule stage {part!r} must look like depth:epsilon")
-            stages.append(part.split(":", 1))
-        raw = stages
-    if not isinstance(raw, list):
-        raise ConfigError(f"cannot parse schedule {raw!r}")
-    for stage in raw:
-        if not (isinstance(stage, list) and len(stage) == 2):
-            raise ConfigError(f"schedule stage {stage!r} must be a [depth, epsilon] pair")
-    schedule = [(_number(int, d, "schedule depth"), _number(float, e, "schedule epsilon"))
-                for d, e in raw]
-    chain.check_schedule(domain, schedule)
-    return schedule
-
-
-def _parse_point(raw, dim: int) -> tuple:
-    parts = raw.split(",") if isinstance(raw, str) else raw
-    try:
-        vals = [float(v) for v in parts]
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"cannot parse point {raw!r}: {e}") from e
+def _point(vals: tuple, dim: int) -> tuple:
     if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"point {raw!r} has a non-finite coordinate")
+        raise ConfigError(f"point {vals} has a non-finite coordinate")
     if len(vals) != dim:
         raise ConfigError(f"expected {dim} coordinates, got {len(vals)}")
-    return tuple(vals)
+    return vals
 
 
-def _domain_point(raw, system: mapzoo.MapSystem, what: str) -> tuple:
-    """A point parsed by :func:`_parse_point` that lies in the system's domain."""
-    point = _parse_point(raw, system.dim)
+def _domain_point(vals: tuple, system: mapzoo.MapSystem, what: str) -> tuple:
+    """A point checked by :func:`_point` that lies in the system's domain."""
+    point = _point(vals, system.dim)
     if not system.domain.contains(np.array(point)):
         raise ConfigError(f"{what} {point} lies outside the domain")
     return point
 
 
-def _make_system(args, cfg: dict) -> mapzoo.MapSystem:
-    name = _setting(args, cfg, "system")
-    if not name:
+def _system_name(args) -> str:
+    if not args.system:
         raise ConfigError("no system given (use --system or the config file)")
-    return mapzoo.make_system(name, _parse_params(getattr(args, "param", None), cfg))
+    return args.system
 
 
-def _graph_settings(args, cfg: dict, default_samples: int) -> tuple[int, int]:
+def _make_system(args) -> mapzoo.MapSystem:
+    return mapzoo.make_system(_system_name(args), dict(args.param))
+
+
+def _check_graph_settings(args) -> None:
     """Sample points per box axis and worker count of a graph build,
     checked before any output directory is made."""
-    samples = _setting(args, cfg, "samples", default_samples, int)
-    workers = _setting(args, cfg, "workers", 1, int)
-    if samples < 2 or workers < 1:
-        raise ConfigError(f"samples must be >= 2 and workers >= 1, got {samples} and {workers}")
-    return samples, workers
+    if args.samples < 2 or args.workers < 1:
+        raise ConfigError(f"samples must be >= 2 and workers >= 1, "
+                          f"got {args.samples} and {args.workers}")
 
 
-def _cover_settings(args, cfg: dict, domain) -> tuple[int, float | None]:
+def _check_cover(args, domain) -> None:
     """Depth and epsilon (None: one box diameter) of a full cover of
     ``domain``, checked like a schedule stage before any output directory
     is made."""
-    depth, epsilon = _setting(args, cfg, "depth", 7, int), _setting(args, cfg, "epsilon")
-    epsilon = None if epsilon is None else _number(float, epsilon, "epsilon")
-    chain.check_schedule(domain, [(depth, 0.0 if epsilon is None else epsilon)])
-    return depth, epsilon
+    chain.check_schedule(domain, [(args.depth, 0.0 if args.epsilon is None else args.epsilon)])
 
 
-def _out_dir(args, cfg: dict) -> str:
-    out = _setting(args, cfg, "out", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(args) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -217,13 +194,13 @@ def _finite_or_none(x: float):
 
 
 def cmd_classify(args) -> int:
-    cfg = _load_config(args.config)
-    system = _make_system(args, cfg)
-    depth, epsilon = _cover_settings(args, cfg, system.domain)
-    samples, workers = _graph_settings(args, cfg, 4)
-    out = _out_dir(args, cfg)
+    system = _make_system(args)
+    _check_cover(args, system.domain)
+    _check_graph_settings(args)
+    out = _out_dir(args)
+    depth, samples = args.depth, args.samples
 
-    graph = chain.cover_graph(system, depth, epsilon, samples, workers)
+    graph = chain.cover_graph(system, depth, args.epsilon, samples, args.workers)
     report = chain.classify(graph)
 
     doc = {
@@ -307,29 +284,24 @@ def _trap_doc(rep: chain.TrapReport) -> dict:
 
 
 def cmd_core_scan(args) -> int:
-    cfg = _load_config(args.config)
-    system = _make_system(args, cfg)
-    sched_raw = _setting(args, cfg, "schedule")
-    if sched_raw is None:
+    system = _make_system(args)
+    schedule = args.schedule
+    if schedule is None:
         raise ConfigError("core-scan requires a schedule (--schedule depth:eps,...)")
-    schedule = _parse_schedule(sched_raw, system.domain)
-    target = _domain_point(_setting(args, cfg, "target", [0.0] * system.dim), system, "target")
-    samples, workers = _graph_settings(args, cfg, 3)
-    trap_cfg = cfg.get("trap")
-    if trap_cfg:
-        trap = dict(
-            center=_domain_point(trap_cfg.get("center", target), system, "trap center"),
-            seed_radius=_number(float, trap_cfg.get("seed_radius"), "trap seed_radius"),
-            bound_radius=_number(float, trap_cfg.get("bound_radius"), "trap bound_radius"),
-            n_orbits=_number(int, trap_cfg.get("n_orbits", 48), "trap n_orbits"),
-            n_steps=_number(int, trap_cfg.get("n_steps", 500), "trap n_steps"),
-            depth=_number(int, trap_cfg.get("depth", schedule[-1][0]), "trap depth"),
-            seed=_setting(args, cfg, "seed", 0, int),
-        )
+    chain.check_schedule(system.domain, schedule)
+    target = _domain_point(args.target or (0.0,) * system.dim, system, "target")
+    _check_graph_settings(args)
+    if args.trap:
+        # the trap table's keys are trapped_absorbing_domain's arguments
+        trap = {**vars(args.trap), "seed": args.seed,
+                "center": _domain_point(args.trap.center or target, system, "trap center")}
+        if trap["depth"] is None:
+            trap["depth"] = schedule[-1][0]
         _check_depth(system.domain, trap["depth"])
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
 
-    cert = chain.core_scan(system, target, schedule, samples_per_axis=samples, workers=workers)
+    cert = chain.core_scan(system, target, schedule, samples_per_axis=args.samples,
+                           workers=args.workers)
     doc = {
         "command": "core_scan",
         "system": cert.system,
@@ -349,7 +321,7 @@ def cmd_core_scan(args) -> int:
         "stages": [_stage_doc(st) for st in cert.stages],
     }
 
-    if trap_cfg:
+    if args.trap:
         fwd, bwd = chain.trapped_absorbing_domain(system, **trap)
         doc["trap"] = {"forward": _trap_doc(fwd), "backward": _trap_doc(bwd)}
 
@@ -363,37 +335,28 @@ def cmd_core_scan(args) -> int:
 
 
 def cmd_merge_scan(args) -> int:
-    cfg = _load_config(args.config)
-    name = _setting(args, cfg, "system")
-    if not name:
-        raise ConfigError("no system given")
-    pname = _setting(args, cfg, "sweep_param")
-    values = _setting(args, cfg, "values")
+    name, pname, values = _system_name(args), args.sweep_param, args.values
     if not pname or values is None:
         raise ConfigError("merge-scan needs --sweep-param and --values")
-    if isinstance(values, str):
-        values = [_number(float, v, "values") for v in values.split(",")]
-    base = _parse_params(getattr(args, "param", None), cfg)
     # the cover's checks need only the domain's dimension, which no
     # parameter value changes
-    depth, epsilon = _cover_settings(args, cfg, mapzoo.make_system(name).domain)
-    samples, workers = _graph_settings(args, cfg, 4)
-    out = _out_dir(args, cfg)
+    _check_cover(args, mapzoo.make_system(name).domain)
+    _check_graph_settings(args)
+    out = _out_dir(args)
 
     rows = []
     for v in values:
-        params = dict(base)
-        params[pname] = v
         try:
-            system = mapzoo.make_system(name, params)
-            rep = chain.classify(chain.cover_graph(system, depth, epsilon, samples, workers))
+            system = mapzoo.make_system(name, {**dict(args.param), pname: v})
+            rep = chain.classify(chain.cover_graph(system, args.depth, args.epsilon,
+                                                   args.samples, args.workers))
             rows.append([
-                repr(float(v)), "ok", rep.classification, str(rep.n_scc),
+                repr(v), "ok", rep.classification, str(rep.n_scc),
                 str(len(rep.attractors)), str(len(rep.repellers)),
                 repr(float(rep.overlap_jaccard)), "",
             ])
         except SetdynError as e:
-            rows.append([repr(float(v)), "error", "", "", "", "", "", f"{type(e).__name__}: {e}"])
+            rows.append([repr(v), "error", "", "", "", "", "", f"{type(e).__name__}: {e}"])
     _write_csv(os.path.join(out, "sweep.csv"), [pname, "status", "classification", "n_scc",
                "n_attractors", "n_repellers", "overlap_jaccard", "detail"], rows)
     print(f"swept {pname} over {len(values)} values")
@@ -401,13 +364,7 @@ def cmd_merge_scan(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    cfg = _load_config(args.config)
-    D = _setting(args, cfg, "D", 0.0, float)
-    beta = _setting(args, cfg, "beta", 1.0, float)
-    T = _setting(args, cfg, "T", 20.0, float)
-    step = _setting(args, cfg, "step", flows.DEFAULT_STEP, float)
-    n_orbits = _setting(args, cfg, "orbits", 12, int)
-    seed = _setting(args, cfg, "seed", 0, int)
+    D, beta, n_orbits = args.D, args.beta, args.orbits
     if n_orbits < 0:
         raise ConfigError(f"orbits must be >= 0, got {n_orbits}")
 
@@ -418,11 +375,11 @@ def cmd_portrait(args) -> int:
         e1, e2 = eq.eigenvalues
         equilibria.append([eq.name, repr(eq.V), repr(eq.phi), eq.kind,
                            repr(e1.real), repr(e1.imag), repr(e2.real), repr(e2.imag)])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     x0 = np.array([[rng.uniform(-2.5, 2.5), rng.uniform(0, 2 * math.pi)]
                    for _ in range(n_orbits)]).reshape(n_orbits, 2)
     # one batch: all orbits step together, each truncated on its own
-    traj = flows.integrate(flows.limit_rhs(D, beta), x0, T=T, step=step)
+    traj = flows.integrate(flows.limit_rhs(D, beta), x0, T=args.T, step=args.step)
     orbits = []
     for k, m in enumerate(traj.lengths.tolist()):
         stride = max(1, m // 400)
@@ -434,7 +391,7 @@ def cmd_portrait(args) -> int:
         K = flows.first_integral_K(np.full_like(Pg, V), Pg, D, beta)
         levels += [[V, *row] for row in np.column_stack([Pg, K]).tolist()]
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     _write_csv(os.path.join(out, "equilibria.csv"),
                ["name", "V", "phi", "kind", "eig1_re", "eig1_im", "eig2_re", "eig2_im"], equilibria)
     _write_csv(os.path.join(out, "orbits.csv"), ["orbit", "t", "V", "phi"], orbits)
@@ -448,13 +405,11 @@ def cmd_verify(args) -> int:
     # 0.35 MiB that the other commands' peak RSS need not carry
     from . import revcore
 
-    cfg = _load_config(args.config)
-    system = _make_system(args, cfg)
-    n_samples = _setting(args, cfg, "samples", 100, int)
+    system = _make_system(args)
+    n_samples, seed = args.samples, args.seed
     if n_samples < 1:
         raise ConfigError(f"samples must be >= 1, got {n_samples}")
-    seed = _setting(args, cfg, "seed", 0, int)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
 
     doc: dict = {
         "command": "verify",
@@ -534,20 +489,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_noisy(args) -> int:
-    cfg = _load_config(args.config)
-    system = _make_system(args, cfg)
-    x0 = _parse_point(_setting(args, cfg, "x0", [0.0] * system.dim), system.dim)
-    noise = _setting(args, cfg, "noise", 1e-3, float)
-    steps = _setting(args, cfg, "steps", 2000, int)
-    trials = _setting(args, cfg, "trials", 8, int)
-    depth = _setting(args, cfg, "depth", 7, int)
-    seed = _setting(args, cfg, "seed", 0, int)
+    system = _make_system(args)
+    x0 = _point(args.x0 or (0.0,) * system.dim, system.dim)
+    depth = args.depth
 
     # noisy_attractor checks the settings, so --out is made only after it
     rep = chain.noisy_attractor(
-        system, x0, noise, n_steps=steps, n_trials=trials, depth=depth, seed=seed
+        system, x0, args.noise, n_steps=args.steps, n_trials=args.trials, depth=depth,
+        seed=args.seed,
     )
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     centers = rep.boxset.centers() if rep.boxset.count else np.empty((0, system.dim))
     _write_csv(os.path.join(out, "noisy.csv"), ["code", *[f"x{i}" for i in range(system.dim)], "count"],
                ([code, *cen, cnt] for code, cen, cnt in
@@ -563,77 +514,117 @@ def cmd_noisy(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--system", help="builtin system name")
-    p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                   help="system parameter override (repeatable)")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--workers", type=int,
-                   help="graph-build processes, forked with the system (default 1)")
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The one parser of every setting, from the command line or a config
+    file, in which each command takes only the flags it reads; and the
+    parser of core-scan's config-only ``trap`` table."""
 
+    # argparse names a value it rejects by the name of the type function
+    def numbers(raw: str) -> tuple:
+        return tuple(float(v) for v in raw.split(","))
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="setdyn",
+    def param(raw: str) -> tuple[str, float]:
+        key, _, val = raw.partition("=")
+        return key, float(val)
+
+    def schedule(raw: str) -> list[tuple[int, float]]:
+        return [(int(d), float(e)) for d, e in (stage.split(":") for stage in raw.split(","))]
+
+    def seed(raw: str) -> int:
+        if int(raw) < 0:  # numpy's generators take no negative seed
+            raise ValueError(raw)
+        return int(raw)
+
+    parser = _Parser(
+        prog="setdyn", allow_abbrev=False,
         description="Set-oriented attractor/repeller/core analysis of dynamical systems",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("classify", help="trichotomy verdict for one graph")
-    _add_common(p)
-    p.add_argument("--depth", type=int)
+    def command(name, func, help, *, system=True, seeded=True, workers=True):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON config file: each key is a flag of this command, "
+                       "and flags on the command line beat it")
+        p.add_argument("--out", default=".", help="output directory (default .)")
+        if system:
+            p.add_argument("--system", help="builtin system name")
+            p.add_argument("--param", action="append", type=param, default=[],
+                           metavar="KEY=VALUE", help="system parameter override (repeatable)")
+        if seeded:
+            p.add_argument("--seed", type=seed, default=0, help="random seed (default 0)")
+        if workers:
+            p.add_argument("--workers", type=int, default=1,
+                           help="graph-build processes, forked with the system (default 1)")
+        return p
+
+    p = command("classify", cmd_classify, "trichotomy verdict for one graph", seeded=False)
+    p.add_argument("--depth", type=int, default=7)
     p.add_argument("--epsilon", type=float, help="chain noise (default: one box diameter)")
-    p.add_argument("--samples", type=int, help="sample grid points per axis")
-    p.set_defaults(func=cmd_classify)
+    p.add_argument("--samples", type=int, default=4, help="sample grid points per axis")
 
-    p = sub.add_parser("core-scan", help="refinement scan around a target point (separation "
-                       f"tolerance {chain.GAP_FACTOR:g} x (epsilon + pad + box width))")
-    _add_common(p)
-    p.add_argument("--schedule", help="comma list of depth:epsilon stages")
-    p.add_argument("--target", help="comma-separated coordinates")
-    p.add_argument("--samples", type=int)
-    p.set_defaults(func=cmd_core_scan)
+    p = command("core-scan", cmd_core_scan, "refinement scan around a target point (separation "
+                f"tolerance {chain.GAP_FACTOR:g} x (epsilon + pad + box width))")
+    p.add_argument("--schedule", type=schedule, help="comma list of depth:epsilon stages")
+    p.add_argument("--target", type=numbers, help="comma-separated coordinates (default origin)")
+    p.add_argument("--samples", type=int, default=3)
 
-    p = sub.add_parser("merge-scan", help="parameter sweep of the classification")
-    _add_common(p)
-    p.add_argument("--sweep-param", dest="sweep_param")
-    p.add_argument("--values", help="comma-separated parameter values")
-    p.add_argument("--depth", type=int)
+    p = command("merge-scan", cmd_merge_scan, "parameter sweep of the classification",
+                seeded=False)
+    p.add_argument("--sweep-param")
+    p.add_argument("--values", type=numbers, help="comma-separated parameter values")
+    p.add_argument("--depth", type=int, default=7)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--samples", type=int)
-    p.set_defaults(func=cmd_merge_scan)
+    p.add_argument("--samples", type=int, default=4)
 
-    p = sub.add_parser("portrait", help="slow-system phase portrait data")
-    _add_common(p)
-    p.add_argument("--D", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--orbits", type=int)
-    p.set_defaults(func=cmd_portrait)
+    p = command("portrait", cmd_portrait, "slow-system phase portrait data",
+                system=False, workers=False)
+    p.add_argument("--D", type=float, default=0.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--T", type=float, default=20.0)
+    p.add_argument("--step", type=float, default=flows.DEFAULT_STEP)
+    p.add_argument("--orbits", type=int, default=12)
 
-    p = sub.add_parser("verify", help="reversibility and symmetric-point report")
-    _add_common(p)
-    p.add_argument("--samples", type=int)
-    p.set_defaults(func=cmd_verify)
+    p = command("verify", cmd_verify, "reversibility and symmetric-point report", workers=False)
+    p.add_argument("--samples", type=int, default=100)
 
-    p = sub.add_parser("noisy", help="bounded-noise orbit histogram")
-    _add_common(p)
-    p.add_argument("--x0", help="comma-separated start point")
-    p.add_argument("--noise", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--depth", type=int)
-    p.set_defaults(func=cmd_noisy)
+    # noisy builds no graph; it keeps --workers so that every command of a
+    # benchmark can be given the same --workers 1
+    p = command("noisy", cmd_noisy, "bounded-noise orbit histogram")
+    p.add_argument("--x0", type=numbers, help="comma-separated start point (default origin)")
+    p.add_argument("--noise", type=float, default=1e-3)
+    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--depth", type=int, default=7)
 
-    return parser
+    trap = _Parser(prog="trap", allow_abbrev=False, add_help=False)
+    trap.add_argument("--center", type=numbers)  # default: the target
+    trap.add_argument("--seed-radius", type=float, required=True)
+    trap.add_argument("--bound-radius", type=float, required=True)
+    trap.add_argument("--n-orbits", type=int, default=48)
+    trap.add_argument("--n-steps", type=int, default=500)
+    trap.add_argument("--depth", type=int)  # default: the last stage's depth
+    return parser, trap
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    parser, trap_parser = _build_parser()
+    args = parser.parse_args(argv)
+    trap = None
+    if args.config is not None:
+        # the file's flags go between the command name and the command
+        # line's own flags, so that a flag on the command line wins
+        flags, trap = _config_flags(args.config, args.cmd, trap_parser)
+        at = argv.index(args.cmd) + 1
+        args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
+    args.trap = trap
+    return args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        # the parsers are freed before the command runs
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

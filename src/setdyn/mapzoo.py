@@ -56,9 +56,9 @@ class MapSystem:
     sample_region: Domain | None = None
     extras: dict = field(default_factory=dict)
 
-    def sample_points(self, n: int, seed: int = 0, region: Domain | None = None) -> np.ndarray:
+    def sample_points(self, n: int, seed: int = 0) -> np.ndarray:
         """Deterministic uniform sample of the sample region (or the domain)."""
-        region = region or self.sample_region or self.domain
+        region = self.sample_region or self.domain
         rng = np.random.default_rng(seed)
         lo = np.asarray(region.lower)
         hi = np.asarray(region.upper)
@@ -503,12 +503,13 @@ def make_system(name: str, params: dict | None = None) -> MapSystem:
             raise ConfigError(f"system {name!r} has no parameter {key!r}")
         merged[key] = value
     for key, value in merged.items():
-        if key in _INT_PARAMS:
-            if value != int(value):
-                raise ConfigError(f"parameter {key!r} must be an integer, got {value}")
-            merged[key] = int(value)
-        else:
-            merged[key] = float(value)
-            if not math.isfinite(merged[key]):
-                raise ConfigError(f"parameter {key!r} must be finite, got {value}")
+        try:
+            num = float(value)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"parameter {key!r} must be a number, got {value!r}") from e
+        if not math.isfinite(num):
+            raise ConfigError(f"parameter {key!r} must be finite, got {value}")
+        if key in _INT_PARAMS and num != int(num):
+            raise ConfigError(f"parameter {key!r} must be an integer, got {value}")
+        merged[key] = int(num) if key in _INT_PARAMS else num
     return _BUILDERS[name](merged)

@@ -23,18 +23,16 @@ INTERVAL = Domain(lower=(-1.0, ), upper=(1.0, ), periodic=(False, ))
 def test_domain_wrap_and_contains():
     pts = np.array([[1.25, -0.5]])
     assert np.allclose(TORUS.wrap(pts), [[0.25, 0.5]])
-    assert not UNIT_SQUARE.contains(pts, atol=0.0)[0]
-    assert UNIT_SQUARE.contains(np.array([[0.0, 1.0]]), atol=0.0)[0]
+    assert not UNIT_SQUARE.contains(pts)[0]
+    assert UNIT_SQUARE.contains(np.array([[0.0, 1.0]]))[0]
 
 
-def _wrap_then_compare(domain, pts, atol):
+def _wrap_then_compare(domain, pts):
     """The earlier ``Domain.contains``: wrap periodic axes, then compare
-    every axis with the closed rectangle grown by ``atol``."""
+    every axis with the closed rectangle."""
     with np.errstate(invalid="ignore"):  # inf mod a period is nan
         pts = domain.wrap(np.asarray(pts, dtype=float))
-    lo = np.asarray(domain.lower) - atol
-    hi = np.asarray(domain.upper) + atol
-    return np.all((pts >= lo) & (pts <= hi), axis=-1)
+    return np.all((pts >= np.asarray(domain.lower)) & (pts <= np.asarray(domain.upper)), axis=-1)
 
 
 @pytest.mark.parametrize("name", mapzoo.list_systems())
@@ -57,16 +55,14 @@ def test_contains_matches_wrap_then_compare(name):
             parts.append(bad)
     pts = np.concatenate(parts)
     assert len(pts) > len(base)
-    for atol in (0.0, 1e-12, 1e-9, 0.1 * float(w.min())):
-        want = _wrap_then_compare(domain, pts, atol)
-        got = domain.contains(pts, atol=atol)
-        assert np.array_equal(got, want)
-        assert not got[len(base):].any()  # non-finite coordinates are outside
-        # leading axes pass through, and the input is left as it was
-        before = pts.copy()
-        assert np.array_equal(domain.contains(pts.reshape(-1, 1, dim), atol=atol),
-                              want.reshape(-1, 1))
-        assert np.array_equal(pts, before, equal_nan=True)
+    want = _wrap_then_compare(domain, pts)
+    got = domain.contains(pts)
+    assert np.array_equal(got, want)
+    assert not got[len(base):].any()  # non-finite coordinates are outside
+    # leading axes pass through, and the input is left as it was
+    before = pts.copy()
+    assert np.array_equal(domain.contains(pts.reshape(-1, 1, dim)), want.reshape(-1, 1))
+    assert np.array_equal(pts, before, equal_nan=True)
 
 
 def test_domain_distance_wraps_on_torus():

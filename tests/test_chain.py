@@ -133,7 +133,7 @@ def test_condensation_closures_match_box_graph_reach(graph_from_edges):
         f_rep = chain.full_repeller(dec)
         assert chain.reach_set(g, f_att, forward=True) == f_att
         assert chain.reach_set(g, f_rep, forward=False) == f_rep
-        report = chain.classify(g, dec)
+        report = chain.classify(g)
         assert report.ruelle_attractor == f_att
         assert report.ruelle_repeller == f_rep
 
@@ -481,7 +481,7 @@ def _reference_noisy_attractor(system, x0, noise, n_steps, n_trials, depth, seed
         for k in range(n_steps):
             x = system.forward(x) + kicks[k]
             x = system.domain.wrap(x)
-            if not bool(system.domain.contains(x, atol=0.0)[0]):
+            if not bool(system.domain.contains(x)[0]):
                 n_exits += 1
                 break
             if k >= skip:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -65,6 +66,79 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert _run("classify", "--config", str(cfg), "--depth", "4",
                 "--out", str(out_b)) == 0
     assert json.loads((out_b / "report.json").read_text())["depth"] == 4
+
+
+# each command's flags; a config file's keys are these names with - or _
+_FLAGS = {
+    "classify": "config out system param workers depth epsilon samples",
+    "core-scan": "config out system param seed workers schedule target samples",
+    "merge-scan": "config out system param workers sweep-param values depth epsilon samples",
+    "portrait": "config out seed D beta T step orbits",
+    "verify": "config out system param seed samples",
+    "noisy": "config out system param seed workers x0 noise steps trials depth",
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    parser, trap = cli._build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def flags(p):
+        return {opt[2:] for a in p._actions for opt in a.option_strings if opt not in ("-h", "--help")}
+
+    assert {name: flags(p) for name, p in commands.items()} == {
+        name: set(names.split()) for name, names in _FLAGS.items()}
+    assert sum(len(names.split()) for names in _FLAGS.values()) == 52
+    assert flags(trap) == {"center", "seed-radius", "bound-radius", "n-orbits", "n-steps", "depth"}
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["classify", "--system", "cubic_interval", "--param", "a=0.3", "--depth", "5",
+      "--epsilon", "0.01", "--samples", "3", "--workers", "1"],
+     {"system": "cubic_interval", "params": {"a": 0.3}, "depth": 5, "epsilon": 0.01,
+      "samples": 3, "workers": 1}),
+    (["core-scan", "--system", "cat_map", "--schedule", "3:0.1,4:0.05", "--target", "0.5,0.5",
+      "--samples", "3", "--seed", "2"],
+     {"system": "cat_map", "schedule": [[3, 0.1], [4, 0.05]], "target": [0.5, 0.5],
+      "samples": 3, "seed": 2}),
+    (["merge-scan", "--system", "cubic_interval", "--sweep-param", "a", "--values", "0.1,0.7",
+      "--depth", "4", "--samples", "3"],
+     {"system": "cubic_interval", "sweep_param": "a", "values": [0.1, 0.7], "depth": 4,
+      "samples": 3}),
+    (["portrait", "--D", "0.5", "--beta", "1.5", "--T", "1", "--step", "0.01", "--orbits", "2",
+      "--seed", "4"],
+     {"D": 0.5, "beta": 1.5, "T": 1, "step": 0.01, "orbits": 2, "seed": 4}),
+    (["verify", "--system", "periodic_spot", "--param", "q=4", "--samples", "10", "--seed", "1"],
+     {"system": "periodic_spot", "params": {"q": 4}, "samples": 10, "seed": 1}),
+    (["noisy", "--system", "cat_map", "--x0", "0.2,0.7", "--noise", "0.01", "--steps", "50",
+      "--trials", "2", "--depth", "4", "--seed", "3"],
+     {"system": "cat_map", "x0": [0.2, 0.7], "noise": 0.01, "steps": 50, "trials": 2,
+      "depth": 4, "seed": 3}),
+], ids=list(_FLAGS))
+def test_config_file_and_flags_give_the_same_bytes(argv, cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    runs = {"flags": argv, "config": [argv[0], "--config", str(path)]}
+    outputs = {}
+    for tag, args in runs.items():
+        assert _run(*args, "--out", str(tmp_path / tag)) == 0
+        files = sorted((tmp_path / tag).iterdir())
+        outputs[tag] = ([f.name for f in files], [f.read_bytes() for f in files],
+                        capsys.readouterr().out)
+    assert outputs["config"] == outputs["flags"]
+    assert outputs["flags"][0]
+
+
+def test_null_config_value_leaves_the_setting_unset(tmp_path):
+    # "epsilon": null is one box diameter, as with no epsilon at all
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": "cubic_interval", "depth": 5, "epsilon": None}))
+    assert _run("classify", "--config", str(path), "--out", str(tmp_path / "a")) == 0
+    assert _run("classify", "--system", "cubic_interval", "--depth", "5",
+                "--out", str(tmp_path / "b")) == 0
+    report = (tmp_path / "a" / "report.json").read_bytes()
+    assert report == (tmp_path / "b" / "report.json").read_bytes()
+    assert json.loads(report)["epsilon"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +261,24 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
     (("portrait", "--T", "0", "--orbits", "0"), None),
     (("portrait", "--T", "1", "--orbits", "0", "--step", "0"), None),
     (("portrait",), {"orbits": 0, "T": "nan"}),
+    (("classify", "--system", "cubic_interval", "--depth", "3"), {"params": [1, 2]}),
+    (("classify", "--system", "cubic_interval", "--depth", "3"), {"params": {"a": "x"}}),
+    (("classify", "--system", "cubic_interval", "--depth", "3"), {"params": {"a": None}}),
+    (("classify", "--system", "cat_map", "--depth", "3", "--seed", "1"), None),
+    (("merge-scan", *_MERGE, "--depth", "3", "--seed", "1"), None),
+    (("portrait", "--T", "1", "--system", "cat_map"), None),
+    (("portrait", "--T", "1", "--param", "a=1"), None),
+    (("portrait", "--T", "1", "--workers", "1"), None),
+    (("verify", "--system", "cat_map", "--samples", "5", "--workers", "1"), None),
+    (("classify", "--system", "cat_map", "--dep", "3"), None),
+    (("classify",), {"system": "cat_map", "depth": 3, "smaples": 5}),
+    (("classify",), {"system": "cat_map", "dep": 3}),
+    (("classify",), {"system": "cat_map", "depth": 3.0}),
+    (("classify",), {"system": "cat_map", "depth": 3, "seed": 1}),
+    (("classify",), {"system": "cat_map", "depth": 3, "config": "other.json"}),
+    (("classify",), {"system": "cat_map", "depth": 3, "trap": _TRAP_SCAN["trap"]}),
+    (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "n_step": 3}}),
+    (("core-scan",), {**_TRAP_SCAN, "trap": [0.1, 2.0]}),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
         "core-scan trap seed -1", "core-scan trap without seed_radius",
         "core-scan trap center [NaN, 0]", "core-scan trap center [0, 0, 0]", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
@@ -201,7 +293,12 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
         "core-scan schedule epsilon nan", "classify depth 40", "core-scan schedule 3:0.1,40:0.01",
         "merge-scan depth 40", "core-scan trap depth 40", "noisy depth 40", "noisy noise -1",
         "noisy steps -3", "portrait step 0", "portrait T 0", "portrait orbits -2",
-        "portrait orbits 0 T 0", "portrait orbits 0 step 0", "config portrait orbits 0 T nan"])
+        "portrait orbits 0 T 0", "portrait orbits 0 step 0", "config portrait orbits 0 T nan",
+        "config params [1, 2]", "config params a x", "config params a null",
+        "classify seed", "merge-scan seed", "portrait system", "portrait param",
+        "portrait workers", "verify workers", "classify dep", "config smaples", "config dep",
+        "config depth 3.0", "config classify seed", "config config", "config classify trap",
+        "core-scan trap n_step", "core-scan trap list"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"

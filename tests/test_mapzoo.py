@@ -43,6 +43,20 @@ def test_make_system_rejects_unknown_and_bad_params():
         mapzoo.make_system("periodic_spot", {"q": 3, "epsilon": 0.9})
 
 
+@pytest.mark.parametrize("name, params", [
+    ("cubic_interval", {"a": "x"}),
+    ("cubic_interval", {"a": None}),
+    ("cubic_interval", {"a": [0.1]}),
+    ("periodic_spot", {"q": None}),
+    ("periodic_spot", {"q": "three"}),
+    ("periodic_spot", {"q": float("nan")}),
+    ("periodic_spot", {"q": 10 ** 400}),
+])
+def test_make_system_rejects_values_that_are_not_numbers(name, params):
+    with pytest.raises(ConfigError, match="parameter '"):
+        mapzoo.make_system(name, params)
+
+
 # periodic_spot is a local chart around the periodic point, not an invariant
 # set: the shear legitimately carries window points outside it.
 @pytest.mark.parametrize("name", [n for n in ALL_SYSTEMS if n != "periodic_spot"])
@@ -50,7 +64,8 @@ def test_forward_keeps_sample_points_in_domain(name):
     system = mapzoo.make_system(name, {})
     pts = system.sample_points(200, seed=3)
     img = system.domain.wrap(system.forward(pts))
-    assert np.all(system.domain.contains(img, atol=1e-9))
+    lo, hi = np.asarray(system.domain.lower), np.asarray(system.domain.upper)
+    assert np.all((img >= lo - 1e-9) & (img <= hi + 1e-9))
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
@@ -178,11 +193,18 @@ def _reference_maps(system):
     return (lambda z: rot * fwd(z)), (lambda z: bwd(rot.conjugate() * z))
 
 
+def _domain_points(system, n, seed):
+    """Uniform points of the whole domain, not just the sample region,
+    drawn as ``sample_points`` draws them."""
+    lo, hi = np.asarray(system.domain.lower), np.asarray(system.domain.upper)
+    return lo + (hi - lo) * np.random.default_rng(seed).random((n, system.dim))
+
+
 @pytest.mark.parametrize("name", ["nested_rings", "nf_timeq"])
 def test_clamped_flow_maps_match_reference_rk4(name):
     system = mapzoo.make_system(name, {})
     # the whole domain, so the square's corners exercise the clamp
-    pts = system.sample_points(256, seed=8, region=system.domain)
+    pts = _domain_points(system, 256, seed=8)
     z = pts[..., 0] + 1j * pts[..., 1]
     for got, ref in zip((system.forward, system.inverse), _reference_maps(system)):
         want = ref(z)
@@ -202,7 +224,7 @@ def test_per_point_time_matches_scalar_time_blocks(name, n):
     else:
         field, rmax = flows.nf_rhs(system.extras["normal_form"]), system.params["radius"]
     flow = mapzoo._clamped_time_map(field, 0.05, rmax)
-    pts = system.sample_points(2 * n, seed=n, region=system.domain)
+    pts = _domain_points(system, 2 * n, seed=n)
     z = pts[..., 0] + 1j * pts[..., 1]
     joint = flow(z, np.repeat([1.0, -1.0], n))
     assert joint[:n].tobytes() == flow(z[:n], 1.0).tobytes()
@@ -211,8 +233,8 @@ def test_per_point_time_matches_scalar_time_blocks(name, n):
 
 def test_forward_inverse_matches_forward_and_inverse():
     system = mapzoo.make_system("nf_timeq", {})
-    a = system.sample_points(49, seed=4, region=system.domain)
-    b = system.sample_points(7, seed=5, region=system.domain)
+    a = _domain_points(system, 49, seed=4)
+    b = _domain_points(system, 7, seed=5)
     fa, fb = system.forward_inverse(a, b)
     assert fa.tobytes() == system.forward(a).tobytes()
     assert fb.tobytes() == system.inverse(b).tobytes()
@@ -225,7 +247,7 @@ def test_flow_maps_are_batch_invariant(name, n):
     # 16,384 points from which numpy reuses temporaries in place; a coarse
     # step keeps the batches fast, and the arithmetic per step is the same
     system = mapzoo.make_system(name, {"step": 0.05})
-    pts = system.sample_points(n, seed=n, region=system.domain)
+    pts = _domain_points(system, n, seed=n)
     rng = np.random.default_rng(n)
     cuts = [[1], [n // 2], sorted(rng.choice(np.arange(1, n), 3, replace=False))]
     for step in (system.forward, system.inverse):
