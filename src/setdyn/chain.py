@@ -2,27 +2,27 @@
 
 The dictionary between graph structure and dynamics: a strongly connected
 component (SCC) that is recurrent (more than one box, or a self-loop) is a
-piece of the chain-recurrent set; a terminal SCC of the condensation is an
-attractor for epsilon-orbits, an initial SCC a repeller; an attractor with
-no incoming condensation edge attracts nothing from outside and is a
-candidate reversible core.  ``core_scan`` tracks such a candidate through a
-refinement schedule and collects the dissipative attractors/repellers that
-split off inside the previous stage's absorbing neighbourhoods.  Every box
+piece of the chain-recurrent set; a terminal SCC of the condensation (no
+edge leaves it) is an attractor for epsilon-orbits, an initial SCC (no edge
+enters it) a repeller; an attractor that is also initial attracts nothing
+from outside and is a candidate reversible core.  ``core_scan`` tracks such
+a candidate through a refinement schedule and collects the dissipative
+attractors/repellers that split off inside the previous stage's absorbing
+neighbourhoods.  Every box
 set carries its own depth, so sets from two stages are compared on the
 deeper stage's grid.
 
-Reachability is read off the condensation: a box path from a box of SCC s
-to a box v exists exactly when a condensation path runs from s to the SCC
-of v, so every reach closure is a union of SCCs.  In particular the
-prolongations that ``classify`` reports (the ``ruelle_*`` sets) equal the
-full attractor and full repeller by construction.  Repellers are computed as
-the attractors of the reversed condensation: a repeller is an attractor of
-the inverse map, whose symbolic image is the reversed graph (Osipenko,
-Dynamical Systems, Graphs, and Algorithms, LNM 1889, 2007).  The reversal
-keeps the SCC ids and leaves the box graph as it is.  ``reach_set`` is a
-BFS on the box graph itself that no command calls: it is the oracle the
-tests hold the condensation closures to, and a hook the benchmark's tracer
-wraps.
+The condensation is kept as per-SCC flags only (recurrent, terminal,
+initial), all found in one pass over the edges; no condensation edge list
+is built.  Reach closures are BFS on the box graph itself (``reach_set``),
+which ``core_scan`` runs from its target both ways.  A box path from a box
+of SCC s reaches every box of each SCC it enters, so every closure is a
+union of SCCs, and the closure of a terminal SCC is itself: the
+prolongations of the full attractor and full repeller are those sets.
+Repellers are the attractors of the reversed graph, a repeller being an
+attractor of the inverse map, whose symbolic image is the reversed graph
+(Osipenko, Dynamical Systems, Graphs, and Algorithms, LNM 1889, 2007).  The
+reversal keeps the SCC ids and swaps the terminal and initial flags.
 
 The SCCs come from forward-backward search with trimming (FW-BW-Trim:
 Fleischer, Hendrickson & Pinar, IPDPS workshops 2000; McLendon et al.,
@@ -60,7 +60,9 @@ from .errors import ConfigError
 
 @dataclass
 class ChainDecomposition:
-    """SCC partition of a transition graph plus its condensation DAG.
+    """SCC partition of a transition graph, with per-SCC flags for the
+    condensation: ``terminal`` when no edge leaves the SCC, ``initial`` when
+    none enters it.
 
     SCC ids are canonical: components are numbered by their smallest node
     index, so the labelling is independent of library internals.
@@ -71,8 +73,6 @@ class ChainDecomposition:
     n_scc: int
     scc_sizes: np.ndarray
     recurrent_scc: np.ndarray
-    cond_indptr: np.ndarray
-    cond_indices: np.ndarray
     terminal: np.ndarray
     initial: np.ndarray
 
@@ -198,14 +198,15 @@ def _scc_roots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 
 def decompose(graph: TransitionGraph) -> ChainDecomposition:
-    """SCCs, condensation DAG and terminal/initial flags of a graph.
+    """SCCs and their recurrent/terminal/initial flags of a graph.
 
     The SCCs come from ``_scc_roots``, which names each by its smallest
     node; numbering those in node order gives the canonical ids.  No
     temporary spans the whole edge list but the transposed int32 CSR that
-    the backward searches walk: every pass goes over ``_out_edges`` slabs,
-    and the condensation keeps int64 keys only for each slab's distinct
-    cross edges.
+    the backward searches walk.  The flags come from one pass over
+    ``_out_edges`` slabs: an edge inside an SCC makes it recurrent, and an
+    edge between two SCCs makes its source's SCC not terminal and its
+    target's not initial.
     """
     n = graph.n_boxes
     indptr, indices = graph.indptr, graph.indices
@@ -217,29 +218,21 @@ def decompose(graph: TransitionGraph) -> ChainDecomposition:
 
     # an SCC is recurrent when it holds an edge: a larger one has a cycle, and
     # the only edge inside a single box is its self-loop
-    recurrent = np.zeros(m, dtype=bool)
-    key_parts = [np.empty(0, dtype=np.int64)]
+    recurrent, leaves, entered = (np.zeros(m, dtype=bool) for _ in range(3))
     for rows, lens, dst in _out_edges(indptr, indices):
         s_u, s_v = np.repeat(scc[rows], lens), scc[dst]
         cross = s_u != s_v
         recurrent[s_u[~cross]] = True
-        key_parts.append(_unique(s_u[cross] * np.int64(m) + s_v[cross]))
-    keys = _unique(np.concatenate(key_parts))
-    cv = keys % m  # keys are sorted, so rows are sorted too
-    cond_outdeg = np.bincount(keys // m, minlength=m)
-    cond_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(cond_outdeg, out=cond_indptr[1:])
-    indeg = np.bincount(cv, minlength=m)
+        leaves[s_u[cross]] = True
+        entered[s_v[cross]] = True
     return ChainDecomposition(
         graph=graph,
         scc_id=scc,
         n_scc=m,
         scc_sizes=sizes,
         recurrent_scc=recurrent,
-        cond_indptr=cond_indptr,
-        cond_indices=cv,
-        terminal=cond_outdeg == 0,
-        initial=indeg == 0,
+        terminal=~leaves,
+        initial=~entered,
     )
 
 
@@ -256,12 +249,9 @@ def chain_recurrent(dec: ChainDecomposition) -> BoxSet:
 
 def reach_set(graph: TransitionGraph, members, forward: bool = True) -> BoxSet:
     """Closure of the boxes attainable from ``members`` (a ``BoxSet`` or box
-    indices) by epsilon-orbits, found by one BFS on the box graph.
-
-    No command calls this: ``classify`` and ``core_scan`` read reachability
-    off the condensation.  It is kept as the box-graph oracle the tests check
-    those condensation closures against, and because perfbench/traced.py
-    wraps ``chain.reach_set`` by name.
+    indices) by epsilon-orbits, found by one BFS on the box graph; with
+    ``forward=False``, of the boxes that attain them, by a BFS on the
+    transposed graph.  ``core_scan`` takes its absorbing sets from it.
     """
     bs = graph.boxset
     if isinstance(members, BoxSet):
@@ -295,11 +285,10 @@ class RecurrentSCC:
 
 
 def _reversed(dec: ChainDecomposition) -> ChainDecomposition:
-    """The same SCCs, with the same ids, and every condensation edge flipped:
-    its attractors are the repellers of ``dec``.  The box graph is kept."""
-    indptr, indices = _transpose_csr(dec.cond_indptr, dec.cond_indices)
-    return replace(dec, cond_indptr=indptr, cond_indices=indices,
-                   terminal=dec.initial, initial=dec.terminal)
+    """The same SCCs, with the same ids, as SCCs of the reversed graph: the
+    terminal and initial flags swap, so its attractors are the repellers of
+    ``dec``.  The box graph is kept."""
+    return replace(dec, terminal=dec.initial, initial=dec.terminal)
 
 
 def attractors(dec: ChainDecomposition) -> list[RecurrentSCC]:
@@ -310,8 +299,8 @@ def attractors(dec: ChainDecomposition) -> list[RecurrentSCC]:
 
 
 def repellers(dec: ChainDecomposition) -> list[RecurrentSCC]:
-    """Recurrent initial SCCs: the attractors of the reversed condensation,
-    with the same SCC ids."""
+    """Recurrent initial SCCs: the attractors of the reversed graph, with
+    the same SCC ids."""
     return attractors(_reversed(dec))
 
 
@@ -337,8 +326,6 @@ class ClassifyReport:
     repellers: list[RecurrentSCC]
     full_attractor: BoxSet
     full_repeller: BoxSet
-    ruelle_attractor: BoxSet
-    ruelle_repeller: BoxSet
     overlap_jaccard: float
 
 
@@ -349,10 +336,9 @@ def classify(graph: TransitionGraph) -> ClassifyReport:
     the prolongations of the full attractor and full repeller are disjoint.
     Mixed: everything else (they intersect without global chain transitivity).
 
-    The prolongations (the ``ruelle_*`` sets) equal the full sets: a
-    terminal SCC has no outgoing condensation edge, so the forward closure
-    of the full attractor is itself, and an initial SCC has no incoming one,
-    so the backward closure of the full repeller is itself.
+    The prolongations equal the full sets: no edge leaves a terminal SCC,
+    so the forward closure of the full attractor is itself, and none enters
+    an initial SCC, so the backward closure of the full repeller is itself.
     """
     dec = decompose(graph)
     att = attractors(dec)
@@ -376,8 +362,6 @@ def classify(graph: TransitionGraph) -> ClassifyReport:
         repellers=rep,
         full_attractor=f_att,
         full_repeller=f_rep,
-        ruelle_attractor=f_att,
-        ruelle_repeller=f_rep,
         overlap_jaccard=jac,
     )
 
@@ -465,15 +449,6 @@ def _contained_with_slack(inner: BoxSet, outer: BoxSet) -> bool:
     """inner (at least as deep) inside outer refined to inner's depth, plus
     one box ring of slack for quantization."""
     return inner.issubset(outer.refine_to(inner.depth).dilate(1))
-
-
-def _reached_sccs(dec: ChainDecomposition, s: int) -> np.ndarray:
-    """Ids of the SCCs that SCC ``s`` reaches in the condensation, ``s``
-    included, in ascending order; their boxes are the reach closure of any
-    box of ``s``."""
-    seen = np.zeros(dec.n_scc, dtype=bool)
-    _search(dec.cond_indptr, dec.cond_indices, [s], seen)
-    return np.flatnonzero(seen)
 
 
 def _new_witnesses(dec: ChainDecomposition, s: int, prev_abs: BoxSet, known: list) -> list[BoxSet]:
@@ -567,17 +542,16 @@ def core_scan(
         terminal = bool(dec.terminal[s])
         init = bool(dec.initial[s])
 
-        # SCCs the target reaches, and SCCs that reach it
-        fwd, bwd = _reached_sccs(dec, s), _reached_sccs(rev, s)
+        # boxes the target reaches, and boxes that reach it; reach_set is
+        # looked up at call time, so a wrapper on chain.reach_set sees these
+        fwd_abs, bwd_abs = reach_set(g, [t_idx]), reach_set(g, [t_idx], forward=False)
         gap_tol = GAP_FACTOR * (eps + g.pad + system.domain.max_box_width(depth))
         if terminal and init:
             gap = 0.0
         else:
             # attractors the target can reach, repellers that can reach it
-            is_att = dec.terminal & dec.recurrent_scc
-            is_rep = dec.initial & dec.recurrent_scc
-            gap = _min_gap(system.domain, dec.scc_boxes(fwd[is_att[fwd]]),
-                           dec.scc_boxes(bwd[is_rep[bwd]]))
+            gap = _min_gap(system.domain, fwd_abs.intersection(full_attractor(dec)),
+                           bwd_abs.intersection(full_repeller(dec)))
 
         if not recurrent:
             ok, reason = False, "target box is not chain-recurrent"
@@ -589,8 +563,6 @@ def core_scan(
             ok = False
             reason = f"attractor/repeller separation {gap:.3g} exceeds {gap_tol:.3g}"
 
-        fwd_abs = dec.scc_boxes(fwd)
-        bwd_abs = dec.scc_boxes(bwd)
         prev = stages[-1] if stages else None
         nested_fwd = prev is None or _contained_with_slack(fwd_abs, prev.fwd_absorbing)
         nested_bwd = prev is None or _contained_with_slack(bwd_abs, prev.bwd_absorbing)

@@ -220,20 +220,21 @@ def cmd_classify(args) -> int:
         "repellers": [_scc_summary(r) for r in report.repellers],
         "full_attractor": _boxset_summary(report.full_attractor),
         "full_repeller": _boxset_summary(report.full_repeller),
-        "ruelle_attractor": _boxset_summary(report.ruelle_attractor),
-        "ruelle_repeller": _boxset_summary(report.ruelle_repeller),
+        # the prolongations equal the full sets (see chain.classify)
+        "ruelle_attractor": _boxset_summary(report.full_attractor),
+        "ruelle_repeller": _boxset_summary(report.full_repeller),
     }
     _write_json(os.path.join(out, "report.json"), doc)
 
     if system.dim == 2:
-        inter = report.ruelle_attractor.intersection(report.ruelle_repeller)
+        inter = report.full_attractor.intersection(report.full_repeller)
         write_pgm(
             os.path.join(out, "classify.pgm"),
             system.domain,
             depth,
             [
-                (report.ruelle_attractor, ATTRACTOR_SHADE),
-                (report.ruelle_repeller, REPELLER_SHADE),
+                (report.full_attractor, ATTRACTOR_SHADE),
+                (report.full_repeller, REPELLER_SHADE),
                 (inter, OVERLAP_SHADE),
             ],
         )
@@ -455,7 +456,7 @@ def cmd_verify(args) -> int:
         doc["symmetric_points"] = [
             {
                 "location": list(p.location),
-                "period": p.period,
+                "period": 1,
                 "residual": p.residual,
                 "kind": p.multipliers.kind,
                 "eigenvalues": [[e.real, e.imag] for e in p.multipliers.eigenvalues],

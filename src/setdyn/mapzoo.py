@@ -64,12 +64,6 @@ class MapSystem:
         hi = np.asarray(region.upper)
         return lo + (hi - lo) * rng.random((n, self.dim))
 
-    def iterate(self, pts: np.ndarray, n_steps: int) -> np.ndarray:
-        out = np.asarray(pts, dtype=float)
-        for _ in range(n_steps):
-            out = self.forward(out)
-        return out
-
 
 @dataclass(frozen=True)
 class InverseReport:

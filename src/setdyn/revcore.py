@@ -4,7 +4,7 @@ A map f is reversible when an involution g (g∘g = id) conjugates it to its
 inverse: f^{-1} = g∘f∘g.  Fixed points on Fix(g) then come with reciprocal
 multiplier pairs (lambda, 1/lambda); on the unit circle that means elliptic
 points e^{±i·omega}.  This module verifies the conjugacy numerically, scans
-the fixed set of the involution for symmetric fixed/periodic points, and
+the fixed set of the involution for symmetric fixed points, and
 classifies them through finite-difference multipliers.
 """
 
@@ -101,8 +101,8 @@ class MultiplierReport:
         return max((p.pairing_error for p in self.pairs), default=math.inf)
 
 
-def _map_jacobian(system: MapSystem, x: np.ndarray, period: int) -> np.ndarray:
-    """Richardson-extrapolated central-difference Jacobian of f^period."""
+def _map_jacobian(system: MapSystem, x: np.ndarray) -> np.ndarray:
+    """Richardson-extrapolated central-difference Jacobian of f."""
     dim = system.dim
     x = np.asarray(x, dtype=float).reshape(dim)
 
@@ -111,8 +111,8 @@ def _map_jacobian(system: MapSystem, x: np.ndarray, period: int) -> np.ndarray:
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = h
-            hi = system.iterate((x + e)[None, :], period)[0]
-            lo = system.iterate((x - e)[None, :], period)[0]
+            hi = system.forward((x + e)[None, :])[0]
+            lo = system.forward((x - e)[None, :])[0]
             cols.append(system.domain.signed_diff(hi, lo) / (2.0 * h))
         return np.stack(cols, axis=1)
 
@@ -138,16 +138,14 @@ def _classify_multipliers(eigs: np.ndarray, tol: float = 1e-4) -> str:
     return "generic"
 
 
-def multipliers_at(system: MapSystem, x, period: int = 1) -> MultiplierReport:
-    """Multipliers of f^period at a (periodic) point, with reciprocal pairing.
+def multipliers_at(system: MapSystem, x) -> MultiplierReport:
+    """Multipliers of f at a fixed point, with reciprocal pairing.
 
     Each eigenvalue is paired with the one minimizing |lambda * partner - 1|;
     for reversible maps at symmetric points the pairing errors should vanish
     to discretization accuracy.
     """
-    if period < 1:
-        raise ConfigError("period must be >= 1")
-    J = _map_jacobian(system, x, period)
+    J = _map_jacobian(system, x)
     eigs = np.linalg.eigvals(J)
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order]
@@ -271,7 +269,6 @@ def _bisect(fun, a: float, b: float, tol: float) -> float:
 @dataclass(frozen=True)
 class SymmetricPoint:
     location: tuple
-    period: int
     residual: float
     multipliers: MultiplierReport
 
@@ -282,13 +279,13 @@ class SymmetricScan:
     degenerate: bool
 
 
-def find_symmetric_fixed_points(system: MapSystem, period: int = 1) -> SymmetricScan:
-    """Scan Fix(g) of the system's involution g for symmetric fixed (or
-    periodic) points of f^period.
+def find_symmetric_fixed_points(system: MapSystem) -> SymmetricScan:
+    """Scan Fix(g) of the system's involution g for symmetric fixed points
+    of f.
 
     The fixed set must be described as a parameterized line (see
     MapSystem.involution_fixed).  Candidates are parameters t, on a grid of
-    ``_SYMMETRIC_GRID`` points, where f^period maps the curve point back
+    ``_SYMMETRIC_GRID`` points, where f maps the curve point back
     onto the fixed set; a candidate is a fixed point when the full
     displacement lands within ``_POINT_TOL``.  When more than half the grid
     already consists of fixed points the map is degenerate along the curve
@@ -311,12 +308,12 @@ def find_symmetric_fixed_points(system: MapSystem, period: int = 1) -> Symmetric
 
     ts = np.linspace(t0, t1, _SYMMETRIC_GRID)
     curve = p0[None, :] + ts[:, None] * u[None, :]
-    image = system.iterate(curve, period)
+    image = system.forward(curve)
     disp_full = np.max(np.abs(image - curve), axis=1)
     if np.mean(disp_full < _POINT_TOL) > 0.5:
         pts = [
             SymmetricPoint(
-                tuple(curve[i].tolist()), period, float(disp_full[i]), multipliers_at(system, curve[i], period)
+                tuple(curve[i].tolist()), float(disp_full[i]), multipliers_at(system, curve[i])
             )
             for i in range(0, _SYMMETRIC_GRID, _SYMMETRIC_GRID // 16)
         ]
@@ -326,7 +323,7 @@ def find_symmetric_fixed_points(system: MapSystem, period: int = 1) -> Symmetric
 
     def s_of(t: float) -> float:
         x = p0 + t * u
-        y = system.iterate(x[None, :], period)[0]
+        y = system.forward(x[None, :])[0]
         return float((y - p0) @ normal)
 
     roots: list[float] = []
@@ -346,9 +343,9 @@ def find_symmetric_fixed_points(system: MapSystem, period: int = 1) -> Symmetric
             continue
         last_t = t
         x = p0 + t * u
-        res = float(np.max(np.abs(system.iterate(x[None, :], period) - x)))
+        res = float(np.max(np.abs(system.forward(x[None, :]) - x)))
         if res < _POINT_TOL:
-            points.append(SymmetricPoint(tuple(x.tolist()), period, res, multipliers_at(system, x, period)))
+            points.append(SymmetricPoint(tuple(x.tolist()), res, multipliers_at(system, x)))
     return SymmetricScan(points=points, degenerate=False)
 
 

@@ -85,7 +85,11 @@ def test_criterion_03_cubic_dissipative_with_located_sets():
     rep = report.full_repeller.centers()[:, 0]
     assert rep.size and np.max(np.abs(rep)) <= 2 * h
 
-    assert report.ruelle_attractor.intersection(report.ruelle_repeller).count == 0
+    # the prolongations: the full attractor's forward closure and the full
+    # repeller's backward closure on the box graph
+    prolongations = (chain.reach_set(graph, report.full_attractor),
+                     chain.reach_set(graph, report.full_repeller, forward=False))
+    assert prolongations[0].intersection(prolongations[1]).count == 0
     _ok(f"criterion 3: cubic a=1/4 Dissipative; attractor within {2*h:.4f} "
         "of {-1,+1}, repeller of {0}, prolongations disjoint")
 

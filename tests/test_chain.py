@@ -34,7 +34,8 @@ def test_two_cycles_with_transit(graph_from_edges):
     assert report.classification == "Dissipative"
     assert report.overlap_jaccard == 0.0
     # an initial SCC is already backward-closed, so its prolongation is itself
-    assert set(report.ruelle_repeller.codes) == {0, 1}
+    assert set(report.full_repeller.codes) == {0, 1}
+    assert chain.reach_set(g, report.full_repeller, forward=False) == report.full_repeller
     # downstream influence is a forward reach question
     assert set(chain.reach_set(g, [0, 1]).codes) == {0, 1, 2, 3}
 
@@ -115,7 +116,10 @@ def test_shared_box_forces_identical_terminal_initial_scc(graph_from_edges):
 
 
 def test_condensation_closures_match_box_graph_reach(graph_from_edges):
-    # reach_set walks the box graph and is the oracle for the condensation
+    # every box-graph closure is a union of whole SCCs; an SCC's own closure
+    # is the SCC alone exactly when its flag says nothing leaves (terminal)
+    # or enters (initial) it; and the full attractor and full repeller are
+    # closed, so they are their own prolongations
     for trial in range(60):
         rng = np.random.default_rng((2025, trial))
         n = int(rng.integers(2, 30))
@@ -123,25 +127,26 @@ def test_condensation_closures_match_box_graph_reach(graph_from_edges):
         edges = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(m, 2))]
         g = graph_from_edges(n, edges)
         dec = chain.decompose(g)
-        rev = chain._reversed(dec)
         for i in range(n):
             s = int(dec.scc_id[i])
-            assert dec.scc_boxes(chain._reached_sccs(dec, s)) == chain.reach_set(g, [i])
-            assert (dec.scc_boxes(chain._reached_sccs(rev, s))
-                    == chain.reach_set(g, [i], forward=False))
+            for forward, alone in ((True, dec.terminal[s]), (False, dec.initial[s])):
+                closure = chain.reach_set(g, [i], forward=forward)
+                sccs = np.unique(dec.scc_id[g.boxset.indices_of(closure.codes)])
+                assert closure == dec.scc_boxes(sccs)
+                assert (closure == dec.scc_boxes(s)) == bool(alone)
         f_att = chain.full_attractor(dec)
         f_rep = chain.full_repeller(dec)
         assert chain.reach_set(g, f_att, forward=True) == f_att
         assert chain.reach_set(g, f_rep, forward=False) == f_rep
         report = chain.classify(g)
-        assert report.ruelle_attractor == f_att
-        assert report.ruelle_repeller == f_rep
+        assert report.full_attractor == f_att
+        assert report.full_repeller == f_rep
 
 
 def _reference_decomposition(g):
-    """(scc_id, recurrent, cond_indptr, cond_indices) from full-length int64
-    arrays: scipy's SCCs of an int64 copy of the CSR, renumbered by first
-    node in a Python loop, and the condensation deduped with np.unique."""
+    """(scc_id, recurrent, terminal, initial) from full-length int64 arrays:
+    scipy's SCCs of an int64 copy of the CSR, renumbered by first node in a
+    Python loop, and the flags counted over every edge with np.bincount."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -158,31 +163,27 @@ def _reference_decomposition(g):
     s_v = scc[indices]
     cross = s_u != s_v
     recurrent = np.bincount(s_u, minlength=m) > np.bincount(s_u[cross], minlength=m)
-    keys = np.unique(s_u[cross] * np.int64(m) + s_v[cross])
-    cond_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // m, minlength=m), out=cond_indptr[1:])
-    return scc, recurrent, cond_indptr, keys % m
+    terminal = np.bincount(s_u[cross], minlength=m) == 0
+    initial = np.bincount(s_v[cross], minlength=m) == 0
+    return scc, recurrent, terminal, initial
 
 
 @pytest.mark.parametrize("name, depth", [("nested_rings", 6), ("cat_map", 5), ("nf_timeq", 5)])
 def test_condensation_equals_numpy_unique_reference(name, depth, monkeypatch):
-    # decompose works on the int32 CSR a slab of edges at a time and dedupes
-    # the condensation's edge keys by sorting; the reference takes
-    # whole-graph int64 arrays and np.unique.  Slabs of 100 edges split every
-    # row range the default slab keeps whole.
+    # decompose works on the int32 CSR a slab of edges at a time and marks
+    # the condensation's flags slab by slab; the reference takes whole-graph
+    # int64 arrays.  Slabs of 100 edges split every row range the default
+    # slab keeps whole.
     g = chain.cover_graph(mapzoo.make_system(name, {}), depth, samples_per_axis=3)
     assert g.indptr.dtype == g.indices.dtype == np.int32
-    scc, recurrent, cond_indptr, cond_indices = _reference_decomposition(g)
+    reference = _reference_decomposition(g)
     for slab in (boxdyn._SLAB_EDGES, 100):
         monkeypatch.setattr(boxdyn, "_SLAB_EDGES", slab)
         dec = chain.decompose(g)
-        assert np.array_equal(dec.scc_id, scc)
-        assert np.array_equal(dec.recurrent_scc, recurrent)
-        assert np.array_equal(dec.cond_indptr, cond_indptr)
-        assert np.array_equal(dec.cond_indices, cond_indices)
-        assert dec.cond_indices.dtype == np.int64
+        got = dec.scc_id, dec.recurrent_scc, dec.terminal, dec.initial
+        assert all(map(np.array_equal, got, reference))
     # cat_map is one recurrent class, so its condensation has no edge
-    assert (len(cond_indices) > 0) == (name != "cat_map")
+    assert bool(reference[2].all()) == (name == "cat_map")
 
 
 @st.composite
@@ -218,12 +219,9 @@ def test_decompose_matches_scipy_on_random_digraphs(case, graph_from_edges, monk
     # slabs of 4 edges make every pass take several slabs
     monkeypatch.setattr(boxdyn, "_SLAB_EDGES", 4)
     g = graph_from_edges(*case)
-    scc, recurrent, cond_indptr, cond_indices = _reference_decomposition(g)
     dec = chain.decompose(g)
-    assert np.array_equal(dec.scc_id, scc)
-    assert np.array_equal(dec.recurrent_scc, recurrent)
-    assert np.array_equal(dec.cond_indptr, cond_indptr)
-    assert np.array_equal(dec.cond_indices, cond_indices)
+    got = dec.scc_id, dec.recurrent_scc, dec.terminal, dec.initial
+    assert all(map(np.array_equal, got, _reference_decomposition(g)))
 
 
 def test_decompose_keeps_trim_and_searches_inside_partitions(graph_from_edges):
@@ -253,7 +251,9 @@ def test_decompose_splits_a_chain_of_small_sccs_in_few_rounds(graph_from_edges, 
     monkeypatch.setattr(chain, "_search", lambda *a: searches.append(1) or search(*a))
     dec = chain.decompose(g)
     assert np.array_equal(dec.scc_id, np.arange(2 * k) // 2)
-    assert dec.cond_indices.tolist() == list(range(1, k))
+    # the condensation is the path 0 -> 1 -> ... -> k-1
+    assert np.flatnonzero(dec.initial).tolist() == [0]
+    assert np.flatnonzero(dec.terminal).tolist() == [k - 1]
     assert len(searches) <= 60
 
 
@@ -278,8 +278,8 @@ def _scipy_transpose(indptr, indices, n):
 @_RANDOM_DIGRAPHS
 @given(case=_digraphs(), data=st.data())
 def test_searches_match_scipy_breadth_first_order(case, data, graph_from_edges, monkeypatch):
-    # reach_set and _reached_sccs search with chain._search; scipy's BFS on
-    # scipy's own transposes is the oracle
+    # reach_set searches with chain._search; scipy's BFS on scipy's own
+    # transpose is the oracle
     monkeypatch.setattr(boxdyn, "_SLAB_EDGES", 4)
     n, edges = case
     g = graph_from_edges(n, edges)
@@ -290,15 +290,6 @@ def test_searches_match_scipy_breadth_first_order(case, data, graph_from_edges, 
     assert set(chain.reach_set(g, members).codes) == _scipy_bfs(g.indptr, g.indices, n, members)
     assert (set(chain.reach_set(g, members, forward=False).codes)
             == _scipy_bfs(t_indptr, t_indices, n, members))
-
-    dec = chain.decompose(g)
-    m = dec.n_scc
-    r_indptr, r_indices = _scipy_transpose(dec.cond_indptr, dec.cond_indices, m)
-    rev = chain._reversed(dec)
-    for s in {int(dec.scc_id[v]) for v in members}:
-        assert list(chain._reached_sccs(dec, s)) == sorted(
-            _scipy_bfs(dec.cond_indptr, dec.cond_indices, m, [s]))
-        assert list(chain._reached_sccs(rev, s)) == sorted(_scipy_bfs(r_indptr, r_indices, m, [s]))
 
 
 def _traced_peak(fn):
@@ -384,6 +375,25 @@ def test_core_scan_rejects_target_outside_the_domain(target):
         chain.core_scan(dataclasses.replace(system, forward=forbidden), target, [(4, 0.1)])
 
 
+def _scipy_closures(g, t_idx):
+    """Forward and backward closures of box ``t_idx`` by scipy's BFS."""
+    n, bs = g.n_boxes, g.boxset
+    t_indptr, t_indices = _scipy_transpose(g.indptr, g.indices, n)
+    return tuple(BoxSet(bs.domain, bs.depth, bs.codes[sorted(_scipy_bfs(ptr, idx, n, [t_idx]))])
+                 for ptr, idx in ((g.indptr, g.indices), (t_indptr, t_indices)))
+
+
+def _reference_attractors(g, forward=True):
+    """(scc, boxes, dissipative) of each recurrent terminal SCC, or with
+    ``forward=False`` each recurrent initial SCC, from scipy's SCCs and the
+    reference flags."""
+    scc, recurrent, terminal, initial = _reference_decomposition(g)
+    ends, starts = (terminal, initial) if forward else (initial, terminal)
+    bs = g.boxset
+    return [(int(s), BoxSet(bs.domain, bs.depth, bs.codes[scc == s]), not starts[s])
+            for s in np.flatnonzero(ends & recurrent)]
+
+
 @pytest.mark.parametrize("name, target", [
     ("cubic_interval", (0.0,)),
     ("cubic_interval", (0.55,)),
@@ -391,22 +401,23 @@ def test_core_scan_rejects_target_outside_the_domain(target):
     ("nested_rings", (0.45, 0.1)),
 ])
 def test_core_scan_sets_match_box_graph_reach(name, target):
-    # reach_set on the stage's own graph is the oracle for the absorbing sets
-    # and for the attractors/repellers the gap is measured between
+    # scipy's BFS on the stage's own graph is the oracle for the absorbing
+    # sets, and scipy's SCCs for the attractors/repellers the gap is
+    # measured between
     system = mapzoo.make_system(name, {})
     depth = 5
     eps = system.domain.max_box_width(depth)
     st = chain.core_scan(system, target, [(depth, eps)], samples_per_axis=3).stages[0]
     g = chain.cover_graph(system, depth, eps, 3)
-    dec = chain.decompose(g)
     t_idx = int(g.boxset.indices_of(point_codes(system.domain, depth, np.array([target])))[0])
-    fwd = chain.reach_set(g, [t_idx])
-    bwd = chain.reach_set(g, [t_idx], forward=False)
+    fwd, bwd = _scipy_closures(g, t_idx)
     assert st.fwd_absorbing == fwd
     assert st.bwd_absorbing == bwd
     if not (st.terminal and st.initial):
-        gap = chain._min_gap(system.domain, fwd.intersection(chain.full_attractor(dec)),
-                             bwd.intersection(chain.full_repeller(dec)))
+        scc, recurrent, terminal, initial = _reference_decomposition(g)
+        f_att, f_rep = (BoxSet(system.domain, depth, g.boxset.codes[(ends & recurrent)[scc]])
+                        for ends in (terminal, initial))
+        gap = chain._min_gap(system.domain, fwd.intersection(f_att), bwd.intersection(f_rep))
         assert st.gap == gap
 
 
@@ -427,8 +438,7 @@ def test_core_scan_with_a_repeated_depth_matches_box_graph_reach(schedule):
     for st, (depth, eps) in zip(cert.stages, schedule):
         g = chain.cover_graph(system, depth, eps, 3)
         t_idx = int(g.boxset.indices_of(point_codes(system.domain, depth, np.array([target])))[0])
-        fwd = chain.reach_set(g, [t_idx])
-        bwd = chain.reach_set(g, [t_idx], forward=False)
+        fwd, bwd = _scipy_closures(g, t_idx)
         assert st.fwd_absorbing == fwd
         assert st.bwd_absorbing == bwd
         if prev is None:
@@ -437,16 +447,15 @@ def test_core_scan_with_a_repeated_depth_matches_box_graph_reach(schedule):
         else:
             assert st.nested_fwd == fwd.issubset(prev[0].dilate(1))
             assert st.nested_bwd == bwd.issubset(prev[1].dilate(1))
-            dec = chain.decompose(g)
-            s = dec.scc_id[t_idx]
-            for found, cands, outer, known in ((st.new_attractors, chain.attractors(dec), prev[0], att),
-                                               (st.new_repellers, chain.repellers(dec), prev[1], rep)):
+            s = _reference_decomposition(g)[0][t_idx]
+            for found, forward, outer, known in ((st.new_attractors, True, prev[0], att),
+                                                 (st.new_repellers, False, prev[1], rep)):
                 new = []
-                for c in cands:
-                    if (c.dissipative and c.scc != s and c.boxes.issubset(outer.dilate(1))
-                            and all(c.boxes.intersection(w).count == 0 for w in known)):
-                        known.append(c.boxes)
-                        new.append(c.boxes)
+                for c_scc, boxes, dissipative in _reference_attractors(g, forward):
+                    if (dissipative and c_scc != s and boxes.issubset(outer.dilate(1))
+                            and all(boxes.intersection(w).count == 0 for w in known)):
+                        known.append(boxes)
+                        new.append(boxes)
                 assert found == new
         prev = fwd, bwd
     assert cert.attractor_witnesses == att

@@ -104,14 +104,6 @@ def test_sample_points_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_iterate_composes_forward():
-    system = mapzoo.make_system("cat_map", {})
-    pts = system.sample_points(10, seed=1)
-    two = system.iterate(pts, 2)
-    manual = system.domain.wrap(system.forward(system.domain.wrap(system.forward(pts))))
-    assert np.allclose(two, manual, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # individual maps
 # ---------------------------------------------------------------------------
