@@ -50,16 +50,13 @@ import numpy as np
 from .errors import BudgetError, ConfigError, NumericsError
 
 BOX_BUDGET = 2**26
+# below 2^31, so a graph's int32 CSR holds every edge offset
 EDGE_BUDGET = 2**30
 
 # an edge key packs (source position in its chunk, destination index) as
 # src << _KEY_BITS | dst, so no graph may hold more than _MAX_BOXES boxes
 _KEY_BITS = 27
 _MAX_BOXES = 1 << _KEY_BITS
-
-# the CSR arrays are int32: box indices stay below _MAX_BOXES, and edge
-# offsets below the edge budget, which may not exceed _MAX_EDGES
-_MAX_EDGES = np.iinfo(np.int32).max
 
 _CHUNK_BOXES = 1024
 
@@ -269,31 +266,28 @@ class BoxSet:
 
     # -- refinement ---------------------------------------------------------
 
-    def subdivide(self, budget: int = BOX_BUDGET) -> "BoxSet":
+    def subdivide(self) -> "BoxSet":
         """All children of all members, one level deeper."""
         dim = self.domain.dim
-        _check_box_count(self.count << dim, budget)
+        _check_box_count(self.count << dim, BOX_BUDGET)
         coords = self.coords()
         offs = _unit_offsets(dim)
         child = (coords[:, None, :] * 2 + offs[None, :, :]).reshape(-1, dim)
         return BoxSet.from_coords(self.domain, self.depth + 1, child)
 
-    def refine_to(self, depth: int, budget: int = BOX_BUDGET) -> "BoxSet":
+    def refine_to(self, depth: int) -> "BoxSet":
         if depth < self.depth:
             raise ConfigError("refine_to cannot coarsen a box set")
         out = self
         while out.depth < depth:
-            out = out.subdivide(budget=budget)
+            out = out.subdivide()
         return out
 
-    def dilate(self, rings: int = 1) -> "BoxSet":
-        """Grow by the given number of box rings (periodic-aware)."""
+    def dilate(self) -> "BoxSet":
+        """Grow by one ring of boxes (periodic-aware)."""
         dim = self.domain.dim
         n = 1 << self.depth
-        offs = np.stack(
-            np.meshgrid(*([np.arange(-rings, rings + 1)] * dim), indexing="ij"), axis=-1
-        ).reshape(-1, dim)
-        coords = self.coords()[:, None, :] + offs[None, :, :]
+        coords = self.coords()[:, None, :] + (_unit_offsets(dim, 3) - 1)[None, :, :]
         coords = coords.reshape(-1, dim)
         keep = np.ones(len(coords), dtype=bool)
         for ax, per in enumerate(self.domain.periodic):
@@ -326,9 +320,10 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _unit_offsets(dim: int) -> np.ndarray:
+def _unit_offsets(dim: int, k: int = 2) -> np.ndarray:
+    """The k^dim integer offsets in [0, k) per axis, axis 0 slowest."""
     return np.stack(
-        np.meshgrid(*([np.arange(2)] * dim), indexing="ij"), axis=-1
+        np.meshgrid(*([np.arange(k)] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
 
 
@@ -375,16 +370,16 @@ def _check_box_count(n: int, budget: int = _MAX_BOXES) -> None:
         raise BudgetError(f"{n} boxes exceed the {_MAX_BOXES} that edge keys can index")
 
 
-def check_cover(domain: Domain, depth: int, budget: int = BOX_BUDGET) -> None:
+def check_cover(domain: Domain, depth: int) -> None:
     """Raise, before anything is allocated, when the full cover of the domain
-    at ``depth`` cannot be encoded or holds more than ``budget`` boxes."""
+    at ``depth`` cannot be encoded or holds more than ``BOX_BUDGET`` boxes."""
     _check_depth(domain, depth)
-    _check_box_count(1 << (depth * domain.dim), budget)
+    _check_box_count(1 << (depth * domain.dim), BOX_BUDGET)
 
 
-def initial_cover(domain: Domain, depth: int, budget: int = BOX_BUDGET) -> BoxSet:
-    """Full covering of the domain at the given depth, guarded by a budget."""
-    check_cover(domain, depth, budget)
+def initial_cover(domain: Domain, depth: int) -> BoxSet:
+    """Full covering of the domain at the given depth, guarded by ``BOX_BUDGET``."""
+    check_cover(domain, depth)
     return BoxSet.full_cover(domain, depth)
 
 
@@ -396,11 +391,10 @@ def initial_cover(domain: Domain, depth: int, budget: int = BOX_BUDGET) -> BoxSe
 class TransitionGraph:
     """Sorted-CSR over-approximation of the map on a box set.
 
-    ``indptr`` and ``indices`` are int32.  That always fits: a graph holds
-    at most ``_MAX_BOXES`` = 2^27 boxes and, by default, ``EDGE_BUDGET`` =
-    2^30 edges, and ``build_graph`` takes no edge budget above 2^31 - 1.
-    Arrays of another integer type are converted, and a value outside int32
-    raises instead of wrapping.
+    ``indptr`` and ``indices`` are int32.  That always fits: ``build_graph``
+    makes a graph of at most ``_MAX_BOXES`` = 2^27 boxes and ``EDGE_BUDGET``
+    = 2^30 edges.  Arrays of another integer type are converted, and a
+    value outside int32 raises instead of wrapping.
 
     ``lattice_images`` holds the table of the graph's sample lattice points
     and their images when ``build_graph`` was asked to keep it, else None.
@@ -620,9 +614,12 @@ def _off_heap(n: int, dtype) -> np.ndarray:
     build's lattice images and CSR parts.  Freed, it is unmapped, where a
     freed numpy array that size raises glibc's dynamic mmap threshold or
     leaves heap space that the process keeps: as numpy arrays, those two
-    raised torus_classify's peak RSS by 10%."""
+    raised torus_classify's peak RSS by 10%.  The map is shared, so pool
+    workers forked after it was made write their images into the parent's
+    table, not into copies of its pages."""
     dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype=dtype, count=n)
+    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize), flags=mmap.MAP_SHARED),
+                         dtype=dtype, count=n)
 
 
 def _lattice_table(boxset: BoxSet, chunks, offsets: np.ndarray, den: int):
@@ -647,56 +644,70 @@ def _lattice_table(boxset: BoxSet, chunks, offsets: np.ndarray, den: int):
     return LatticeImages(depth, den, cells, keys, images), ends
 
 
-def _unmapped(table: LatticeImages, domain: Domain, axis: np.ndarray, bounds,
-              reuse: LatticeImages | None):
-    """(rows, pts) of each block [bounds[j], bounds[j+1]) of the table's
-    keys: the rows whose points ``reuse`` lacks, and their coordinates.  The
-    images of the points found in ``reuse`` are filled in here."""
+@dataclass(frozen=True)
+class _Build:
+    """A graph build's inputs and the lattice table its steps fill and read."""
+
+    system: object
+    boxset: BoxSet
+    epsilon: float
+    samples_per_axis: int
+    offsets: np.ndarray
+    table: LatticeImages
+    reuse: LatticeImages | None
+
+
+def _fill(build: _Build, a: int, b: int) -> None:
+    """Write the images of table rows [a, b): copied from ``build.reuse``
+    where it holds the point with the same coordinate bits, the others from
+    one ``forward`` call, if any are left."""
+    table, domain = build.table, build.boxset.domain
     dim, den = domain.dim, table.den
-    for a, b in zip(bounds, bounds[1:]):
-        owner, slot = np.divmod(table.keys[a:b], den**dim)
-        cell = unpack_codes(table.cells[owner], table.depth + 1, dim)
-        frac = np.stack(np.unravel_index(slot, (den,) * dim), axis=-1)
-        pts = _lattice_points(domain, table.depth, axis, cell, frac)
-        rows = np.arange(a, b)
-        if reuse is not None:
-            found, pos = reuse.lookup(domain, table.depth, axis, cell, frac, pts)
-            table.images[rows[found]] = reuse.images[pos[found]]
-            rows, pts = rows[~found], pts[~found]
-        yield rows, pts
+    axis = _lattice_axis(build.offsets, den)
+    owner, slot = np.divmod(table.keys[a:b], den**dim)
+    cell = unpack_codes(table.cells[owner], table.depth + 1, dim)
+    frac = np.stack(np.unravel_index(slot, (den,) * dim), axis=-1)
+    pts = _lattice_points(domain, table.depth, axis, cell, frac)
+    rows = np.arange(a, b)
+    if build.reuse is not None:
+        found, pos = build.reuse.lookup(domain, table.depth, axis, cell, frac, pts)
+        table.images[rows[found]] = build.reuse.images[pos[found]]
+        rows, pts = rows[~found], pts[~found]
+    if len(pts):
+        table.images[rows] = build.system.forward(pts)
 
 
-def _map_block(system, rows: np.ndarray, pts: np.ndarray):
-    """(rows, images) of a block of lattice points; an empty one maps none."""
-    return rows, (np.asarray(system.forward(pts), dtype=float) if len(pts) else pts)
+def _edges(build: _Build, lo: int, hi: int):
+    """(dst, degrees, spread) of boxes [lo, hi) of the build's set: each
+    edge's destination index as int32, sorted by source and then
+    destination, each box's out-degree, and ``_chunk_edges``'s spreads.
+    The two are apart so that the enumeration's arrays are freed first."""
+    boxset = build.boxset
+    src, dst, spread = _chunk_edges(build, boxset.codes[lo:hi])
+    if boxset.count < 1 << (boxset.depth * boxset.domain.dim):  # a full cover's indices are codes
+        dst = boxset.indices_of(dst)
+        kept = dst >= 0
+        src, dst = src[kept], dst[kept]
+    keys = (src << _KEY_BITS) | dst
+    keys.sort()
+    out = _off_heap(len(keys), np.int32)
+    np.bitwise_and(keys, _MAX_BOXES - 1, out=out, casting="unsafe")
+    return out, np.bincount(src, minlength=hi - lo), spread
 
 
-def _chunk_args(boxset: BoxSet, chunks, epsilon: float, offsets: np.ndarray,
-                samples_per_axis: int, table: LatticeImages, mapped):
-    """The ``_chunk_edges`` arguments of each chunk, with the images of its
-    samples (B, S, dim) gathered from ``table``, once the chunk's block of
-    images from ``mapped`` is in the table."""
-    domain, depth = boxset.domain, boxset.depth
-    for (lo, hi), (got, img) in zip(chunks, mapped):
-        table.images[got] = img
-        codes = boxset.codes[lo:hi]
-        rows = np.searchsorted(table.keys, _sample_keys(domain, depth, codes, offsets, table.den,
-                                                        table.cells))
-        img = table.images.take(rows, axis=0).reshape(len(codes), len(offsets), domain.dim)
-        yield depth, codes, img, epsilon, samples_per_axis
-
-
-def _chunk_edges(system, depth: int, codes: np.ndarray, img: np.ndarray, epsilon: float,
-                 samples_per_axis: int):
-    """Edges out of one chunk of boxes, given by their codes and the images
-    of their samples (B, S, dim).
+def _chunk_edges(build: _Build, codes: np.ndarray):
+    """Edges out of one chunk of the build's boxes, given by their codes,
+    from the images of their samples in the table.
 
     Returns (src, dst, spread): the position of each edge's source box
     inside the chunk, the code of its destination cell, and each box's
     image spread (None under a Lipschitz pad).  Every pair occurs once.
     """
-    domain = system.domain
-    dim = domain.dim
+    system, table, depth = build.system, build.table, build.boxset.depth
+    domain, dim = system.domain, system.domain.dim
+    rows = np.searchsorted(table.keys, _sample_keys(domain, depth, codes, build.offsets, table.den,
+                                                    table.cells))
+    img = table.images.take(rows, axis=0).reshape(len(codes), len(build.offsets), dim)
     n_axis = 1 << depth
     h = domain.box_width(depth)
     lo = np.asarray(domain.lower)
@@ -709,17 +720,17 @@ def _chunk_edges(system, depth: int, codes: np.ndarray, img: np.ndarray, epsilon
     if system.lipschitz_hint is not None:
         # the sample grid covers the box with radius h/(2(n-1)) in the max
         # metric, so L times that radius is a sound image pad
-        cover_r = domain.max_box_width(depth) / (2.0 * (samples_per_axis - 1))
+        cover_r = domain.max_box_width(depth) / (2.0 * (build.samples_per_axis - 1))
         spread = None
         pad = np.full(B, system.lipschitz_hint * cover_r)
     else:
         # covering radius of the image sample grid, estimated per box from the
         # spread of its sampled images
         spread = _image_spread(domain, img)
-        pad = spread / (2.0 * (samples_per_axis - 1))
+        pad = spread / (2.0 * (build.samples_per_axis - 1))
 
     # closed cells c with lo_i <= c <= hi_i meet the ball around a sample image
-    rad = (epsilon + pad)[:, None, None]
+    rad = (build.epsilon + pad)[:, None, None]
     lo_i = np.ceil((img - lo - rad) / h - 1.0).astype(np.int64)  # (B, S, dim)
     hi_i = np.floor((img - lo + rad) / h).astype(np.int64)
     for ax, per in enumerate(domain.periodic):
@@ -813,29 +824,29 @@ def _fold_axis(hit, axis: int, n_axis: int):
     return hit.reshape(hit.shape[:axis] + (k, n_axis) + hit.shape[axis + 1 :]).any(axis=axis)
 
 
-# the build's system in a pool worker, stored there by _keep_system
-_worker_system = None
+# the build a pool worker was forked with, stored there by _keep_build
+_worker_build = None
 
 
-def _keep_system(system) -> None:
-    """Pool initializer: keep the build's system for the worker's tasks."""
-    global _worker_system
-    _worker_system = system
+def _keep_build(build: _Build) -> None:
+    """Pool initializer: keep the build for the worker's tasks."""
+    global _worker_build
+    _worker_build = build
 
 
 def _call(task):
-    """Worker entry: fn(system, *args) on the system the worker was forked with."""
-    fn, args = task
-    return fn(_worker_system, *args)
+    """Worker entry: fn(build, a, b) on the build the worker was forked with."""
+    fn, a, b = task
+    return fn(_worker_build, a, b)
 
 
-def _run(system, pool, fn, args):
-    """fn(system, *a) for each a of ``args``, in order: lazily one at a
-    time, or submitted all at once to ``pool``, whose generator cancels the
-    tasks not yet started when it is closed."""
+def _run(build: _Build, pool, fn, bounds):
+    """fn(build, a, b) for each (a, b) of ``bounds``, in order: lazily one
+    at a time, or submitted all at once to ``pool``, whose generator cancels
+    the tasks not yet started when it is closed."""
     if pool is None:
-        return (fn(system, *a) for a in args)
-    return pool.map(_call, [(fn, a) for a in args])
+        return (fn(build, a, b) for a, b in bounds)
+    return pool.map(_call, [(fn, a, b) for a, b in bounds])
 
 
 def build_graph(
@@ -844,7 +855,6 @@ def build_graph(
     epsilon: float,
     samples_per_axis: int = 4,
     workers: int = 1,
-    edge_budget: int = EDGE_BUDGET,
     reuse: LatticeImages | None = None,
     keep_images: bool = False,
 ) -> TransitionGraph:
@@ -868,22 +878,20 @@ def build_graph(
     its image is the one a fresh call would give.  ``keep_images`` stores
     this graph's table in ``lattice_images``; else the build drops it.
 
-    With ``workers`` > 1 a pool of processes forked from the caller maps
-    the chunks' points, then enumerates their edges, each task getting only
-    its chunk's images.  Each worker keeps ``system`` as it was passed, so
-    any system builds in parallel, a hand-built one included, and no task
-    carries it.  The parent gathers every chunk's images before the edge
-    tasks are submitted.  A box's edges are the union of its samples' cell
-    rectangles, clipped on non-periodic axes and wrapped on periodic ones
-    (see the module docstring).  Chunks of boxes are disjoint in source box
-    and each one's edges come out sorted, so the CSR needs no global
-    dedupe: each chunk adds its destinations as int32 and its row lengths,
-    and no array of whole-graph length is made but the CSR itself.  The CSR
-    is int32 (see ``TransitionGraph``), so an ``edge_budget`` above
-    2^31 - 1 is rejected before anything is mapped.  The edge budget is
-    checked after every chunk, with one worker before the points that only
-    later chunks need are mapped.  Output is independent of ``workers`` and
-    of ``reuse``.
+    With ``workers`` > 1 a pool of processes forked from the caller fills
+    the table, then enumerates the chunks' edges.  Each worker keeps the
+    build as forked: ``system`` as passed, so any system builds in
+    parallel, and the table, whose images live in a shared memory map.  So
+    a task is a function and the integer bounds of its table rows or boxes.
+    A box's edges are the union of its samples' cell rectangles, clipped on
+    non-periodic axes and wrapped on periodic ones (see the module
+    docstring).  Chunks of boxes are disjoint in source box and each one's
+    edges come out sorted, so the CSR needs no global dedupe: each chunk
+    adds its destinations as int32 and its row lengths, and no array of
+    whole-graph length is made but the CSR itself.  The edge total is
+    checked against ``EDGE_BUDGET`` after every chunk, with one worker
+    before the points that only later chunks need are mapped.  Output is
+    independent of ``workers`` and of ``reuse``.
     """
     if epsilon < 0 or not math.isfinite(epsilon):
         raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}")
@@ -893,8 +901,6 @@ def build_graph(
         raise ConfigError("system and box set dimensions differ")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    if edge_budget > _MAX_EDGES:
-        raise ConfigError(f"edge budget {edge_budget} exceeds {_MAX_EDGES}, the int32 CSR limit")
     _check_box_count(boxset.count)
     depth, dim = boxset.depth, boxset.domain.dim
     if (depth + 1) * dim > 63:
@@ -905,8 +911,6 @@ def build_graph(
     if reuse is not None and (reuse.den != den or reuse.depth > depth):
         raise ConfigError("lattice images come from another sample count or a deeper grid")
     n = boxset.count
-    # on a full cover a cell's index is its code
-    full = n == 1 << (depth * dim)
     chunks = [(lo, min(lo + _CHUNK_BOXES, n)) for lo in range(0, n, _CHUNK_BOXES)]
 
     # the empirical pad is reported from the spreads of up to 256 boxes
@@ -915,6 +919,7 @@ def build_graph(
     dst_parts, count_parts, spreads = [], [], []
     total = 0
     table, ends = _lattice_table(boxset, chunks, offsets, den)
+    build = _Build(system, boxset, epsilon, samples_per_axis, offsets, table, reuse)
     pool = None
     if workers > 1:
         # imported here: the process pool module costs every command ~17 ms
@@ -922,33 +927,27 @@ def build_graph(
         from concurrent.futures import ProcessPoolExecutor
 
         # fork, not Python 3.14's default forkserver: a forked worker gets the
-        # system as it is, closures and all, where another start would pickle it
+        # build as it is, closures and shared table included, unpickled
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                   _keep_system, (system,))
+                                   _keep_build, (build,))
     with pool or contextlib.nullcontext():
-        mapped = _run(system, pool, _map_block, _unmapped(
-            table, boxset.domain, _lattice_axis(offsets, den), [0, *ends], reuse))
-        parts = _run(system, pool, _chunk_edges, _chunk_args(
-            boxset, chunks, epsilon, offsets, samples_per_axis, table, mapped))
+        filled = _run(build, pool, _fill, itertools.pairwise([0, *ends.tolist()]))
+        if pool is not None:
+            filled = list(filled)  # the table is whole before an edge task reads it
+        parts = _run(build, pool, _edges, chunks)
         # closing the generator on a budget error cancels the pool's pending tasks
         with contextlib.closing(parts):
-            for (lo, hi), (src, dst, spread) in zip(chunks, parts):
+            # with one worker, chunk j's rows are filled just before its edges
+            for (lo, hi), _, (dst, degrees, spread) in zip(chunks, filled, parts):
                 if spread is not None:
                     spreads.append(spread[probe[(probe >= lo) & (probe < hi)] - lo])
-                if not full:
-                    dst = boxset.indices_of(dst)
-                    kept = dst >= 0
-                    src, dst = src[kept], dst[kept]
-                total += len(src)
-                if total > edge_budget:
-                    raise BudgetError(f"{total} edges exceed budget {edge_budget}")
-                keys = (src << _KEY_BITS) | dst
-                keys.sort()
-                dst_parts.append(_off_heap(len(keys), np.int32))
-                np.bitwise_and(keys, _MAX_BOXES - 1, out=dst_parts[-1], casting="unsafe")
-                count_parts.append(np.bincount(src, minlength=hi - lo))
+                total += len(dst)
+                if total > EDGE_BUDGET:
+                    raise BudgetError(f"{total} edges exceed budget {EDGE_BUDGET}")
+                dst_parts.append(dst)
+                count_parts.append(degrees)
     images = table if keep_images else None
-    del table
+    del table, build
     indices = np.concatenate(dst_parts)
     del dst_parts
     indptr = np.zeros(n + 1, dtype=np.int32)

@@ -448,7 +448,7 @@ def _disjoint_at_common_depth(a: BoxSet, b: BoxSet) -> bool:
 def _contained_with_slack(inner: BoxSet, outer: BoxSet) -> bool:
     """inner (at least as deep) inside outer refined to inner's depth, plus
     one box ring of slack for quantization."""
-    return inner.issubset(outer.refine_to(inner.depth).dilate(1))
+    return inner.issubset(outer.refine_to(inner.depth).dilate())
 
 
 def _new_witnesses(dec: ChainDecomposition, s: int, prev_abs: BoxSet, known: list) -> list[BoxSet]:
@@ -616,6 +616,9 @@ def core_scan(
 # orbit-based verifiers
 # ---------------------------------------------------------------------------
 
+# a noisy orbit's first int(BURN_IN * n_steps) states are not counted
+BURN_IN = 0.1
+
 
 @dataclass
 class NoisyOrbitReport:
@@ -624,7 +627,6 @@ class NoisyOrbitReport:
     codes: np.ndarray
     counts: np.ndarray
     n_exits: int
-    burn_in: int
     boxset: BoxSet
 
 
@@ -636,7 +638,6 @@ def noisy_attractor(
     n_trials: int,
     depth: int,
     seed: int = 0,
-    burn_in: float = 0.1,
 ) -> NoisyOrbitReport:
     """Visited-box histogram of orbits with uniform bounded noise.
 
@@ -657,12 +658,10 @@ def noisy_attractor(
             raise ConfigError(f"{name} must be a non-negative integer, got {n!r}")
     if not (math.isfinite(noise) and noise >= 0):
         raise ConfigError(f"noise amplitude must be finite and >= 0, got {noise!r}")
-    if not (0 <= burn_in < 1):
-        raise ConfigError("burn_in must lie in [0, 1)")
     domain = system.domain
     _check_depth(domain, depth)
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    skip = int(burn_in * n_steps)
+    skip = int(BURN_IN * n_steps)
     kicks = np.empty((n_steps, n_trials, system.dim))
     for trial in range(n_trials):
         rng = np.random.default_rng((seed, trial))
@@ -692,7 +691,6 @@ def noisy_attractor(
         codes=codes,
         counts=counts,
         n_exits=int(np.count_nonzero(exit_step < n_steps)),
-        burn_in=skip,
         boxset=BoxSet(domain, depth, codes),
     )
 

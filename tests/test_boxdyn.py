@@ -182,14 +182,15 @@ def test_contains_codes_and_union_keep_set_semantics():
     assert np.array_equal(union.codes, np.union1d(a.codes, b.codes))
 
 
-def test_subdivide_multiplies_by_two_pow_dim():
+def test_subdivide_multiplies_by_two_pow_dim(monkeypatch):
     a = _bs([[0, 0], [2, 5]])
     fine = a.subdivide()
     assert fine.depth == 4 and fine.count == 2 * 4
     finer = a.refine_to(5)
     assert finer.depth == 5 and finer.count == 2 * 16
+    monkeypatch.setattr(boxdyn, "BOX_BUDGET", 100)
     with pytest.raises(BudgetError):
-        a.refine_to(10, budget=100)
+        a.refine_to(10)
 
 
 def test_subdivided_boxes_tile_their_parent():
@@ -279,14 +280,37 @@ def test_graph_workers_build_the_callers_system():
     assert edges[1] > 0
 
 
-def test_graph_edge_budget_enforced():
+def test_graph_pool_tasks_carry_a_function_and_bounds(monkeypatch):
+    # the workers share the build, so a task names a step and a range of
+    # table rows or boxes, and carries no array either way but the results
+    from concurrent.futures import ProcessPoolExecutor
+
+    tasks = []
+    pool_map = ProcessPoolExecutor.map
+
+    def logged(pool, fn, items, **kwargs):
+        tasks.extend(items)
+        return pool_map(pool, fn, items, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", logged)
+    system = mapzoo.make_system("cat_map", {})
+    graph = build_graph(system, initial_cover(system.domain, 6), 0.02, samples_per_axis=3,
+                        workers=2)
+    assert graph.n_edges > 0
+    steps = [fn for fn, _, _ in tasks]
+    assert steps == [boxdyn._fill] * 4 + [boxdyn._edges] * 4
+    assert all(type(a) is int and type(b) is int for _, a, b in tasks)
+
+
+def test_graph_edge_budget_enforced(monkeypatch):
     system = mapzoo.make_system("cat_map", {})
     cover = initial_cover(system.domain, 5)
+    monkeypatch.setattr(boxdyn, "EDGE_BUDGET", 10)
     with pytest.raises(BudgetError):
-        build_graph(system, cover, epsilon=0.02, samples_per_axis=3, edge_budget=10)
+        build_graph(system, cover, epsilon=0.02, samples_per_axis=3)
 
 
-def test_graph_edge_budget_checked_after_each_chunk():
+def test_graph_edge_budget_checked_after_each_chunk(monkeypatch):
     system = mapzoo.make_system("cat_map", {})
     forward = system.forward
     calls = []
@@ -298,24 +322,10 @@ def test_graph_edge_budget_checked_after_each_chunk():
     system.forward = counted
     cover = initial_cover(system.domain, 6)
     assert cover.count > boxdyn._CHUNK_BOXES
+    monkeypatch.setattr(boxdyn, "EDGE_BUDGET", 10)
     with pytest.raises(BudgetError):
-        build_graph(system, cover, epsilon=0.02, samples_per_axis=3, edge_budget=10)
+        build_graph(system, cover, epsilon=0.02, samples_per_axis=3)
     assert len(calls) == 1
-
-
-def test_graph_rejects_an_edge_budget_beyond_int32_before_mapping():
-    system = mapzoo.make_system("cat_map", {})
-    cover = initial_cover(system.domain, 3)
-    # 2^31 - 1 is the largest edge offset an int32 CSR holds
-    graph = build_graph(system, cover, epsilon=0.02, samples_per_axis=3, edge_budget=2**31 - 1)
-    assert graph.indptr.dtype == graph.indices.dtype == np.int32
-
-    def unmapped(pts):
-        pytest.fail("points were mapped before the edge budget was checked")
-
-    system.forward = unmapped
-    with pytest.raises(ConfigError, match="int32"):
-        build_graph(system, cover, epsilon=0.02, samples_per_axis=3, edge_budget=2**31)
 
 
 def test_transition_graph_narrows_to_int32(graph_from_edges):
@@ -339,9 +349,10 @@ def test_transition_graph_rejects_values_outside_int32(graph_from_edges, field, 
         boxdyn.TransitionGraph(g.boxset, g.epsilon, arrays["indptr"], arrays["indices"], g.pad)
 
 
-def test_initial_cover_budget():
+def test_initial_cover_budget(monkeypatch):
+    monkeypatch.setattr(boxdyn, "BOX_BUDGET", 1000)
     with pytest.raises(BudgetError):
-        initial_cover(UNIT_SQUARE, 14, budget=1000)
+        initial_cover(UNIT_SQUARE, 14)
 
 
 def test_initial_cover_rejects_more_boxes_than_edge_keys_index(monkeypatch):
@@ -351,8 +362,9 @@ def test_initial_cover_rejects_more_boxes_than_edge_keys_index(monkeypatch):
         pytest.fail("the cover was allocated before the box count was checked")
 
     monkeypatch.setattr(BoxSet, "full_cover", classmethod(allocate))
+    monkeypatch.setattr(boxdyn, "BOX_BUDGET", 2**40)
     with pytest.raises(BudgetError):
-        initial_cover(Domain((0.0, 0.0), (1.0, 1.0), (False, False)), 14, budget=2**40)
+        initial_cover(Domain((0.0, 0.0), (1.0, 1.0), (False, False)), 14)
 
 
 def test_reverse_transposes_edges():

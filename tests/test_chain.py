@@ -445,14 +445,14 @@ def test_core_scan_with_a_repeated_depth_matches_box_graph_reach(schedule):
             assert st.nested_fwd and st.nested_bwd
             assert st.new_attractors == [] and st.new_repellers == []
         else:
-            assert st.nested_fwd == fwd.issubset(prev[0].dilate(1))
-            assert st.nested_bwd == bwd.issubset(prev[1].dilate(1))
+            assert st.nested_fwd == fwd.issubset(prev[0].dilate())
+            assert st.nested_bwd == bwd.issubset(prev[1].dilate())
             s = _reference_decomposition(g)[0][t_idx]
             for found, forward, outer, known in ((st.new_attractors, True, prev[0], att),
                                                  (st.new_repellers, False, prev[1], rep)):
                 new = []
                 for c_scc, boxes, dissipative in _reference_attractors(g, forward):
-                    if (dissipative and c_scc != s and boxes.issubset(outer.dilate(1))
+                    if (dissipative and c_scc != s and boxes.issubset(outer.dilate())
                             and all(boxes.intersection(w).count == 0 for w in known)):
                         known.append(boxes)
                         new.append(boxes)
@@ -524,18 +524,17 @@ NOISY_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(NOISY_CASES))
-def test_noisy_attractor_matches_per_trial_loop(case):
+def test_noisy_attractor_matches_per_trial_loop(case, monkeypatch):
     name, params, x0, noise, n_steps, n_trials, depth, seed, burn_in = NOISY_CASES[case]
     system = mapzoo.make_system(name, params)
-    rep = chain.noisy_attractor(system, x0, noise, n_steps, n_trials, depth,
-                                seed=seed, burn_in=burn_in)
+    monkeypatch.setattr(chain, "BURN_IN", burn_in)
+    rep = chain.noisy_attractor(system, x0, noise, n_steps, n_trials, depth, seed=seed)
     codes, counts, n_exits = _reference_noisy_attractor(
         system, x0, noise, n_steps, n_trials, depth, seed=seed, burn_in=burn_in)
     assert rep.codes.dtype == codes.dtype and rep.counts.dtype == counts.dtype
     assert np.array_equal(rep.codes, codes)
     assert np.array_equal(rep.counts, counts)
     assert rep.n_exits == n_exits
-    assert rep.burn_in == int(burn_in * n_steps)
 
 
 def _counting(system, sizes):
@@ -662,7 +661,6 @@ def test_wrap_keeps_the_per_axis_loop_off_a_uniform_torus():
 @pytest.mark.parametrize("kw", [
     dict(n_steps=-1), dict(n_trials=-2), dict(n_steps=2.5), dict(depth=-1),
     dict(noise=float("nan")), dict(noise=float("inf")), dict(noise=-0.1),
-    dict(burn_in=1.0),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_noisy_attractor_rejects_bad_inputs_before_mapping(kw):
     system = mapzoo.make_system("cat_map", {})

@@ -293,7 +293,7 @@ def test_nested_rings_fat_pad_boxes_match_reference():
     assert 0 < rim.count < cover.count // 10
     _check_against_reference(system, rim, 2.0 ** -6, 3)
     # fat-pad boxes mixed with thin ones in the same chunks
-    _check_against_reference(system, rim.dilate(2), 2.0 ** -6, 3)
+    _check_against_reference(system, rim.dilate().dilate(), 2.0 ** -6, 3)
 
 
 @pytest.mark.parametrize("name,depth", [("cat_map", 6), ("nested_rings", 6),
@@ -307,7 +307,7 @@ def test_partial_box_sets_match_reference(name, depth):
         subset = BoxSet(system.domain, depth, cover.codes[rng.random(cover.count) < frac])
         _check_against_reference(system, subset, h, 3)
     few = BoxSet(system.domain, depth, rng.choice(cover.codes, 5, replace=False))
-    _check_against_reference(system, few.dilate(2), h, 4)
+    _check_against_reference(system, few.dilate().dilate(), h, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +470,23 @@ def test_lattice_coordinates_move_only_on_far_faces(name, samples):
     # exact in binary the lattice gives the same doubles, and elsewhere a
     # sample at offset 1 may move by one ulp of the domain's width (more
     # ulps of its own where it lies near 0)
-    domain = mapzoo.make_system(name, {}).domain
+    system = mapzoo.make_system(name, {})
+    identity = dataclasses.replace(system, forward=lambda pts: pts)
+    domain = system.domain
     offsets = boxdyn._sample_offsets(domain.dim, samples)
     for depth in (3, 6, 8):
         cover = initial_cover(domain, depth)
         h = domain.box_width(depth)
         old = domain.wrap(cover.lower_corners()[:, None, :] + offsets * h)
-        # each box's samples as the build's lattice table gives them
+        # each box's samples as the build's fill step gives them to the
+        # identity map, which writes them into the table unchanged
         den = boxdyn._lattice_den(samples)
         chunks = [(lo, min(lo + boxdyn._CHUNK_BOXES, cover.count))
                   for lo in range(0, cover.count, boxdyn._CHUNK_BOXES)]
         table, _ = boxdyn._lattice_table(cover, chunks, offsets, den)
-        ((_, pts),) = boxdyn._unmapped(table, domain, boxdyn._lattice_axis(offsets, den),
-                                       [0, len(table.keys)], None)
+        build = boxdyn._Build(identity, cover, 0.0, samples, offsets, table, None)
+        boxdyn._fill(build, 0, len(table.keys))
+        pts = table.images
         rows = np.searchsorted(table.keys, boxdyn._sample_keys(domain, depth, cover.codes,
                                                                offsets, den, table.cells))
         new = pts[rows].reshape(old.shape)
@@ -498,6 +502,32 @@ def test_lattice_coordinates_move_only_on_far_faces(name, samples):
 # ---------------------------------------------------------------------------
 # lattice images handed from one stage of a scan to the next
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["nested_rings", "nf_timeq"])
+def test_workers_fill_the_same_lattice_table(name):
+    # the workers write their images into the build's shared table; the table
+    # kept for the next stage equals the one-worker table bit for bit, for a
+    # fresh build and for one filled partly from the previous stage's table;
+    # three workers outnumber the cores of a 2-CPU host
+    system = mapzoo.make_system(name, {"step": 0.05})
+    coarse = initial_cover(system.domain, 6)
+    full = initial_cover(system.domain, 7)
+    fine = BoxSet(system.domain, 7, full.codes[np.random.default_rng(7).random(full.count) < 0.4])
+    assert fine.count > 4 * boxdyn._CHUNK_BOXES
+    eps = system.domain.max_box_width(7)
+    graphs = {}
+    for workers in (1, 2, 3):
+        first = build_graph(system, coarse, eps, 3, workers=workers, keep_images=True)
+        second = build_graph(system, fine, eps, 3, workers=workers,
+                             reuse=first.lattice_images, keep_images=True)
+        graphs[workers] = (first, second)
+    for one, two in zip(graphs[1] * 2, graphs[2] + graphs[3]):
+        _assert_same(two, (one.indptr, one.indices))
+        assert two.pad == one.pad
+        a, b = one.lattice_images, two.lattice_images
+        assert np.array_equal(a.keys, b.keys) and np.array_equal(a.cells, b.cells)
+        assert a.images.tobytes() == b.images.tobytes()
 
 
 def _scan_oracle_counts(domain, depths, samples, bitwise):
