@@ -424,6 +424,14 @@ class TransitionGraph:
     def n_edges(self) -> int:
         return len(self.indices)
 
+    @functools.cached_property
+    def reversed(self) -> TransitionGraph:
+        """Every edge turned around, on the same box set, epsilon and pad:
+        the symbolic image of the inverse map.  It is built on first use and
+        kept, and has no lattice table."""
+        return TransitionGraph(self.boxset, self.epsilon, *_transpose_csr(self.indptr, self.indices),
+                               self.pad)
+
 
 def _as_int32(a, what: str) -> np.ndarray:
     """An integer array as int32, shared when it already is one."""

@@ -15,14 +15,18 @@ deeper stage's grid.
 The condensation is kept as per-SCC flags only (recurrent, terminal,
 initial), all found in one pass over the edges; no condensation edge list
 is built.  Reach closures are BFS on the box graph itself (``reach_set``),
-which ``core_scan`` runs from its target both ways.  A box path from a box
-of SCC s reaches every box of each SCC it enters, so every closure is a
-union of SCCs, and the closure of a terminal SCC is itself: the
-prolongations of the full attractor and full repeller are those sets.
+which ``core_scan`` runs from its target on the graph and on
+``graph.reversed``.  A graph transposes its CSR once, on first use, and
+keeps the result for the SCC kernel's backward searches and the backward
+closures.  A box path from a box of SCC s reaches every box of each SCC it
+enters, so every closure is a union of SCCs, and the closure of a terminal
+SCC is itself: the prolongations of the full attractor and full repeller
+are those sets.
 Repellers are the attractors of the reversed graph, a repeller being an
 attractor of the inverse map, whose symbolic image is the reversed graph
-(Osipenko, Dynamical Systems, Graphs, and Algorithms, LNM 1889, 2007).  The
-reversal keeps the SCC ids and swaps the terminal and initial flags.
+(Osipenko, Dynamical Systems, Graphs, and Algorithms, LNM 1889, 2007).  On
+a decomposition the reversal keeps the SCC ids and swaps the terminal and
+initial flags.
 
 The SCCs come from forward-backward search with trimming (FW-BW-Trim:
 Fleischer, Hendrickson & Pinar, IPDPS workshops 2000; McLendon et al.,
@@ -45,7 +49,6 @@ from .boxdyn import (
     TransitionGraph,
     _check_depth,
     _out_edges,
-    _transpose_csr,
     _unique,
     build_graph,
     check_cover,
@@ -60,18 +63,17 @@ from .errors import ConfigError
 
 @dataclass
 class ChainDecomposition:
-    """SCC partition of a transition graph, with per-SCC flags for the
-    condensation: ``terminal`` when no edge leaves the SCC, ``initial`` when
-    none enters it.
+    """SCC partition of a transition graph's box set, with per-SCC flags for
+    the condensation: ``terminal`` when no edge leaves the SCC, ``initial``
+    when none enters it.
 
     SCC ids are canonical: components are numbered by their smallest node
     index, so the labelling is independent of library internals.
     """
 
-    graph: TransitionGraph
+    boxset: BoxSet
     scc_id: np.ndarray
     n_scc: int
-    scc_sizes: np.ndarray
     recurrent_scc: np.ndarray
     terminal: np.ndarray
     initial: np.ndarray
@@ -79,11 +81,7 @@ class ChainDecomposition:
     def scc_boxes(self, s) -> BoxSet:
         s = np.atleast_1d(np.asarray(s, dtype=np.int64))
         mask = np.isin(self.scc_id, s)
-        return BoxSet(
-            self.graph.boxset.domain,
-            self.graph.boxset.depth,
-            self.graph.boxset.codes[mask],
-        )
+        return BoxSet(self.boxset.domain, self.boxset.depth, self.boxset.codes[mask])
 
 
 def cover_graph(
@@ -119,8 +117,8 @@ def _search(indptr: np.ndarray, indices: np.ndarray, seeds, seen: np.ndarray,
         frontier = _unique(np.concatenate(new)) if new else frontier[:0]
 
 
-def _scc_roots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """The smallest node of each node's strongly connected component.
+def _scc_roots(graph: TransitionGraph) -> np.ndarray:
+    """The smallest node of each graph node's strongly connected component.
 
     FW-BW-Trim on all partitions at once.  The unlabelled nodes fall into
     partitions, each a union of whole SCCs; at first there is one.  Trim: a
@@ -140,9 +138,12 @@ def _scc_roots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     by node order or by degree can sit at one end of a chain of small SCCs
     in every round, which costs one round per SCC and a search along the
     whole chain in each.
+
+    The in-degrees and the backward searches walk ``graph.reversed``.
     """
-    n = len(indptr) - 1
-    t_ptr, t_idx = _transpose_csr(indptr, indices)
+    n = graph.n_boxes
+    indptr, indices = graph.indptr, graph.indices
+    t_ptr, t_idx = graph.reversed.indptr, graph.reversed.indices
     root = np.full(n, -1, dtype=np.int32)
     part = np.zeros(n, dtype=np.int32)  # -1 once a node is labelled
     # degrees inside the partitions, self-loops aside: at first every edge
@@ -202,34 +203,31 @@ def decompose(graph: TransitionGraph) -> ChainDecomposition:
 
     The SCCs come from ``_scc_roots``, which names each by its smallest
     node; numbering those in node order gives the canonical ids.  No
-    temporary spans the whole edge list but the transposed int32 CSR that
-    the backward searches walk.  The flags come from one pass over
+    array spans the whole edge list but ``graph.reversed``, the transposed
+    int32 CSR that the backward searches walk, which the graph keeps for
+    later backward closures.  The flags come from one pass over
     ``_out_edges`` slabs: an edge inside an SCC makes it recurrent, and an
     edge between two SCCs makes its source's SCC not terminal and its
     target's not initial.
     """
-    n = graph.n_boxes
-    indptr, indices = graph.indptr, graph.indices
-    roots = _scc_roots(indptr, indices)
-    is_root = roots == np.arange(n)
+    roots = _scc_roots(graph)
+    is_root = roots == np.arange(graph.n_boxes)
     m = int(np.count_nonzero(is_root))
     scc = (np.cumsum(is_root, dtype=np.int32) - 1)[roots]
-    sizes = np.bincount(scc, minlength=m)
 
     # an SCC is recurrent when it holds an edge: a larger one has a cycle, and
     # the only edge inside a single box is its self-loop
     recurrent, leaves, entered = (np.zeros(m, dtype=bool) for _ in range(3))
-    for rows, lens, dst in _out_edges(indptr, indices):
+    for rows, lens, dst in _out_edges(graph.indptr, graph.indices):
         s_u, s_v = np.repeat(scc[rows], lens), scc[dst]
         cross = s_u != s_v
         recurrent[s_u[~cross]] = True
         leaves[s_u[cross]] = True
         entered[s_v[cross]] = True
     return ChainDecomposition(
-        graph=graph,
+        boxset=graph.boxset,
         scc_id=scc,
         n_scc=m,
-        scc_sizes=sizes,
         recurrent_scc=recurrent,
         terminal=~leaves,
         initial=~entered,
@@ -238,7 +236,7 @@ def decompose(graph: TransitionGraph) -> ChainDecomposition:
 
 def chain_recurrent(dec: ChainDecomposition) -> BoxSet:
     """Boxes lying in recurrent SCCs: the combinatorial chain-recurrent set."""
-    bs = dec.graph.boxset
+    bs = dec.boxset
     return BoxSet(bs.domain, bs.depth, bs.codes[dec.recurrent_scc[dec.scc_id]])
 
 
@@ -247,11 +245,11 @@ def chain_recurrent(dec: ChainDecomposition) -> BoxSet:
 # ---------------------------------------------------------------------------
 
 
-def reach_set(graph: TransitionGraph, members, forward: bool = True) -> BoxSet:
+def reach_set(graph: TransitionGraph, members) -> BoxSet:
     """Closure of the boxes attainable from ``members`` (a ``BoxSet`` or box
-    indices) by epsilon-orbits, found by one BFS on the box graph; with
-    ``forward=False``, of the boxes that attain them, by a BFS on the
-    transposed graph.  ``core_scan`` takes its absorbing sets from it.
+    indices) by epsilon-orbits, found by one BFS on the box graph.  On
+    ``graph.reversed`` it is the closure of the boxes that attain them.
+    ``core_scan`` takes its absorbing sets from it.
     """
     bs = graph.boxset
     if isinstance(members, BoxSet):
@@ -262,11 +260,8 @@ def reach_set(graph: TransitionGraph, members, forward: bool = True) -> BoxSet:
         idx = np.asarray(members, dtype=np.int64).reshape(-1)
         if np.any(idx < 0) or np.any(idx >= graph.n_boxes):
             raise ConfigError("node index out of range")
-    indptr, indices = graph.indptr, graph.indices
-    if not forward:
-        indptr, indices = _transpose_csr(indptr, indices)
     seen = np.zeros(graph.n_boxes, dtype=bool)
-    _search(indptr, indices, idx, seen)
+    _search(graph.indptr, graph.indices, idx, seen)
     return BoxSet(bs.domain, bs.depth, bs.codes[seen])
 
 
@@ -287,7 +282,7 @@ class RecurrentSCC:
 def _reversed(dec: ChainDecomposition) -> ChainDecomposition:
     """The same SCCs, with the same ids, as SCCs of the reversed graph: the
     terminal and initial flags swap, so its attractors are the repellers of
-    ``dec``.  The box graph is kept."""
+    ``dec``.  The box set is kept."""
     return replace(dec, terminal=dec.initial, initial=dec.terminal)
 
 
@@ -538,14 +533,18 @@ def core_scan(
         if t_idx < 0:
             raise ConfigError("target box is outside the covering")
         s = int(dec.scc_id[t_idx])
+        core_boxes = dec.scc_boxes(s)
         recurrent = bool(dec.recurrent_scc[s])
         terminal = bool(dec.terminal[s])
         init = bool(dec.initial[s])
 
         # boxes the target reaches, and boxes that reach it; reach_set is
         # looked up at call time, so a wrapper on chain.reach_set sees these
-        fwd_abs, bwd_abs = reach_set(g, [t_idx]), reach_set(g, [t_idx], forward=False)
-        gap_tol = GAP_FACTOR * (eps + g.pad + system.domain.max_box_width(depth))
+        fwd_abs, bwd_abs = reach_set(g, [t_idx]), reach_set(g.reversed, [t_idx])
+        pad, n_boxes, n_edges = g.pad, g.n_boxes, g.n_edges
+        # the graph and its reverse are not kept through _min_gap's blocks
+        del g
+        gap_tol = GAP_FACTOR * (eps + pad + system.domain.max_box_width(depth))
         if terminal and init:
             gap = 0.0
         else:
@@ -576,11 +575,11 @@ def core_scan(
             StageResult(
                 depth=depth,
                 epsilon=eps,
-                pad=g.pad,
-                n_boxes=g.n_boxes,
-                n_edges=g.n_edges,
+                pad=pad,
+                n_boxes=n_boxes,
+                n_edges=n_edges,
                 target_code=t_code,
-                target_scc_size=int(dec.scc_sizes[s]),
+                target_scc_size=core_boxes.count,
                 recurrent=recurrent,
                 terminal=terminal,
                 initial=init,
@@ -588,7 +587,7 @@ def core_scan(
                 gap_tol=gap_tol,
                 ok=ok,
                 reason=reason,
-                core_boxes=dec.scc_boxes(s),
+                core_boxes=core_boxes,
                 fwd_absorbing=fwd_abs,
                 bwd_absorbing=bwd_abs,
                 nested_fwd=nested_fwd,
@@ -597,8 +596,8 @@ def core_scan(
                 new_repellers=new_rep,
             )
         )
-        # the next stage's graph is built without this one's alongside
-        del g, dec, rev
+        # the next stage's graph is built without this one's SCCs alongside
+        del dec, rev
 
     return CoreCertificate(
         system=getattr(system, "name", "?"),

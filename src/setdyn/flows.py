@@ -315,7 +315,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    step: float
     blowup: bool | np.ndarray
     lengths: np.ndarray
 
@@ -416,7 +415,7 @@ def integrate(field, x0, T: float, step: float = DEFAULT_STEP) -> Trajectory:
     times = np.arange(m) * h
     times[0] = 0.0  # not -0.0 when h < 0
     blowup = lengths <= n
-    return Trajectory(times=times, states=states[:m], step=abs(h),
+    return Trajectory(times=times, states=states[:m],
                       blowup=blowup if batch else bool(blowup[0]), lengths=lengths)
 
 

@@ -84,21 +84,10 @@ def verify_reversibility(
 
 
 @dataclass(frozen=True)
-class MultiplierPair:
-    lam: complex
-    partner: complex
-    pairing_error: float
-
-
-@dataclass(frozen=True)
 class MultiplierReport:
     eigenvalues: tuple
-    pairs: tuple
+    max_pairing_error: float
     kind: str
-
-    @property
-    def max_pairing_error(self) -> float:
-        return max((p.pairing_error for p in self.pairs), default=math.inf)
 
 
 def _map_jacobian(system: MapSystem, x: np.ndarray) -> np.ndarray:
@@ -141,22 +130,17 @@ def _classify_multipliers(eigs: np.ndarray, tol: float = 1e-4) -> str:
 def multipliers_at(system: MapSystem, x) -> MultiplierReport:
     """Multipliers of f at a fixed point, with reciprocal pairing.
 
-    Each eigenvalue is paired with the one minimizing |lambda * partner - 1|;
-    for reversible maps at symmetric points the pairing errors should vanish
-    to discretization accuracy.
+    Each eigenvalue's pairing error is the least |lambda * partner - 1| over
+    the eigenvalues; for reversible maps at symmetric points the largest of
+    these should vanish to discretization accuracy.
     """
     J = _map_jacobian(system, x)
     eigs = np.linalg.eigvals(J)
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order]
-    pairs = []
-    for lam in eigs:
-        errs = np.abs(eigs * lam - 1.0)
-        jbest = int(np.argmin(errs))
-        pairs.append(MultiplierPair(complex(lam), complex(eigs[jbest]), float(errs[jbest])))
     return MultiplierReport(
         eigenvalues=tuple(complex(e) for e in eigs),
-        pairs=tuple(pairs),
+        max_pairing_error=max(float(np.abs(eigs * lam - 1.0).min()) for lam in eigs),
         kind=_classify_multipliers(eigs),
     )
 
@@ -266,16 +250,9 @@ def _bisect(fun, a: float, b: float, tol: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetricPoint:
-    location: tuple
-    residual: float
-    multipliers: MultiplierReport
-
-
 @dataclass
 class SymmetricScan:
-    points: list[SymmetricPoint]
+    points: list[FixedPoint]
     degenerate: bool
 
 
@@ -312,7 +289,7 @@ def find_symmetric_fixed_points(system: MapSystem) -> SymmetricScan:
     disp_full = np.max(np.abs(image - curve), axis=1)
     if np.mean(disp_full < _POINT_TOL) > 0.5:
         pts = [
-            SymmetricPoint(
+            FixedPoint(
                 tuple(curve[i].tolist()), float(disp_full[i]), multipliers_at(system, curve[i])
             )
             for i in range(0, _SYMMETRIC_GRID, _SYMMETRIC_GRID // 16)
@@ -336,7 +313,7 @@ def find_symmetric_fixed_points(system: MapSystem) -> SymmetricScan:
         roots.append(float(ts[-1]))
 
     spacing = (t1 - t0) / _SYMMETRIC_GRID
-    points: list[SymmetricPoint] = []
+    points: list[FixedPoint] = []
     last_t = None
     for t in sorted(roots):
         if last_t is not None and abs(t - last_t) < 2 * spacing:
@@ -345,7 +322,7 @@ def find_symmetric_fixed_points(system: MapSystem) -> SymmetricScan:
         x = p0 + t * u
         res = float(np.max(np.abs(system.forward(x[None, :]) - x)))
         if res < _POINT_TOL:
-            points.append(SymmetricPoint(tuple(x.tolist()), res, multipliers_at(system, x)))
+            points.append(FixedPoint(tuple(x.tolist()), res, multipliers_at(system, x)))
     return SymmetricScan(points=points, degenerate=False)
 
 

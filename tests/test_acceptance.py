@@ -88,7 +88,7 @@ def test_criterion_03_cubic_dissipative_with_located_sets():
     # the prolongations: the full attractor's forward closure and the full
     # repeller's backward closure on the box graph
     prolongations = (chain.reach_set(graph, report.full_attractor),
-                     chain.reach_set(graph, report.full_repeller, forward=False))
+                     chain.reach_set(graph.reversed, report.full_repeller))
     assert prolongations[0].intersection(prolongations[1]).count == 0
     _ok(f"criterion 3: cubic a=1/4 Dissipative; attractor within {2*h:.4f} "
         "of {-1,+1}, repeller of {0}, prolongations disjoint")

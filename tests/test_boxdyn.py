@@ -369,11 +369,23 @@ def test_initial_cover_rejects_more_boxes_than_edge_keys_index(monkeypatch):
 
 def test_reverse_transposes_edges():
     system = mapzoo.make_system("cat_map", {})
-    g = build_graph(system, initial_cover(system.domain, 4), epsilon=0.05)
-    indptr, indices = boxdyn._transpose_csr(g.indptr, g.indices)
+    g = build_graph(system, initial_cover(system.domain, 4), epsilon=0.05, keep_images=True)
+    r = g.reversed
     fwd = {(s, int(d)) for s in range(g.n_boxes) for d in g.indices[g.indptr[s]:g.indptr[s + 1]]}
-    bwd = {(int(d), s) for s in range(g.n_boxes) for d in indices[indptr[s]:indptr[s + 1]]}
+    bwd = {(int(d), s) for s in range(g.n_boxes) for d in r.indices[r.indptr[s]:r.indptr[s + 1]]}
     assert fwd == bwd
+    assert r.indptr.dtype == r.indices.dtype == np.int32
+    assert g.lattice_images is not None and r.lattice_images is None
+
+
+def test_reversed_graph_is_the_graph_of_reversed_edges_and_is_kept(graph_from_edges):
+    edges = [(0, 1), (1, 2), (2, 0), (2, 2), (3, 1), (4, 0), (4, 3)]
+    g = graph_from_edges(6, edges, epsilon=0.1, pad=0.02)
+    want = graph_from_edges(6, [(b, a) for a, b in edges], epsilon=0.1, pad=0.02)
+    assert g.reversed is g.reversed
+    assert np.array_equal(g.reversed.indptr, want.indptr)
+    assert np.array_equal(g.reversed.indices, want.indices)
+    assert (g.reversed.boxset, g.reversed.epsilon, g.reversed.pad) == (want.boxset, 0.1, 0.02)
 
 
 # ---------------------------------------------------------------------------

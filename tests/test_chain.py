@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,7 @@ def test_two_cycles_with_transit(graph_from_edges):
     assert report.overlap_jaccard == 0.0
     # an initial SCC is already backward-closed, so its prolongation is itself
     assert set(report.full_repeller.codes) == {0, 1}
-    assert chain.reach_set(g, report.full_repeller, forward=False) == report.full_repeller
+    assert chain.reach_set(g.reversed, report.full_repeller) == report.full_repeller
     # downstream influence is a forward reach question
     assert set(chain.reach_set(g, [0, 1]).codes) == {0, 1, 2, 3}
 
@@ -81,9 +82,9 @@ def test_condensation_flags_on_diamond(graph_from_edges):
 def test_reach_set_with_min_steps(graph_from_edges):
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert set(chain.reach_set(g, [0]).codes) == {0, 1, 2, 3}
-    assert set(chain.reach_set(g, [3], forward=False).codes) == {0, 1, 2, 3}
+    assert set(chain.reach_set(g.reversed, [3]).codes) == {0, 1, 2, 3}
     members = BoxSet(g.boxset.domain, g.boxset.depth, np.array([1, 2]))
-    assert set(chain.reach_set(g, members, forward=False).codes) == {0, 1, 2}
+    assert set(chain.reach_set(g.reversed, members).codes) == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +130,15 @@ def test_condensation_closures_match_box_graph_reach(graph_from_edges):
         dec = chain.decompose(g)
         for i in range(n):
             s = int(dec.scc_id[i])
-            for forward, alone in ((True, dec.terminal[s]), (False, dec.initial[s])):
-                closure = chain.reach_set(g, [i], forward=forward)
+            for graph, alone in ((g, dec.terminal[s]), (g.reversed, dec.initial[s])):
+                closure = chain.reach_set(graph, [i])
                 sccs = np.unique(dec.scc_id[g.boxset.indices_of(closure.codes)])
                 assert closure == dec.scc_boxes(sccs)
                 assert (closure == dec.scc_boxes(s)) == bool(alone)
         f_att = chain.full_attractor(dec)
         f_rep = chain.full_repeller(dec)
-        assert chain.reach_set(g, f_att, forward=True) == f_att
-        assert chain.reach_set(g, f_rep, forward=False) == f_rep
+        assert chain.reach_set(g, f_att) == f_att
+        assert chain.reach_set(g.reversed, f_rep) == f_rep
         report = chain.classify(g)
         assert report.full_attractor == f_att
         assert report.full_repeller == f_rep
@@ -173,13 +174,15 @@ def test_condensation_equals_numpy_unique_reference(name, depth, monkeypatch):
     # decompose works on the int32 CSR a slab of edges at a time and marks
     # the condensation's flags slab by slab; the reference takes whole-graph
     # int64 arrays.  Slabs of 100 edges split every row range the default
-    # slab keeps whole.
+    # slab keeps whole.  Each slab size decomposes a graph of its own, since
+    # a graph keeps the transpose it made first.
     g = chain.cover_graph(mapzoo.make_system(name, {}), depth, samples_per_axis=3)
     assert g.indptr.dtype == g.indices.dtype == np.int32
     reference = _reference_decomposition(g)
     for slab in (boxdyn._SLAB_EDGES, 100):
         monkeypatch.setattr(boxdyn, "_SLAB_EDGES", slab)
-        dec = chain.decompose(g)
+        fresh = boxdyn.TransitionGraph(g.boxset, g.epsilon, g.indptr, g.indices, g.pad)
+        dec = chain.decompose(fresh)
         got = dec.scc_id, dec.recurrent_scc, dec.terminal, dec.initial
         assert all(map(np.array_equal, got, reference))
     # cat_map is one recurrent class, so its condensation has no edge
@@ -284,11 +287,11 @@ def test_searches_match_scipy_breadth_first_order(case, data, graph_from_edges, 
     n, edges = case
     g = graph_from_edges(n, edges)
     t_indptr, t_indices = _scipy_transpose(g.indptr, g.indices, n)
-    assert all(map(np.array_equal, boxdyn._transpose_csr(g.indptr, g.indices),
-                   (t_indptr, t_indices)))
+    assert np.array_equal(g.reversed.indptr, t_indptr)
+    assert np.array_equal(g.reversed.indices, t_indices)
     members = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
     assert set(chain.reach_set(g, members).codes) == _scipy_bfs(g.indptr, g.indices, n, members)
-    assert (set(chain.reach_set(g, members, forward=False).codes)
+    assert (set(chain.reach_set(g.reversed, members).codes)
             == _scipy_bfs(t_indptr, t_indices, n, members))
 
 
@@ -341,6 +344,38 @@ def test_core_scan_conservative_circle_is_persistent():
         assert st.recurrent and st.terminal and st.initial
         assert st.reason == "terminal and initial"
     assert cert.n_attractor_witnesses == 0 and cert.n_repeller_witnesses == 0
+
+
+def _calls_of(target, fn):
+    """fn() and how often it called the function ``target``, counted by code
+    object, so that a call through any module's name for it counts."""
+    code, calls = target.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(saved)
+    return out, len(calls)
+
+
+def test_each_graph_is_transposed_once():
+    # the SCC kernel's backward searches and core_scan's backward closure
+    # share the graph's one transpose: one a stage, and one for classify,
+    # which a later backward closure on the same graph reuses
+    system = mapzoo.make_system("cubic_interval", {"a": 0.25})
+    schedule = [(d, float(system.domain.max_box_width(d))) for d in (5, 6, 7)]
+    cert, n = _calls_of(boxdyn._transpose_csr, lambda: chain.core_scan(system, (0.0,), schedule))
+    assert len(cert.stages) == 3 and n == 3
+    g = chain.cover_graph(system, 6)
+    _, n = _calls_of(boxdyn._transpose_csr,
+                     lambda: (chain.classify(g), chain.reach_set(g.reversed, [0])))
+    assert n == 1
 
 
 def test_core_scan_rejects_non_recurrent_target():
