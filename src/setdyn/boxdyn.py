@@ -370,6 +370,22 @@ def _check_box_count(n: int, budget: int = _MAX_BOXES) -> None:
         raise BudgetError(f"{n} boxes exceed the {_MAX_BOXES} that edge keys can index")
 
 
+def check_build(domain: Domain, depth: int, epsilon: float, samples_per_axis: int,
+                workers: int) -> None:
+    """Raise, before anything is allocated, when a graph build over boxes of
+    ``domain`` at ``depth`` cannot run: box codes or sample owner cells (a
+    bit more an axis) that overflow an int64, an epsilon below 0 or not
+    finite, fewer than 2 samples an axis, or fewer than 1 worker."""
+    _check_depth(domain, depth)
+    if (depth + 1) * domain.dim > 63:
+        raise ConfigError(f"depth {depth} too large to sample for dim {domain.dim}")
+    if not (epsilon >= 0 and math.isfinite(epsilon)):
+        raise ConfigError(f"epsilon must be >= 0 and finite, got {epsilon!r}")
+    if samples_per_axis < 2 or workers < 1:
+        raise ConfigError(f"samples must be >= 2 and workers >= 1, "
+                          f"got {samples_per_axis} and {workers}")
+
+
 def check_cover(domain: Domain, depth: int) -> None:
     """Raise, before anything is allocated, when the full cover of the domain
     at ``depth`` cannot be encoded or holds more than ``BOX_BUDGET`` boxes."""
@@ -519,8 +535,6 @@ def _transpose_csr(indptr: np.ndarray, indices: np.ndarray):
 def _sample_offsets(dim: int, samples_per_axis: int) -> np.ndarray:
     """Fractional sample positions inside a box: uniform grid with corners,
     plus the center when the grid has no middle point."""
-    if samples_per_axis < 2:
-        raise ConfigError("samples_per_axis must be at least 2")
     axis = np.linspace(0.0, 1.0, samples_per_axis)
     grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     if samples_per_axis % 2 == 0:
@@ -712,7 +726,7 @@ def _chunk_edges(build: _Build, codes: np.ndarray):
     image spread (None under a Lipschitz pad).  Every pair occurs once.
     """
     system, table, depth = build.system, build.table, build.boxset.depth
-    domain, dim = system.domain, system.domain.dim
+    domain, dim = build.boxset.domain, build.boxset.domain.dim
     rows = np.searchsorted(table.keys, _sample_keys(domain, depth, codes, build.offsets, table.den,
                                                     table.cells))
     img = table.images.take(rows, axis=0).reshape(len(codes), len(build.offsets), dim)
@@ -866,7 +880,8 @@ def build_graph(
     reuse: LatticeImages | None = None,
     keep_images: bool = False,
 ) -> TransitionGraph:
-    """Build the epsilon-transition graph of a map over a box set.
+    """Build the epsilon-transition graph of a map over a box set on the
+    system's own domain, with settings that pass ``check_build``.
 
     Each box is sampled on a uniform grid (corners and center included).
     The samples are shared lattice points: the build finds the distinct
@@ -887,32 +902,28 @@ def build_graph(
     this graph's table in ``lattice_images``; else the build drops it.
 
     With ``workers`` > 1 a pool of processes forked from the caller fills
-    the table, then enumerates the chunks' edges.  Each worker keeps the
-    build as forked: ``system`` as passed, so any system builds in
-    parallel, and the table, whose images live in a shared memory map.  So
-    a task is a function and the integer bounds of its table rows or boxes.
-    A box's edges are the union of its samples' cell rectangles, clipped on
+    the table, then enumerates the chunks' edges, in no more processes than
+    chunks: a set of one chunk builds in the calling process.  Each worker
+    keeps the build as forked: ``system`` as passed, so any system builds in
+    parallel, and the table, whose images live in a shared memory map.  So a
+    task is a function and the integer bounds of its table rows or boxes.  A
+    box's edges are the union of its samples' cell rectangles, clipped on
     non-periodic axes and wrapped on periodic ones (see the module
     docstring).  Chunks of boxes are disjoint in source box and each one's
     edges come out sorted, so the CSR needs no global dedupe: each chunk
     adds its destinations as int32 and its row lengths, and no array of
     whole-graph length is made but the CSR itself.  The edge total is
-    checked against ``EDGE_BUDGET`` after every chunk, with one worker
+    checked against ``EDGE_BUDGET`` after every chunk, without a pool
     before the points that only later chunks need are mapped.  Output is
     independent of ``workers`` and of ``reuse``.
     """
-    if epsilon < 0 or not math.isfinite(epsilon):
-        raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}")
+    if boxset.domain != system.domain:
+        raise ConfigError("the box set lies on another domain than the system's")
+    check_build(boxset.domain, boxset.depth, epsilon, samples_per_axis, workers)
     if boxset.count == 0:
         raise ConfigError("cannot build a graph over an empty box set")
-    if system.dim != boxset.domain.dim:
-        raise ConfigError("system and box set dimensions differ")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     _check_box_count(boxset.count)
     depth, dim = boxset.depth, boxset.domain.dim
-    if (depth + 1) * dim > 63:
-        raise ConfigError(f"depth {depth} too large to sample for dim {dim}")
 
     offsets = _sample_offsets(dim, samples_per_axis)
     den = _lattice_den(samples_per_axis)
@@ -928,15 +939,16 @@ def build_graph(
     total = 0
     table, ends = _lattice_table(boxset, chunks, offsets, den)
     build = _Build(system, boxset, epsilon, samples_per_axis, offsets, table, reuse)
+    procs = min(workers, len(chunks))
     pool = None
-    if workers > 1:
+    if procs > 1:
         # imported here: the process pool module costs every command ~17 ms
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # fork, not Python 3.14's default forkserver: a forked worker gets the
         # build as it is, closures and shared table included, unpickled
-        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+        pool = ProcessPoolExecutor(procs, multiprocessing.get_context("fork"),
                                    _keep_build, (build,))
     with pool or contextlib.nullcontext():
         filled = _run(build, pool, _fill, itertools.pairwise([0, *ends.tolist()]))
@@ -945,7 +957,7 @@ def build_graph(
         parts = _run(build, pool, _edges, chunks)
         # closing the generator on a budget error cancels the pool's pending tasks
         with contextlib.closing(parts):
-            # with one worker, chunk j's rows are filled just before its edges
+            # without a pool, chunk j's rows are filled just before its edges
             for (lo, hi), _, (dst, degrees, spread) in zip(chunks, filled, parts):
                 if spread is not None:
                     spreads.append(spread[probe[(probe >= lo) & (probe < hi)] - lo])

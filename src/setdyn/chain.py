@@ -51,6 +51,7 @@ from .boxdyn import (
     _out_edges,
     _unique,
     build_graph,
+    check_build,
     check_cover,
     initial_cover,
     point_codes,
@@ -89,8 +90,12 @@ def cover_graph(
     reuse: LatticeImages | None = None, keep_images: bool = False,
 ) -> TransitionGraph:
     """Transition graph of a system over the full cover of its domain at
-    ``depth``; ``epsilon`` defaults to one box diameter.  ``reuse`` and
-    ``keep_images`` pass a scan's lattice table on (see ``build_graph``)."""
+    ``depth``; ``epsilon`` defaults to one box diameter.  The settings are
+    checked (``check_build``) before the cover is allocated, and the pool
+    is capped as in ``build_graph``.  ``reuse`` and ``keep_images`` pass a
+    scan's lattice table on (see ``build_graph``)."""
+    check_build(system.domain, depth, 0.0 if epsilon is None else epsilon, samples_per_axis,
+                workers)
     cover = initial_cover(system.domain, depth)
     epsilon = system.domain.max_box_width(depth) if epsilon is None else float(epsilon)
     return build_graph(system, cover, epsilon, samples_per_axis=samples_per_axis, workers=workers,
@@ -380,7 +385,6 @@ class StageResult:
     n_boxes: int
     n_edges: int
     target_code: int
-    target_scc_size: int
     recurrent: bool
     terminal: bool
     initial: bool
@@ -462,15 +466,13 @@ def _new_witnesses(dec: ChainDecomposition, s: int, prev_abs: BoxSet, known: lis
     return new
 
 
-def check_schedule(domain, schedule) -> None:
-    """Reject a schedule before any graph is built: a stage with a negative
-    depth or an epsilon that is negative or not finite, depths that
-    decrease, since a stage's absorbing sets are checked against the
-    previous stage's refined to its own depth, or a depth whose full cover
-    of ``domain`` cannot be encoded or exceeds the box budget."""
+def check_schedule(domain, schedule, samples_per_axis: int, workers: int) -> None:
+    """Reject a schedule before any graph is built: a stage whose build
+    ``check_build`` rejects, depths that decrease, since a stage's absorbing
+    sets are checked against the previous stage's refined to its own depth,
+    or a depth whose full cover of ``domain`` exceeds the box budget."""
     for depth, eps in schedule:
-        if depth < 0 or not (eps >= 0 and math.isfinite(eps)):
-            raise ConfigError(f"depth {depth} and epsilon {eps} must be >= 0, epsilon finite")
+        check_build(domain, depth, eps, samples_per_axis, workers)
     depths = [d for d, _ in schedule]
     if any(b < a for a, b in zip(depths, depths[1:])):
         raise ConfigError(f"schedule depths {depths} decrease; each stage must be "
@@ -514,7 +516,7 @@ def core_scan(
     schedule = [(int(d), float(e)) for d, e in schedule]
     if not schedule:
         raise ConfigError("schedule must contain at least one stage")
-    check_schedule(system.domain, schedule)
+    check_schedule(system.domain, schedule, samples_per_axis, workers)
 
     stages: list[StageResult] = []
     att_wit: list[BoxSet] = []
@@ -530,8 +532,6 @@ def core_scan(
         rev = _reversed(dec)
         t_code = int(point_codes(system.domain, depth, target)[0])
         t_idx = int(g.boxset.indices_of(np.array([t_code]))[0])
-        if t_idx < 0:
-            raise ConfigError("target box is outside the covering")
         s = int(dec.scc_id[t_idx])
         core_boxes = dec.scc_boxes(s)
         recurrent = bool(dec.recurrent_scc[s])
@@ -579,7 +579,6 @@ def core_scan(
                 n_boxes=n_boxes,
                 n_edges=n_edges,
                 target_code=t_code,
-                target_scc_size=core_boxes.count,
                 recurrent=recurrent,
                 terminal=terminal,
                 initial=init,

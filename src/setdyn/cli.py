@@ -123,19 +123,12 @@ def _make_system(args) -> mapzoo.MapSystem:
     return mapzoo.make_system(_system_name(args), dict(args.param))
 
 
-def _check_graph_settings(args) -> None:
-    """Sample points per box axis and worker count of a graph build,
-    checked before any output directory is made."""
-    if args.samples < 2 or args.workers < 1:
-        raise ConfigError(f"samples must be >= 2 and workers >= 1, "
-                          f"got {args.samples} and {args.workers}")
-
-
 def _check_cover(args, domain) -> None:
-    """Depth and epsilon (None: one box diameter) of a full cover of
-    ``domain``, checked like a schedule stage before any output directory
-    is made."""
-    chain.check_schedule(domain, [(args.depth, 0.0 if args.epsilon is None else args.epsilon)])
+    """A full-cover graph build of ``domain`` at the given depth, epsilon
+    (None: one box diameter), samples and workers, checked like a one-stage
+    schedule before any output directory is made."""
+    chain.check_schedule(domain, [(args.depth, 0.0 if args.epsilon is None else args.epsilon)],
+                         args.samples, args.workers)
 
 
 def _out_dir(args) -> str:
@@ -196,7 +189,6 @@ def _finite_or_none(x: float):
 def cmd_classify(args) -> int:
     system = _make_system(args)
     _check_cover(args, system.domain)
-    _check_graph_settings(args)
     out = _out_dir(args)
     depth, samples = args.depth, args.samples
 
@@ -251,7 +243,7 @@ def _stage_doc(st: chain.StageResult) -> dict:
         "n_boxes": st.n_boxes,
         "n_edges": st.n_edges,
         "target_code": st.target_code,
-        "target_scc_size": st.target_scc_size,
+        "target_scc_size": st.core_boxes.count,
         "recurrent": st.recurrent,
         "terminal": st.terminal,
         "initial": st.initial,
@@ -289,9 +281,8 @@ def cmd_core_scan(args) -> int:
     schedule = args.schedule
     if schedule is None:
         raise ConfigError("core-scan requires a schedule (--schedule depth:eps,...)")
-    chain.check_schedule(system.domain, schedule)
+    chain.check_schedule(system.domain, schedule, args.samples, args.workers)
     target = _domain_point(args.target or (0.0,) * system.dim, system, "target")
-    _check_graph_settings(args)
     if args.trap:
         # the trap table's keys are trapped_absorbing_domain's arguments
         trap = {**vars(args.trap), "seed": args.seed,
@@ -342,7 +333,6 @@ def cmd_merge_scan(args) -> int:
     # the cover's checks need only the domain's dimension, which no
     # parameter value changes
     _check_cover(args, mapzoo.make_system(name).domain)
-    _check_graph_settings(args)
     out = _out_dir(args)
 
     rows = []

@@ -44,7 +44,6 @@ class MapSystem:
     """
 
     name: str
-    dim: int
     params: dict
     domain: Domain
     forward: Callable[[np.ndarray], np.ndarray]
@@ -55,6 +54,10 @@ class MapSystem:
     lipschitz_hint: float | None = None
     sample_region: Domain | None = None
     extras: dict = field(default_factory=dict)
+
+    @property
+    def dim(self) -> int:
+        return self.domain.dim
 
     def sample_points(self, n: int, seed: int = 0) -> np.ndarray:
         """Deterministic uniform sample of the sample region (or the domain)."""
@@ -216,7 +219,6 @@ def _build_cat_map(params: dict) -> MapSystem:
 
     return MapSystem(
         name="cat_map",
-        dim=2,
         params=params,
         domain=domain,
         forward=forward,
@@ -253,7 +255,6 @@ def _build_circle_semistable(params: dict) -> MapSystem:
 
     return MapSystem(
         name="circle_semistable",
-        dim=1,
         params=params,
         domain=domain,
         forward=forward,
@@ -285,7 +286,6 @@ def _build_cubic_interval(params: dict) -> MapSystem:
 
     return MapSystem(
         name="cubic_interval",
-        dim=1,
         params=params,
         domain=domain,
         forward=forward,
@@ -320,7 +320,6 @@ def _build_nested_rings(params: dict) -> MapSystem:
 
     return MapSystem(
         name="nested_rings",
-        dim=2,
         params=params,
         domain=domain,
         forward=_in_blocks(forward),
@@ -373,7 +372,6 @@ def _build_nf_timeq(params: dict) -> MapSystem:
     half = 0.63 * radius
     return MapSystem(
         name="nf_timeq",
-        dim=2,
         params=params,
         domain=domain,
         forward=_in_blocks(forward),
@@ -428,7 +426,6 @@ def _build_periodic_spot(params: dict) -> MapSystem:
     u_max = min(1.0, 1.0 / (q * eps))
     return MapSystem(
         name="periodic_spot",
-        dim=2,
         params=params,
         domain=domain,
         forward=forward,

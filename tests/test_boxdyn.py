@@ -100,7 +100,7 @@ def test_too_deep_grid_to_sample_is_rejected():
     # sample cells reach index 2^depth on the top face, one bit more an
     # axis than a box code, and four axes of 16 bits overflow an int64
     cube = Domain((0.0,) * 4, (1.0,) * 4, (False,) * 4)
-    system = SimpleNamespace(dim=4, domain=cube, lipschitz_hint=1.0, forward=lambda p: p)
+    system = SimpleNamespace(domain=cube, lipschitz_hint=1.0, forward=lambda p: p)
     build_graph(system, BoxSet(cube, 14, [0, 1]), 0.0, samples_per_axis=2)
     with pytest.raises(ConfigError):
         build_graph(system, BoxSet(cube, 15, [0, 1]), 0.0, samples_per_axis=2)
@@ -263,7 +263,7 @@ def test_graph_workers_build_the_callers_system():
     cubic = mapzoo.make_system("cubic_interval", {})
     identity = dataclasses.replace(cubic, forward=lambda pts: np.asarray(pts, dtype=float))
     shift = np.array([0.3, 0.1])
-    hand = mapzoo.MapSystem(name="skew", dim=2, params={}, domain=TORUS,
+    hand = mapzoo.MapSystem(name="skew", params={}, domain=TORUS,
                             forward=lambda pts: TORUS.wrap(0.5 * pts + shift))
     edges = []
     for system, epsilon in ((identity, 0.01), (hand, 0.02)):
@@ -278,6 +278,42 @@ def test_graph_workers_build_the_callers_system():
     cubic_graph = build_graph(cubic, initial_cover(cubic.domain, 6), 0.01, samples_per_axis=3)
     assert edges[0] != cubic_graph.n_edges
     assert edges[1] > 0
+
+
+def test_graph_rejects_a_box_set_on_another_domain():
+    # the samples' images land on the system's grid, so cells of any other
+    # grid give a graph of nothing: cat_map's torus is [0, 1)^2
+    system = mapzoo.make_system("cat_map", {})
+    wide = Domain((0.0, 0.0), (2.0, 2.0), (True, True))
+    with pytest.raises(ConfigError, match="another domain"):
+        build_graph(system, initial_cover(wide, 3), 0.1, samples_per_axis=3)
+    # an equal domain built anew is the same grid
+    same = Domain((0.0, 0.0), (1.0, 1.0), (True, True))
+    assert build_graph(system, initial_cover(same, 3), 0.1, samples_per_axis=3).n_edges > 0
+
+
+def test_graph_pool_has_no_more_processes_than_chunks(monkeypatch):
+    # a process beyond the chunk count would get no task: a one-chunk build
+    # starts no pool, and a two-chunk build with three workers makes two
+    import concurrent.futures
+
+    real, sizes = concurrent.futures.ProcessPoolExecutor, []
+
+    def logged(max_workers, *args):
+        sizes.append(max_workers)
+        return real(max_workers, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", logged)
+    for name, depth, epsilon, chunks, workers, pools in (("cat_map", 5, 0.02, 1, 2, []),
+                                                         ("cubic_interval", 11, 0.001, 2, 3, [2])):
+        system = mapzoo.make_system(name, {})
+        cover = initial_cover(system.domain, depth)
+        assert cover.count == chunks * boxdyn._CHUNK_BOXES
+        one = build_graph(system, cover, epsilon, samples_per_axis=3, workers=1)
+        many = build_graph(system, cover, epsilon, samples_per_axis=3, workers=workers)
+        assert sizes == pools
+        assert np.array_equal(one.indptr, many.indptr)
+        assert np.array_equal(one.indices, many.indices)
 
 
 def test_graph_pool_tasks_carry_a_function_and_bounds(monkeypatch):

@@ -397,6 +397,18 @@ def test_core_scan_rejects_a_depth_decreasing_schedule_before_any_graph(monkeypa
         chain.core_scan(system, (0.3, 0.3), [(5, 0.05), (4, 0.1)], samples_per_axis=3)
 
 
+@pytest.mark.parametrize("epsilon,samples,workers", [
+    (-0.1, 3, 1), (math.nan, 3, 1), (math.inf, 3, 1), (0.1, 1, 1), (0.1, 3, 0)])
+def test_cover_graph_checks_its_settings_before_the_cover(monkeypatch, epsilon, samples, workers):
+    def uncovered(*args):
+        pytest.fail("the cover was allocated before the settings were checked")
+
+    monkeypatch.setattr(chain, "initial_cover", uncovered)
+    system = mapzoo.make_system("cat_map", {})
+    with pytest.raises(ConfigError):
+        chain.cover_graph(system, 4, epsilon, samples, workers)
+
+
 @pytest.mark.parametrize("target", [(5.0,), (-1.0 - 1e-12,), (math.nan,)])
 def test_core_scan_rejects_target_outside_the_domain(target):
     # point_codes would clamp such a target onto a boundary box; the graph
@@ -714,7 +726,6 @@ def _rotation_system():
     dom = Domain(lower=(-1.0, -1.0), upper=(1.0, 1.0), periodic=(False, False))
     return mapzoo.MapSystem(
         name="rotation",
-        dim=2,
         params={},
         domain=dom,
         forward=lambda pts: pts @ R.T,
@@ -760,7 +771,7 @@ def test_trap_orbit_leaving_the_domain_is_not_bounded():
     dom = Domain(lower=(-1.0, -1.0), upper=(1.0, 1.0), periodic=(False, False))
     shift = np.array([0.4, 0.0])
     system = mapzoo.MapSystem(
-        name="translation", dim=2, params={}, domain=dom,
+        name="translation", params={}, domain=dom,
         forward=lambda pts: pts + shift, inverse=lambda pts: pts - shift,
     )
     reports = chain.trapped_absorbing_domain(

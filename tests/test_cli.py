@@ -520,6 +520,18 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert (out3 / "classify.pgm").read_bytes() == ref_pgm
 
 
+def test_readme_merge_scan_is_byte_identical_across_workers(tmp_path):
+    sweeps = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert _run("merge-scan", "--system", "cubic_interval", "--sweep-param", "a",
+                    "--values", "0.05,0.15,0.25,0.35", "--depth", "7", "--workers", workers,
+                    "--out", str(out)) == 0
+        sweeps.append((out / "sweep.csv").read_bytes())
+    assert sweeps[0] == sweeps[1]
+    assert sweeps[0].count(b",ok,") == 4
+
+
 def test_noisy_runs_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "n1", tmp_path / "n2"
     for out in (out1, out2):

@@ -630,7 +630,7 @@ def test_lattice_keys_fit_in_int64_on_the_deepest_sampled_grid():
     # every depth: both the depth-29 and the depth-30 graph keep a table,
     # and the depth-30 build finds its depth-29 points there
     domain = Domain((0.0, 0.0), (1.0, 1.0), (False, False))
-    system = mapzoo.MapSystem(name="halve", dim=2, params={}, domain=domain,
+    system = mapzoo.MapSystem(name="halve", params={}, domain=domain,
                               forward=lambda pts: 0.5 * np.asarray(pts) + 0.25,
                               lipschitz_hint=0.5)
     mid = np.arange((1 << 28) - 3, (1 << 28) + 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,14 @@ def test_registry_contents():
         "nf_timeq",
         "periodic_spot",
     ]
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_system_dimension_is_its_domains(name):
+    # a system's dimension is read off its domain, never set beside it
+    system = mapzoo.make_system(name, {})
+    assert system.dim == system.domain.dim
+    assert "dim" not in {f.name for f in dataclasses.fields(mapzoo.MapSystem)}
 
 
 def test_make_system_rejects_unknown_name():

@@ -15,7 +15,6 @@ def _linear_saddle():
     dom = Domain(lower=(-2.0, -2.0), upper=(2.0, 2.0), periodic=(False, False))
     return mapzoo.MapSystem(
         name="saddle",
-        dim=2,
         params={},
         domain=dom,
         forward=lambda p: p @ A.T,
@@ -125,7 +124,6 @@ def test_identity_map_scan_flags_degeneracy():
     dom = Domain(lower=(-1.0, -1.0), upper=(1.0, 1.0), periodic=(False, False))
     system = mapzoo.MapSystem(
         name="identity",
-        dim=2,
         params={},
         domain=dom,
         forward=lambda p: p,
