@@ -32,7 +32,8 @@ gathered from that table.  With 3 samples an axis that maps 2.2 times
 fewer points on a 2-D full cover.  A deeper cover's lattice contains the
 coarser one's, so a scan hands each stage's table to the next, which
 reuses an image wherever the point's coordinate has the same bits at both
-depths.
+depths.  A map that declares it commutes with the quarter turn about the
+origin has about a quarter of its table mapped, and the rest turned.
 """
 
 from __future__ import annotations
@@ -618,17 +619,24 @@ class LatticeImages:
             half = (cell & 1) * self.den + frac
             on &= np.all((half & 1) == 0, axis=1)
             cell, frac = cell >> 1, half >> 1
-        owner = _pack(cell, self.depth + 1)
-        rank = np.minimum(np.searchsorted(self.cells, owner), len(self.cells) - 1)
-        key = rank * self.den ** cell.shape[1] + np.ravel_multi_index(
-            tuple(frac.T), (self.den,) * cell.shape[1])
-        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        found = on & (self.cells[rank] == owner) & (self.keys[pos] == key)
+        found, pos = self.find(cell, frac)
+        found &= on
         idx = np.flatnonzero(found)
         there = _lattice_points(domain, self.depth, axis, cell[idx], frac[idx])
         same = np.all(there.view(np.int64) == pts[idx].view(np.int64), axis=1)
         found[idx[~same]] = False
         return found, pos
+
+
+    def find(self, cell, frac):
+        """(found, pos): which lattice points of this table's depth, given
+        by owner cell and fraction (P, dim), are rows here, at row ``pos``."""
+        owner = _pack(cell, self.depth + 1)
+        rank = np.minimum(np.searchsorted(self.cells, owner), len(self.cells) - 1)
+        key = rank * self.den ** cell.shape[1] + np.ravel_multi_index(
+            tuple(frac.T), (self.den,) * cell.shape[1])
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        return (self.cells[rank] == owner) & (self.keys[pos] == key), pos
 
 
 def _off_heap(n: int, dtype) -> np.ndarray:
@@ -668,7 +676,8 @@ def _lattice_table(boxset: BoxSet, chunks, offsets: np.ndarray, den: int):
 
 @dataclass(frozen=True)
 class _Build:
-    """A graph build's inputs and the lattice table its steps fill and read."""
+    """A graph build's inputs and the lattice table its steps fill and read;
+    ``turn`` is the system's ``quarter_turn``."""
 
     system: object
     boxset: BoxSet
@@ -677,12 +686,58 @@ class _Build:
     offsets: np.ndarray
     table: LatticeImages
     reuse: LatticeImages | None
+    turn: bool = False
 
 
-def _fill(build: _Build, a: int, b: int) -> None:
+# the signs of R^k(x, y) after its swap, for the quarter turn R(x, y) = (-y, x)
+_TURN_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
+def _turn_sources(table: LatticeImages, domain: Domain, axis: np.ndarray, rows, cell, frac,
+                  pts):
+    """(source, k) of table rows ``rows``, given by owner cell, fraction
+    and coordinates, on a square centred on the origin: the lowest row
+    whose point turned k times has the row's coordinate bits, or the row
+    itself and k = 0 when no lower row has.
+
+    For n lattice steps an axis, the turns of the index (i, j) are
+    (n - j, i), (n - i, n - j) and (j, n - i).  A turned point has the bits
+    of the lattice point there when each coordinate it negates does, when
+    the coordinate at n - i has the bits of -x: the bit test that
+    ``LatticeImages.lookup`` makes for reuse.  A 0.0 negates to -0.0, so an
+    axis point has no such row for two of its turns, and the origin for
+    any.  A source is never the turn of a row below it, so it takes its own
+    image.
+    """
+    index = cell * table.den + frac
+    neg_cell, neg_frac = np.divmod((table.den << table.depth) - index, table.den)
+    neg = _lattice_points(domain, table.depth, axis, neg_cell, neg_frac)
+    # columns i, j, n - i, n - j, and whether the coordinate there is exact
+    cells = np.concatenate([cell, neg_cell], axis=1)
+    fracs = np.concatenate([frac, neg_frac], axis=1)
+    exact = np.concatenate([np.ones(cell.shape, dtype=bool),
+                            neg.view(np.int64) == (-pts).view(np.int64)], axis=1)
+    owner = _pack(cell, table.depth + 1)
+    source, k = rows.copy(), np.zeros(len(rows), dtype=np.int8)
+    for m, cols in ((1, [3, 0]), (2, [2, 3]), (3, [1, 2])):
+        # rows follow their owner cells' codes, so a point turned into a
+        # later owner cell is a later row, and is not looked up
+        ask = np.flatnonzero(np.all(exact[:, cols], axis=1)
+                             & (_pack(cells[:, cols], table.depth + 1) <= owner))
+        found, pos = table.find(cells[ask][:, cols], fracs[ask][:, cols])
+        lower = found & (pos < source[ask])
+        source[ask[lower]] = pos[lower]
+        k[ask[lower]] = 4 - m  # the row's point is its source's turned 4 - m times
+    return source, k
+
+
+def _fill(build: _Build, a: int, b: int):
     """Write the images of table rows [a, b): copied from ``build.reuse``
     where it holds the point with the same coordinate bits, the others from
-    one ``forward`` call, if any are left."""
+    one ``forward`` call, if any are left.  On a build with ``turn``, a row
+    whose point is a lower row's point turned (``_turn_sources``), and which
+    ``build.reuse`` lacks, is left for ``_turn``: (rows, source, k) of
+    those rows are returned."""
     table, domain = build.table, build.boxset.domain
     dim, den = domain.dim, table.den
     axis = _lattice_axis(build.offsets, den)
@@ -694,9 +749,25 @@ def _fill(build: _Build, a: int, b: int) -> None:
     if build.reuse is not None:
         found, pos = build.reuse.lookup(domain, table.depth, axis, cell, frac, pts)
         table.images[rows[found]] = build.reuse.images[pos[found]]
-        rows, pts = rows[~found], pts[~found]
-    if len(pts):
-        table.images[rows] = build.system.forward(pts)
+        rows, cell, frac, pts = rows[~found], cell[~found], frac[~found], pts[~found]
+    source, k = rows, np.zeros(len(rows), dtype=np.int8)
+    if build.turn:
+        source, k = _turn_sources(table, domain, axis, rows, cell, frac, pts)
+    own = source == rows
+    if np.any(own):
+        table.images[rows[own]] = build.system.forward(pts[own])
+    return rows[~own], source[~own], k[~own]
+
+
+def _turn(build: _Build, rows: np.ndarray, source: np.ndarray, k: np.ndarray) -> None:
+    """Write the image of each of ``rows``: its source row's image, already
+    written, turned k times, (-y, x), (-x, -y) or (y, -x) for k = 1, 2, 3.
+    A swap and sign flips, so the bits are exact."""
+    if len(rows):
+        img = build.table.images[source]
+        img = np.where((k % 2 == 1)[:, None], img[:, ::-1], img)
+        img *= _TURN_SIGNS[k]
+        build.table.images[rows] = img
 
 
 def _edges(build: _Build, lo: int, hi: int):
@@ -901,9 +972,22 @@ def build_graph(
     its image is the one a fresh call would give.  ``keep_images`` stores
     this graph's table in ``lattice_images``; else the build drops it.
 
+    A system whose ``quarter_turn`` is set, on a square centred on the
+    origin with no periodic axis, has only one point of each orbit of its
+    coordinate bits under R(x, y) = (-y, x) mapped: the orbit's lowest table
+    row.  Each other row takes that row's image turned as often as its point
+    is (``_turn_sources``, a chunk of rows at a time): a swap and sign
+    flips, exact in the bits.  So the graph has the bits of one from a full
+    map wherever ``forward`` commutes with R bit for bit, which holds where
+    numpy rounds complex products symmetrically (``MapSystem``);
+    tests/test_mapzoo.py checks it for nested_rings on the running host.
+
     With ``workers`` > 1 a pool of processes forked from the caller fills
     the table, then enumerates the chunks' edges, in no more processes than
-    chunks: a set of one chunk builds in the calling process.  Each worker
+    chunks: a set of one chunk builds in the calling process.  A row's
+    source is never a later row, so the caller turns chunk j's rows once
+    the fills of chunk j and the chunks before it are done: the pool hands
+    the fill tasks' results back in order.  Each worker
     keeps the build as forked: ``system`` as passed, so any system builds in
     parallel, and the table, whose images live in a shared memory map.  So a
     task is a function and the integer bounds of its table rows or boxes.  A
@@ -924,6 +1008,12 @@ def build_graph(
         raise ConfigError("cannot build a graph over an empty box set")
     _check_box_count(boxset.count)
     depth, dim = boxset.depth, boxset.domain.dim
+    turn = getattr(system, "quarter_turn", False)
+    lower, upper = boxset.domain.lower, boxset.domain.upper
+    if turn and not (dim == 2 and not any(boxset.domain.periodic)
+                     and lower[0] == lower[1] == -upper[0] == -upper[1]):
+        raise ConfigError("a system with a quarter turn needs a square domain centred on the "
+                          "origin, with no periodic axis")
 
     offsets = _sample_offsets(dim, samples_per_axis)
     den = _lattice_den(samples_per_axis)
@@ -938,7 +1028,7 @@ def build_graph(
     dst_parts, count_parts, spreads = [], [], []
     total = 0
     table, ends = _lattice_table(boxset, chunks, offsets, den)
-    build = _Build(system, boxset, epsilon, samples_per_axis, offsets, table, reuse)
+    build = _Build(system, boxset, epsilon, samples_per_axis, offsets, table, reuse, turn)
     procs = min(workers, len(chunks))
     pool = None
     if procs > 1:
@@ -951,7 +1041,11 @@ def build_graph(
         pool = ProcessPoolExecutor(procs, multiprocessing.get_context("fork"),
                                    _keep_build, (build,))
     with pool or contextlib.nullcontext():
-        filled = _run(build, pool, _fill, itertools.pairwise([0, *ends.tolist()]))
+        # fills come back in order, so when chunk j's rows are turned the
+        # fills of chunk j and the chunks before it, which hold every source
+        # of those rows, are done
+        filled = (_turn(build, *left)
+                  for left in _run(build, pool, _fill, itertools.pairwise([0, *ends.tolist()])))
         if pool is not None:
             filled = list(filled)  # the table is whole before an edge task reads it
         parts = _run(build, pool, _edges, chunks)
@@ -984,8 +1078,20 @@ def build_graph(
         hmax = boxset.domain.max_box_width(depth)
         pad_used = system.lipschitz_hint * hmax / (2.0 * (samples_per_axis - 1))
     else:
-        pad_used = float(np.median(np.concatenate(spreads)) / (2.0 * (samples_per_axis - 1)))
+        pad_used = float(_median(np.concatenate(spreads)) / (2.0 * (samples_per_axis - 1)))
     return TransitionGraph(boxset, epsilon, indptr, indices, pad_used, images)
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array with no NaN, with its bits: the
+    middle element, or (a + b) / 2 of the middle two.  Its mean sums from
+    0.0, so a middle of -0.0 comes out as 0.0 here too.  ``np.median``
+    imports ``numpy.ma`` on its first call, about 15 ms a process."""
+    k = len(a) // 2
+    if len(a) % 2:
+        return np.partition(a, k)[k] + 0.0
+    part = np.partition(a, [k - 1, k])
+    return (part[k - 1] + part[k] + 0.0) / 2
 
 
 def _image_spread(domain: Domain, img: np.ndarray) -> np.ndarray:

@@ -41,6 +41,16 @@ class MapSystem:
     inverse(b))`` with the same bits from one batched call; nf_timeq has it,
     because on the trap's small batches numpy's per-call overhead dominates,
     and one call over both costs far less than two.
+
+    ``quarter_turn`` declares that ``forward`` commutes with the quarter
+    turn R(x, y) = (-y, x) bit for bit: forward(R p) has the bits of
+    R forward(p), R being a swap and a sign flip.  ``build_graph`` then
+    maps one point of each turn orbit of its lattice and turns the images
+    of the others, on a square domain centred on the origin.  nested_rings
+    declares it: its field (a(|z|) + i)*z and its radial clamp commute with
+    z -> iz in exact arithmetic, and so in floating point too wherever numpy
+    rounds a complex product and |z| symmetrically, which it does on the
+    hosts measured (tests/test_mapzoo.py checks the running one).
     """
 
     name: str
@@ -53,6 +63,7 @@ class MapSystem:
     involution_fixed: dict | None = None
     lipschitz_hint: float | None = None
     sample_region: Domain | None = None
+    quarter_turn: bool = False
     extras: dict = field(default_factory=dict)
 
     @property
@@ -325,6 +336,7 @@ def _build_nested_rings(params: dict) -> MapSystem:
         forward=_in_blocks(forward),
         inverse=_in_blocks(inverse),
         sample_region=Domain((-0.7, -0.7), (0.7, 0.7), (False, False)),
+        quarter_turn=True,
     )
 
 

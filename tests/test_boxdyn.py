@@ -106,6 +106,17 @@ def test_too_deep_grid_to_sample_is_rejected():
         build_graph(system, BoxSet(cube, 15, [0, 1]), 0.0, samples_per_axis=2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(-1e300, 1e300),
+                min_size=1, max_size=40))
+@example([0.0, -0.0, 1.0])
+@example([-0.0, 0.0, 0.0, -0.0])
+def test_median_has_the_bits_of_numpy_median(values):
+    # the empirical pad's median, of arrays of odd and of even length
+    a = np.array(values)
+    assert np.float64(boxdyn._median(a.copy())).tobytes() == np.median(a).tobytes()
+
+
 @pytest.mark.parametrize("codes", [[-1, 3], [3, 16], [-1, 16, 3], [2**62]])
 def test_boxset_rejects_codes_out_of_range(codes):
     # at depth 2 in 2-D the codes are 0..15; -1 and 16 used to alias to
@@ -290,6 +301,23 @@ def test_graph_rejects_a_box_set_on_another_domain():
     # an equal domain built anew is the same grid
     same = Domain((0.0, 0.0), (1.0, 1.0), (True, True))
     assert build_graph(system, initial_cover(same, 3), 0.1, samples_per_axis=3).n_edges > 0
+
+
+@pytest.mark.parametrize("domain", [
+    Domain((-1.25, -1.0), (1.25, 1.0), (False, False)),  # not square
+    Domain((0.0, 0.0), (2.5, 2.5), (False, False)),  # square, not centred on the origin
+    Domain((-1.25, -1.25), (1.25, 1.25), (True, True)),  # periodic
+    Domain((-1.25,), (1.25,), (False,)),  # one axis
+])
+def test_graph_of_a_quarter_turn_system_needs_a_square_centred_on_the_origin(domain):
+    # the build turns lattice points about the origin, so the domain must
+    # turn onto itself; without the declaration the same map builds anywhere
+    rings = mapzoo.make_system("nested_rings", {})
+    system = dataclasses.replace(rings, domain=domain, forward=lambda p: np.zeros_like(p))
+    with pytest.raises(ConfigError, match="quarter turn"):
+        build_graph(system, initial_cover(domain, 2), 0.1, samples_per_axis=3)
+    plain = dataclasses.replace(system, quarter_turn=False)
+    assert build_graph(plain, initial_cover(domain, 2), 0.1, samples_per_axis=3).n_edges > 0
 
 
 def test_graph_pool_has_no_more_processes_than_chunks(monkeypatch):

@@ -315,7 +315,7 @@ def test_graph_build_and_decompose_allocate_few_bytes_per_edge(monkeypatch):
     # tracemalloc does not see memory maps, so the table's images and the
     # CSR parts, which the build keeps off the heap, are made numpy arrays
     # here to be counted.  A small graph is built and decomposed first, so
-    # that modules numpy imports on first use (numpy.ma, 0.8 MiB) are not.
+    # that modules numpy imports on first use are not.
     monkeypatch.setattr(boxdyn, "_off_heap", lambda n, dtype: np.zeros(n, dtype))
     system = mapzoo.make_system("nested_rings", {"step": 0.02})
     chain.decompose(build_graph(system, initial_cover(system.domain, 3), 0.1, samples_per_axis=3))

@@ -416,6 +416,29 @@ def _lattice_set(boxset, samples):
     return set().union(*_lattice_sets_per_chunk(boxset, samples))
 
 
+def _turn_orbits(pts):
+    """The number of orbits of points' coordinate bits under the quarter
+    turn (x, y) -> (-y, x), exact in floating point: a build of a system
+    with ``quarter_turn`` maps one point of each orbit of its new points.
+    The origin is an orbit of one; an axis point's zero turns to -0.0, so
+    its four turns make two orbits of two."""
+    turns = [pts]
+    for _ in range(3):
+        turns.append(np.stack([-turns[-1][:, 1], turns[-1][:, 0]], axis=-1))
+    bits = np.stack(turns, axis=1).view(np.int64).tolist()  # (P, 4, 2)
+    return len({frozenset(map(tuple, orbit)) for orbit in bits})
+
+
+def _mapped_points(system, boxset, samples, index):
+    """The number of points of ``index``, lattice indices (P, dim) of the
+    box set's depth, that a build maps: one a turn orbit on a system with
+    ``quarter_turn``, else each one."""
+    if not system.quarter_turn:
+        return len(index)
+    index = np.array(list(index), dtype=np.int64).reshape(-1, boxset.domain.dim)
+    return _turn_orbits(_lattice_coordinates(system.domain, boxset.depth, samples, index))
+
+
 def _per_box_pad(system, boxset, samples):
     if system.lipschitz_hint is None:
         return _reference_pad(system, boxset, samples)
@@ -446,8 +469,9 @@ def test_forward_maps_each_shared_point_once_per_build(case):
     epsilon = system.domain.max_box_width(boxset.depth)
     counted, calls = _counted(system)
     graph = build_graph(counted, boxset, epsilon, samples_per_axis=samples)
-    # every distinct lattice point of the set once, seams between chunks too
-    assert sum(calls) == len(_lattice_set(boxset, samples))
+    # every distinct lattice point of the set once, seams between chunks
+    # too; nested_rings maps one point of each turn orbit of them
+    assert sum(calls) == _mapped_points(system, boxset, samples, _lattice_set(boxset, samples))
     assert sum(calls) <= sum(len(p) for p in _lattice_sets_per_chunk(boxset, samples))
     # at most one call a chunk, for the points no chunk before it needed
     assert 0 < len(calls) <= -(-boxset.count // boxdyn._CHUNK_BOXES)
@@ -461,6 +485,27 @@ def test_forward_maps_each_shared_point_once_per_build(case):
     parallel = build_graph(system, boxset, epsilon, samples_per_axis=samples, workers=2)
     _assert_same(parallel, (graph.indptr, graph.indices))
     assert parallel.pad == graph.pad
+
+
+@pytest.mark.parametrize("samples", [2, 3, 4])
+def test_full_cover_maps_one_point_per_turn_orbit(samples):
+    # nested_rings maps a quarter of its lattice, and the images it turns
+    # give the graph the per-sample enumerator builds from every point
+    system = mapzoo.make_system("nested_rings", {})
+    cover = initial_cover(system.domain, 5)
+    counted, calls = _counted(system)
+    epsilon = system.domain.max_box_width(5)
+    graph = build_graph(counted, cover, epsilon, samples_per_axis=samples)
+    points = _lattice_set(cover, samples)
+    assert sum(calls) == _mapped_points(system, cover, samples, points)
+    # with 3 samples the lattice has 65 x 65 points, every coordinate
+    # exact: the origin, 64 axis pairs and a quarter of the other 4,096
+    # points.  With 2 it has 33 x 33 corners and 32 x 32 centres.  With 4 a
+    # point at a third of a cell may not turn onto another's bits, and is
+    # mapped on its own
+    assert sum(calls) == {2: 545, 3: 1089, 4: 3281}[samples] < len(points) / 3
+    _assert_same(graph, _reference_graph(system, cover, epsilon, samples))
+    assert graph.pad == _per_box_pad(system, cover, samples)
 
 
 @pytest.mark.parametrize("samples", [2, 3, 4])
@@ -530,14 +575,17 @@ def test_workers_fill_the_same_lattice_table(name):
         assert a.images.tobytes() == b.images.tobytes()
 
 
-def _scan_oracle_counts(domain, depths, samples, bitwise):
+def _scan_oracle_counts(system, depths, samples, bitwise):
     """The points each stage of a scan over full covers at ``depths`` maps:
     its distinct lattice indices, minus those present at the previous
     depth, and with ``bitwise`` minus only those whose coordinate there has
-    the same bits."""
+    the same bits; of the rest, one point a turn orbit on a system with
+    ``quarter_turn``."""
+    domain = system.domain
     counts, prev = [], None
     for depth in depths:
-        points = _lattice_set(initial_cover(domain, depth), samples)
+        cover = initial_cover(domain, depth)
+        points = _lattice_set(cover, samples)
         index = np.array(sorted(points), dtype=np.int64)
         found = np.zeros(len(index), dtype=bool)
         if prev is not None:
@@ -550,7 +598,7 @@ def _scan_oracle_counts(domain, depths, samples, bitwise):
                 here = _lattice_coordinates(domain, depth, samples, index)
                 there = _lattice_coordinates(domain, prev_depth, samples, coarse)
                 found &= np.all(here.view(np.int64) == there.view(np.int64), axis=1)
-        counts.append(int(np.count_nonzero(~found)))
+        counts.append(_mapped_points(system, cover, samples, index[~found]))
         prev = (depth, points)
     return counts
 
@@ -589,9 +637,11 @@ def test_scan_maps_only_the_points_the_previous_stage_lacks(monkeypatch, tmp_pat
     depths = [d for d, _ in schedule]
     counted, calls = _counted(system)
     cert, graphs, mapped = _captured_scan(monkeypatch, counted, schedule, 3, calls=calls)
-    assert mapped == _scan_oracle_counts(system.domain, depths, 3, bitwise=False)
-    # each point of the depth-6 lattice, 129 x 129 of them, once in the scan
-    assert sum(calls) == len(_lattice_set(initial_cover(system.domain, 6), 3)) == 16641
+    assert mapped == _scan_oracle_counts(system, depths, 3, bitwise=False)
+    # one point of each turn orbit of the depth-6 lattice, of 129 x 129
+    # points, once in the scan: the origin, 128 axis pairs and 4,096 others
+    cover = initial_cover(system.domain, 6)
+    assert sum(calls) == _mapped_points(system, cover, 3, _lattice_set(cover, 3)) == 4225
     _assert_stages_built_alone(system, schedule, 3, graphs)
 
     # with two workers the pool maps each chunk's points; the workers fork
@@ -617,9 +667,9 @@ def test_scan_reuses_only_points_with_the_same_coordinate_bits(monkeypatch):
     schedule = [(4, 0.1), (5, 0.05)]
     counted, calls = _counted(system)
     _, graphs, mapped = _captured_scan(monkeypatch, counted, schedule, 3, calls=calls)
-    bitwise = _scan_oracle_counts(system.domain, [4, 5], 3, bitwise=True)
+    bitwise = _scan_oracle_counts(system, [4, 5], 3, bitwise=True)
     assert mapped == bitwise
-    assert sum(_scan_oracle_counts(system.domain, [4, 5], 3, bitwise=False)) < sum(bitwise)
+    assert sum(_scan_oracle_counts(system, [4, 5], 3, bitwise=False)) < sum(bitwise)
     _assert_stages_built_alone(system, schedule, 3, graphs)
 
 
