@@ -18,9 +18,13 @@ clipped to the grid on a non-periodic axis; on a periodic axis it is moved
 by whole periods next to the range of the box's first sample and capped at
 one period.  The box's destination cells are the union of its rectangles,
 taken with a difference array over the box's own window, so each
-(box, cell) pair comes out once.  Edges are enumerated in chunks of
-consecutive boxes, and each chunk's edges are sorted, so the chunks
-concatenate into the CSR without a global dedupe.
+(box, cell) pair comes out once.  A chunk's sample images are held as
+axis-major planes (dim, samples, boxes), so every step runs one axis at a
+time on contiguous memory, and a reduction over a box's samples is a few
+elementwise steps over rows of boxes.  Edges are enumerated in chunks of
+consecutive boxes, and each chunk's edges are sorted, so each chunk's
+destinations are copied, once and in order, into the CSR's index array
+without a global dedupe.
 
 Samples are points of one lattice shared by neighbouring boxes: a box's
 edge and corner samples are also samples of the boxes next to it.  Each
@@ -641,12 +645,13 @@ class LatticeImages:
 
 def _off_heap(n: int, dtype) -> np.ndarray:
     """A zeroed array of ``n`` items in its own anonymous memory map, for a
-    build's lattice images and CSR parts.  Freed, it is unmapped, where a
-    freed numpy array that size raises glibc's dynamic mmap threshold or
-    leaves heap space that the process keeps: as numpy arrays, those two
-    raised torus_classify's peak RSS by 10%.  The map is shared, so pool
-    workers forked after it was made write their images into the parent's
-    table, not into copies of its pages."""
+    build's lattice images, CSR parts and CSR index array.  Freed, it is
+    unmapped, where a freed numpy array that size raises glibc's dynamic
+    mmap threshold or leaves heap space that the process keeps: as numpy
+    arrays, the first two raised torus_classify's peak RSS by 10%.  Its
+    pages become resident only as they are written.  The map is shared, so
+    pool workers forked after it was made write their images into the
+    parent's table, not into copies of its pages."""
     dtype = np.dtype(dtype)
     return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize), flags=mmap.MAP_SHARED),
                          dtype=dtype, count=n)
@@ -795,18 +800,26 @@ def _chunk_edges(build: _Build, codes: np.ndarray):
     Returns (src, dst, spread): the position of each edge's source box
     inside the chunk, the code of its destination cell, and each box's
     image spread (None under a Lipschitz pad).  Every pair occurs once.
+
+    The samples' images are gathered once into axis-major planes
+    (dim, S, B), and every step after works one axis at a time on
+    contiguous (S, B) planes.  With the samples before the boxes, a
+    reduction over a box's samples runs as S elementwise steps over rows of
+    B boxes, several times faster than S-long reductions on (B, S) planes.
     """
     system, table, depth = build.system, build.table, build.boxset.depth
     domain, dim = build.boxset.domain, build.boxset.domain.dim
-    rows = np.searchsorted(table.keys, _sample_keys(domain, depth, codes, build.offsets, table.den,
-                                                    table.cells))
-    img = table.images.take(rows, axis=0).reshape(len(codes), len(build.offsets), dim)
+    B, S = len(codes), len(build.offsets)
+    keys = _sample_keys(domain, depth, codes, build.offsets, table.den, table.cells)
+    rows = np.searchsorted(table.keys, keys.reshape(B, S).T)
+    # one gather of whole rows, then one transposing copy: both are faster
+    # than a gather from each strided column of the table
+    img = np.ascontiguousarray(table.images.take(rows.ravel(), axis=0).T).reshape(dim, S, B)
     n_axis = 1 << depth
     h = domain.box_width(depth)
     lo = np.asarray(domain.lower)
-    B = len(codes)
 
-    bad = ~np.isfinite(img).all(axis=(1, 2))
+    bad = ~np.isfinite(img).all(axis=(0, 1))
     if np.any(bad):
         raise NumericsError(f"non-finite map image on boxes with codes {codes[bad][:8].tolist()}")
 
@@ -823,15 +836,19 @@ def _chunk_edges(build: _Build, codes: np.ndarray):
         pad = spread / (2.0 * (build.samples_per_axis - 1))
 
     # closed cells c with lo_i <= c <= hi_i meet the ball around a sample image
-    rad = (build.epsilon + pad)[:, None, None]
-    lo_i = np.ceil((img - lo - rad) / h - 1.0).astype(np.int64)  # (B, S, dim)
-    hi_i = np.floor((img - lo + rad) / h).astype(np.int64)
+    rad = build.epsilon + pad
+    lo_i = np.empty((dim, S, B), dtype=np.int64)
+    hi_i = np.empty_like(lo_i)
+    live = np.ones((S, B), dtype=bool)  # the sample's rectangle meets the grid
     for ax, per in enumerate(domain.periodic):
-        first, last = lo_i[..., ax], hi_i[..., ax]
+        first, last = lo_i[ax], hi_i[ax]
+        x = img[ax] - lo[ax]
+        first[...] = np.ceil((x - rad) / h[ax] - 1.0)
+        last[...] = np.floor((x + rad) / h[ax])
         if per:
             # move each range by whole periods next to the box's first one,
             # whose start is taken into [0, n); one period covers every cell
-            ref = first[:, :1] % n_axis
+            ref = first[0] % n_axis
             shift = (first - ref + n_axis // 2) // n_axis * n_axis
             first -= shift
             last -= shift
@@ -839,33 +856,35 @@ def _chunk_edges(build: _Build, codes: np.ndarray):
         else:
             np.maximum(first, 0, out=first)
             np.minimum(last, n_axis - 1, out=last)
-    # (B, S, 1): the sample's rectangle meets the grid
-    live = np.all(lo_i <= hi_i, axis=-1, keepdims=True)
-    boxes = np.flatnonzero(live.any(axis=(1, 2)))
+        live &= first <= last
+    boxes = np.flatnonzero(live.any(axis=0))
     if len(boxes) == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), spread
 
     # each box's window is the bounding range of its live rectangles; in it
     # a rectangle spans [a, b), and one that misses the grid spans nothing
     unset = 4 * n_axis  # beyond every clipped or moved range
-    win_lo = np.where(live, lo_i, unset).min(axis=1)  # (B, dim)
+    win_lo = np.where(live, lo_i, unset).min(axis=1)  # (dim, B)
     width = np.where(live, hi_i, -unset).max(axis=1) - win_lo + 1
-    a = (lo_i - win_lo[:, None, :]) * live
-    b = (hi_i + 1 - win_lo[:, None, :]) * live
+    a, b = lo_i, hi_i  # in place: the closed ranges are not used again
+    a -= win_lo[:, None]
+    b += 1 - win_lo[:, None]
+    a *= live
+    b *= live
 
     # boxes share a grid with the boxes of the same power-of-two window size
     # per axis, so a few fat-pad boxes do not widen the grid of the others.
     # Ranked one axis at a time, axis 0 first, the classes keep their row
     # order in a small int64, and a 1-D unique sorts where axis=0 is slow
-    classes = np.ceil(np.log2(width[boxes])).astype(np.int64)
+    classes = np.ceil(np.log2(width[:, boxes])).astype(np.int64)  # (dim, boxes)
     base = int(classes.max()) + 1
     size_class = np.zeros(len(boxes), dtype=np.int64)
     for ax in range(dim):
-        _, size_class = np.unique(size_class * base + classes[:, ax], return_inverse=True)
+        _, size_class = np.unique(size_class * base + classes[ax], return_inverse=True)
     src_parts, dst_parts = [], []
     for cls in range(size_class.max() + 1):
         sel = boxes[size_class == cls]
-        hit = _window_union(a[sel], b[sel], width[sel].max(axis=0))
+        hit = _window_union(a[..., sel], b[..., sel], width[:, sel].max(axis=1))
         # codes of the window cells, wrapped on periodic axes
         code = np.zeros((len(sel),) + (1,) * dim, dtype=np.int64)
         for ax, per in enumerate(domain.periodic):
@@ -874,7 +893,7 @@ def _chunk_edges(build: _Build, codes: np.ndarray):
             along = [1] * (dim + 1)
             along[ax + 1] = -1
             cells = np.arange(hit.shape[ax + 1]).reshape(along)
-            c = win_lo[sel, ax].reshape((-1,) + (1,) * dim) + cells
+            c = win_lo[ax, sel].reshape((-1,) + (1,) * dim) + cells
             code = (code << depth) | (c % n_axis if per else c)
         src_parts.append(np.repeat(sel, hit.reshape(len(sel), -1).sum(axis=1)))
         dst_parts.append(code[hit])
@@ -882,28 +901,35 @@ def _chunk_edges(build: _Build, codes: np.ndarray):
 
 
 def _window_union(a, b, shape):
-    """Union of each box's rectangles [a, b) (G, S, dim), as a boolean array
-    (G, *shape) over the boxes' windows.
+    """Union of each box's rectangles [a, b), given as axis-major planes
+    (dim, S, G), as a boolean array (G, *shape) over the boxes' windows.
 
     A difference array gets +1 on each rectangle's corners that take the far
     end on an even number of axes and -1 on the others; its cumulative sums
-    along each axis count the rectangles over a cell.
+    along each axis count the rectangles over a cell.  Each rectangle's
+    corners sum to 0 along every axis, and still do after the sums along
+    the other axes.  So the sum along an axis runs over the whole array,
+    with the boxes and the axes before it flattened into one: what it
+    carries over from earlier boxes and earlier cells of those axes is 0.
+    That is a few long sums, where numpy's sum per box along an axis a few
+    cells long is slower.
     """
-    G, S, dim = a.shape
+    dim, S, G = a.shape
     grid = tuple(int(s) + 1 for s in shape)
     cells = int(np.prod(grid))
     strides = np.cumprod((1,) + grid[:0:-1])[::-1]
-    pos, neg = [np.repeat(np.arange(G, dtype=np.int64) * cells, S)], []
+    pos, neg = [np.tile(np.arange(G, dtype=np.int64) * cells, S)], []
     for ax in range(dim):
-        near = a[..., ax].ravel() * strides[ax]
-        far = b[..., ax].ravel() * strides[ax]
+        near = a[ax].ravel() * strides[ax]
+        far = b[ax].ravel() * strides[ax]
         pos, neg = ([p + near for p in pos] + [q + far for q in neg],
                     [q + near for q in neg] + [p + far for p in pos])
     count = np.bincount(np.concatenate(pos), minlength=G * cells)
     count -= np.bincount(np.concatenate(neg), minlength=G * cells)
-    count = count.reshape((G,) + grid)
     for ax in range(dim):
-        np.cumsum(count, axis=ax + 1, out=count)
+        rows = count.reshape(G * int(np.prod(grid[: ax + 1])), -1)
+        np.cumsum(rows, axis=0, out=rows)
+    count = count.reshape((G,) + grid)
     return count[(slice(None),) + tuple(slice(0, int(s)) for s in shape)] > 0
 
 
@@ -995,11 +1021,15 @@ def build_graph(
     non-periodic axes and wrapped on periodic ones (see the module
     docstring).  Chunks of boxes are disjoint in source box and each one's
     edges come out sorted, so the CSR needs no global dedupe: each chunk
-    adds its destinations as int32 and its row lengths, and no array of
-    whole-graph length is made but the CSR itself.  The edge total is
-    checked against ``EDGE_BUDGET`` after every chunk, without a pool
-    before the points that only later chunks need are mapped.  Output is
-    independent of ``workers`` and of ``reuse``.
+    adds its destinations as int32 and its row lengths.  The index array,
+    sized by the edge total and made off the heap, takes each chunk's
+    destinations in one copy, and each chunk's part is dropped as soon as
+    it is copied.  The array's pages become resident only as they are
+    written, so the build holds the graph and about one chunk more, never
+    the graph twice, and no other array of whole-graph length is made.
+    The edge total is checked against ``EDGE_BUDGET`` after every chunk,
+    without a pool before the points that only later chunks need are
+    mapped.  Output is independent of ``workers`` and of ``reuse``.
     """
     if boxset.domain != system.domain:
         raise ConfigError("the box set lies on another domain than the system's")
@@ -1061,9 +1091,15 @@ def build_graph(
                 dst_parts.append(dst)
                 count_parts.append(degrees)
     images = table if keep_images else None
-    del table, build
-    indices = np.concatenate(dst_parts)
-    del dst_parts
+    del table, build, dst
+    # each part is dropped once copied, so the pages of the index array
+    # become resident as those of the parts are unmapped
+    indices = _off_heap(total, np.int32)
+    at = 0
+    for i in range(len(dst_parts)):
+        part, dst_parts[i] = dst_parts[i], None
+        indices[at : at + len(part)] = part
+        at += len(part)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.concatenate(count_parts), out=indptr[1:])
 
@@ -1095,9 +1131,18 @@ def _median(a: np.ndarray) -> float:
 
 
 def _image_spread(domain: Domain, img: np.ndarray) -> np.ndarray:
-    """Largest per-axis extent of each box's sampled images (B, S, dim)."""
-    rel = domain.signed_diff(img, img[:, :1, :])
-    return (rel.max(axis=1) - rel.min(axis=1)).max(axis=-1)
+    """Largest per-axis extent of each box's sampled images, given as
+    axis-major planes (dim, S, B): on each axis the samples' offsets from
+    the box's first sample, the short way round on a periodic one, as
+    ``Domain.signed_diff`` takes them, span max - min."""
+    w = domain.widths
+    spread = np.zeros(img.shape[2])
+    for ax, per in enumerate(domain.periodic):
+        rel = img[ax] - img[ax, 0]
+        if per:
+            rel = (rel + w[ax] / 2.0) % w[ax] - w[ax] / 2.0
+        np.maximum(spread, rel.max(axis=0) - rel.min(axis=0), out=spread)
+    return spread
 
 
 # ---------------------------------------------------------------------------

@@ -307,15 +307,18 @@ def _traced_peak(fn):
 
 
 def test_graph_build_and_decompose_allocate_few_bytes_per_edge(monkeypatch):
-    # rings_scan's d7 stage, 475,700 edges.  build_graph peaks near 15
-    # bytes an edge, 3.6 of them its lattice table, and decompose near 7.5,
+    # rings_scan's d7 stage, 475,700 edges.  build_graph peaks near 12.2
+    # bytes an edge, 3.6 of them its lattice table, and decompose near 9.0,
     # 4 of them the transposed CSR; with int64 CSR arrays and whole-graph
     # temporaries they peaked at 32.7 and 44.3.  The bound of 16 bytes an
     # edge is less than one more int64 array of edge length would take.
-    # tracemalloc does not see memory maps, so the table's images and the
-    # CSR parts, which the build keeps off the heap, are made numpy arrays
-    # here to be counted.  A small graph is built and decomposed first, so
-    # that modules numpy imports on first use are not.
+    # tracemalloc does not see memory maps, so the table's images, the CSR
+    # parts and the index array, which the build keeps off the heap, are
+    # made numpy arrays here to be counted.  It counts the index array in
+    # full when it is made, not as its pages are written, so the build's
+    # peak here still holds every part and the whole index array.  A small
+    # graph is built and decomposed first, so that modules numpy imports on
+    # first use are not.
     monkeypatch.setattr(boxdyn, "_off_heap", lambda n, dtype: np.zeros(n, dtype))
     system = mapzoo.make_system("nested_rings", {"step": 0.02})
     chain.decompose(build_graph(system, initial_cover(system.domain, 3), 0.1, samples_per_axis=3))

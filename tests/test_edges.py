@@ -25,7 +25,6 @@ from setdyn.boxdyn import (
     _KEY_BITS,
     BoxSet,
     Domain,
-    _image_spread,
     build_graph,
     initial_cover,
     unpack_codes,
@@ -53,6 +52,15 @@ def _eval_chunk(system, chunk_coords: np.ndarray, depth: int, samples: int):
     B, S, dim = pts.shape
     flat = domain.wrap(pts.reshape(-1, dim))
     return np.asarray(system.forward(flat), dtype=float).reshape(B, S, dim)
+
+
+def _image_spread(domain, img: np.ndarray) -> np.ndarray:
+    """Largest per-axis extent of each box's sampled images (B, S, dim),
+    offsets taken the short way round on periodic axes.  The oracles
+    compute it here, on their own layout, so that they do not check the
+    build's kernel against itself."""
+    rel = domain.signed_diff(img, img[:, :1, :])
+    return (rel.max(axis=1) - rel.min(axis=1)).max(axis=-1)
 
 
 def _lattice_coordinates(domain, depth: int, samples: int, index: np.ndarray) -> np.ndarray:
@@ -377,6 +385,75 @@ def test_graph_matches_brute_force(name, depth, eps_boxes, samples, keep, seed):
     epsilon = eps_boxes * system.domain.max_box_width(depth)
     graph = build_graph(system, boxset, epsilon, samples_per_axis=samples)
     _assert_same(graph, _brute_graph(system, boxset, epsilon, samples))
+
+
+def _twist_3d(third_periodic: bool, lipschitz_hint):
+    """A hand-built 3-D map: axis 0 periodic, axis 1 not, whose images leave
+    the domain on axis 1, and axis 2 either.  The registry's systems have one
+    or two axes, so this one takes the enumeration past 2^2 window corners."""
+    domain = Domain((0.0, -1.0, 0.0), (1.0, 1.0, 2.0), (True, False, third_periodic))
+
+    def forward(pts):
+        x, y, z = np.asarray(pts, dtype=float).T
+        return np.stack([2.0 * x + 0.3 * y + 0.1 * np.sin(np.pi * z),
+                         0.8 * y + 0.5 * np.sin(2.0 * np.pi * x),
+                         z + 0.25 * x * y + 0.2], axis=-1)
+
+    return mapzoo.MapSystem(name="twist_3d", params={}, domain=domain, forward=forward,
+                            lipschitz_hint=lipschitz_hint)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    third_periodic=st.booleans(),
+    lipschitz_hint=st.sampled_from([None, 3.5]),
+    depth=st.integers(0, 3),
+    eps_boxes=st.floats(0.0, 12.0),
+    samples=st.integers(2, 4),
+    keep=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_3d_graph_matches_brute_force(third_periodic, lipschitz_hint, depth, eps_boxes, samples,
+                                      keep, seed):
+    # balls of up to 12 box diameters are wider than the domain at low
+    # depths, so windows fold on the periodic axes and clip on the other
+    system = _twist_3d(third_periodic, lipschitz_hint)
+    cover = initial_cover(system.domain, depth)
+    codes = cover.codes[np.random.default_rng(seed).random(cover.count) < keep]
+    boxset = BoxSet(system.domain, depth, codes if len(codes) else cover.codes[:1])
+    epsilon = eps_boxes * system.domain.max_box_width(depth)
+    graph = build_graph(system, boxset, epsilon, samples_per_axis=samples)
+    _assert_same(graph, _brute_graph(system, boxset, epsilon, samples))
+
+
+# ---------------------------------------------------------------------------
+# CSR assembly
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_csr_is_assembled_without_a_second_graph_length_array(monkeypatch, workers):
+    # each chunk's destinations are copied into the index array once; no
+    # concatenate, in the calling process or a forked worker, returns an
+    # array as long as the graph (cat_map d6: 4,096 boxes, four chunks)
+    system = mapzoo.make_system("cat_map", {})
+    cover = initial_cover(system.domain, 6)
+    epsilon = system.domain.max_box_width(6)
+    indptr, indices = _reference_graph(system, cover, epsilon, 4)
+    n_edges = len(indices)
+    assert cover.count == 4 * boxdyn._CHUNK_BOXES
+    concatenate = np.concatenate
+
+    def checked(*args, **kwargs):
+        out = concatenate(*args, **kwargs)
+        assert len(out) != n_edges, "an array of graph length was concatenated"
+        return out
+
+    monkeypatch.setattr(np, "concatenate", checked)
+    graph = build_graph(system, cover, epsilon, samples_per_axis=4, workers=workers)
+    monkeypatch.undo()
+    assert graph.indices.dtype == np.int32
+    _assert_same(graph, (indptr, indices))
 
 
 # ---------------------------------------------------------------------------
