@@ -27,17 +27,18 @@ destinations are copied, once and in order, into the CSR's index array
 without a global dedupe.
 
 Samples are points of one lattice shared by neighbouring boxes: a box's
-edge and corner samples are also samples of the boxes next to it.  Each
-sample's coordinate comes from its integer lattice index, so a shared
-point is the same double in every box.  A graph build finds the distinct
-lattice points of its whole box set once, as one table (``LatticeImages``),
-maps each of them once, and gives each chunk's edge step its images
-gathered from that table.  With 3 samples an axis that maps 2.2 times
-fewer points on a 2-D full cover.  A deeper cover's lattice contains the
-coarser one's, so a scan hands each stage's table to the next, which
-reuses an image wherever the point's coordinate has the same bits at both
-depths.  A map that declares it commutes with the quarter turn about the
-origin has about a quarter of its table mapped, and the rest turned.
+edge and corner samples are also samples of the boxes next to it.  A
+sample's coordinate comes from its integer lattice index, cell*den + frac
+an axis, so a shared point is the same double in every box.  A graph
+build finds the distinct lattice points of its whole box set once, as one
+table (``LatticeImages``), maps each of them once, and gives each chunk's
+edge step its images gathered from that table.  With 3 samples an axis
+that maps 2.2 times fewer points on a 2-D full cover.  Images also move
+between rows by one rule: a point takes the image of the row at its index
+whose coordinate has its bits (``LatticeImages.rows``).  A scan's stage
+asks the previous stage's table at each point's halved index, and a map
+that commutes with the quarter turn about the origin has about a quarter
+of its table mapped, the rest asking at their turned index.
 """
 
 from __future__ import annotations
@@ -380,7 +381,9 @@ def check_build(domain: Domain, depth: int, epsilon: float, samples_per_axis: in
     """Raise, before anything is allocated, when a graph build over boxes of
     ``domain`` at ``depth`` cannot run: box codes or sample owner cells (a
     bit more an axis) that overflow an int64, an epsilon below 0 or not
-    finite, fewer than 2 samples an axis, or fewer than 1 worker."""
+    finite, fewer than 2 samples an axis, fewer than 1 worker, or a largest
+    lattice index an axis, den << depth (``LatticeImages``), that overflows
+    an int64."""
     _check_depth(domain, depth)
     if (depth + 1) * domain.dim > 63:
         raise ConfigError(f"depth {depth} too large to sample for dim {domain.dim}")
@@ -389,6 +392,9 @@ def check_build(domain: Domain, depth: int, epsilon: float, samples_per_axis: in
     if samples_per_axis < 2 or workers < 1:
         raise ConfigError(f"samples must be >= 2 and workers >= 1, "
                           f"got {samples_per_axis} and {workers}")
+    if _lattice_den(samples_per_axis) << depth > np.iinfo(np.int64).max:
+        raise ConfigError(f"lattice indices of {samples_per_axis} samples an axis overflow an "
+                          f"int64 at depth {depth}")
 
 
 def check_cover(domain: Domain, depth: int) -> None:
@@ -553,14 +559,6 @@ def _lattice_den(samples_per_axis: int) -> int:
     return (samples_per_axis - 1) * (1 if samples_per_axis % 2 else 2)
 
 
-def _lattice_points(domain: Domain, depth: int, axis: np.ndarray, cell, frac) -> np.ndarray:
-    """Coordinates lo + cell*h + axis[frac]*h of lattice points, given per
-    axis by their owner cell and their fraction of it; every stage of a
-    scan computes a point's coordinate with this one formula."""
-    h = domain.box_width(depth)
-    return (np.asarray(domain.lower) + cell * h) + axis[frac] * h
-
-
 def _lattice_axis(offsets: np.ndarray, den: int) -> np.ndarray:
     """The offset of each lattice fraction 0..den-1 of a cell, with the
     bits of ``offsets``."""
@@ -595,52 +593,59 @@ def _sample_keys(domain: Domain, depth: int, codes: np.ndarray, offsets: np.ndar
 
 @dataclass(frozen=True)
 class LatticeImages:
-    """The distinct sample lattice points of a graph's box set at ``depth``
-    and their images, which its chunks gather and the next stage of a scan
-    looks up.  A point's key is r*den^dim + f, for the rank r of its owner
-    cell among ``cells``, the set's sorted owner codes (``_owner_codes``),
-    and its fraction slot f there, so a key fits in int64 at every depth.
-    ``keys`` is sorted and duplicate-free; ``images`` (P, dim) follows it.
-    """
+    """The distinct sample lattice points of a graph's box set at ``depth``,
+    named by their lattice index cell*den + frac an axis, and their images,
+    which its chunks gather and later builds look up (``rows``).  A row's
+    key is r*den^dim + f, for the rank r of its owner cell among ``cells``,
+    the set's sorted owner codes (``_owner_codes``), and its fraction slot
+    f, so it fits in int64 at every depth.  ``keys`` is sorted and
+    duplicate-free, ``images`` (P, dim) follows it, and ``axis`` holds the
+    offset of each fraction (``_lattice_axis``)."""
 
+    domain: Domain
     depth: int
     den: int
+    axis: np.ndarray
     cells: np.ndarray
     keys: np.ndarray
     images: np.ndarray
 
-    def lookup(self, domain: Domain, depth: int, axis: np.ndarray, cell, frac, pts):
-        """(found, pos): which lattice points of ``depth``, given by owner
-        cell, fraction (P, dim) and coordinates, have their image at row
-        ``pos`` here.  A point lies on this lattice when its index
-        cell*den + frac divides by 2^(depth - self.depth); the halvings test
-        that without forming the index, which could overflow.  It counts
-        only when its coordinate here has the same bits as ``pts``: where h
-        is not exact in binary the two can differ.
-        """
-        on = np.ones(len(cell), dtype=bool)
-        for _ in range(depth - self.depth):
-            half = (cell & 1) * self.den + frac
-            on &= np.all((half & 1) == 0, axis=1)
-            cell, frac = cell >> 1, half >> 1
-        found, pos = self.find(cell, frac)
-        found &= on
-        idx = np.flatnonzero(found)
-        there = _lattice_points(domain, self.depth, axis, cell[idx], frac[idx])
-        same = np.all(there.view(np.int64) == pts[idx].view(np.int64), axis=1)
-        found[idx[~same]] = False
-        return found, pos
+    def index(self, a: int, b: int) -> np.ndarray:
+        """The lattice indices (b - a, dim) of rows [a, b)."""
+        dim = self.domain.dim
+        owner, slot = np.divmod(self.keys[a:b], self.den**dim)
+        cell = unpack_codes(self.cells[owner], self.depth + 1, dim)
+        return cell * self.den + np.stack(np.unravel_index(slot, (self.den,) * dim), axis=-1)
 
+    def points(self, index: np.ndarray) -> np.ndarray:
+        """Coordinates lo + cell*h + axis[frac]*h of lattice indices (P, dim)
+        of this depth, with (cell, frac) = divmod(index, den); every stage
+        of a scan computes a point's coordinate with this one formula."""
+        cell, frac = np.divmod(index, self.den)
+        h = self.domain.box_width(self.depth)
+        return (np.asarray(self.domain.lower) + cell * h) + self.axis[frac] * h
 
-    def find(self, cell, frac):
-        """(found, pos): which lattice points of this table's depth, given
-        by owner cell and fraction (P, dim), are rows here, at row ``pos``."""
+    def rows(self, index: np.ndarray, pts: np.ndarray):
+        """(hit, row): the positions among lattice indices ``index`` (P, dim)
+        of this depth of the points that take a row's image, and those rows:
+        the index is a row whose coordinate has the bits of ``pts``.  Where h
+        is not exact in binary, or a 0.0 turns to -0.0, the bits can differ."""
+        dim = self.domain.dim
+        same = self.points(index).view(np.int64) == pts.view(np.int64)
+        hit = np.flatnonzero(np.all(same, axis=1))
+        cell, frac = np.divmod(index[hit], self.den)
         owner = _pack(cell, self.depth + 1)
         rank = np.minimum(np.searchsorted(self.cells, owner), len(self.cells) - 1)
-        key = rank * self.den ** cell.shape[1] + np.ravel_multi_index(
-            tuple(frac.T), (self.den,) * cell.shape[1])
-        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        return (self.cells[rank] == owner) & (self.keys[pos] == key), pos
+        key = rank * self.den**dim + np.ravel_multi_index(tuple(frac.T), (self.den,) * dim)
+        row = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        found = (self.cells[rank] == owner) & (self.keys[row] == key)
+        return hit[found], row[found]
+
+    def sample_rows(self, codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The rows (S, B) of the samples at ``offsets`` (S, dim) of the boxes
+        ``codes`` (B,); every sample is a row."""
+        keys = _sample_keys(self.domain, self.depth, codes, offsets, self.den, self.cells)
+        return np.searchsorted(self.keys, keys.reshape(len(codes), -1).T)
 
 
 def _off_heap(n: int, dtype) -> np.ndarray:
@@ -676,7 +681,7 @@ def _lattice_table(boxset: BoxSet, chunks, offsets: np.ndarray, den: int):
     keys = np.flatnonzero(mark)
     images = _off_heap(len(keys) * domain.dim, float).reshape(-1, domain.dim)
     ends = np.searchsorted(keys, np.maximum.accumulate(last), side="right")
-    return LatticeImages(depth, den, cells, keys, images), ends
+    return LatticeImages(domain, depth, den, _lattice_axis(offsets, den), cells, keys, images), ends
 
 
 @dataclass(frozen=True)
@@ -694,43 +699,41 @@ class _Build:
     turn: bool = False
 
 
-# the signs of R^k(x, y) after its swap, for the quarter turn R(x, y) = (-y, x)
-_TURN_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+# the signs of R^m(x, y) after its swap, for the quarter turn R(x, y) = (-y, x)
+_TURN_SIGNS = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]])
 
 
-def _turn_sources(table: LatticeImages, domain: Domain, axis: np.ndarray, rows, cell, frac,
-                  pts):
-    """(source, k) of table rows ``rows``, given by owner cell, fraction
-    and coordinates, on a square centred on the origin: the lowest row
-    whose point turned k times has the row's coordinate bits, or the row
-    itself and k = 0 when no lower row has.
+def _rotate(v: np.ndarray, m) -> np.ndarray:
+    """Rows (x, y) of ``v`` turned m times by R(x, y) = (-y, x), for one m or
+    one a row: a swap and sign flips, exact on integers and floats alike; a
+    0.0 that R negates turns to -0.0."""
+    m = np.asarray(m)
+    return np.where((m % 2 == 1)[..., None], v[:, ::-1], v) * _TURN_SIGNS[m]
 
-    For n lattice steps an axis, the turns of the index (i, j) are
-    (n - j, i), (n - i, n - j) and (j, n - i).  A turned point has the bits
-    of the lattice point there when each coordinate it negates does, when
-    the coordinate at n - i has the bits of -x: the bit test that
-    ``LatticeImages.lookup`` makes for reuse.  A 0.0 negates to -0.0, so an
-    axis point has no such row for two of its turns, and the origin for
-    any.  A source is never the turn of a row below it, so it takes its own
-    image.
+
+def _turn_sources(table: LatticeImages, rows: np.ndarray, index: np.ndarray, pts: np.ndarray):
+    """(source, k) of table rows ``rows``, given by lattice index and
+    coordinates, on a square centred on the origin: the lowest row whose
+    point turned k times has the row's coordinate bits, or the row itself
+    and k = 0 when no lower row has.
+
+    A turn of the point turns its index about the lattice centre c, n/2 for
+    n lattice steps an axis, and ``LatticeImages.rows`` finds the row there
+    that has the turned coordinates' bits.  A 0.0 turns to -0.0, so an axis
+    point has no such row for two of its turns, and the origin for any.  A
+    source is never the turn of a row below it, so it takes its own image.
     """
-    index = cell * table.den + frac
-    neg_cell, neg_frac = np.divmod((table.den << table.depth) - index, table.den)
-    neg = _lattice_points(domain, table.depth, axis, neg_cell, neg_frac)
-    # columns i, j, n - i, n - j, and whether the coordinate there is exact
-    cells = np.concatenate([cell, neg_cell], axis=1)
-    fracs = np.concatenate([frac, neg_frac], axis=1)
-    exact = np.concatenate([np.ones(cell.shape, dtype=bool),
-                            neg.view(np.int64) == (-pts).view(np.int64)], axis=1)
-    owner = _pack(cell, table.depth + 1)
+    c = (table.den << table.depth) // 2
+    owner = _pack(index // table.den, table.depth + 1)
     source, k = rows.copy(), np.zeros(len(rows), dtype=np.int8)
-    for m, cols in ((1, [3, 0]), (2, [2, 3]), (3, [1, 2])):
+    for m in (1, 2, 3):
+        turned = _rotate(index - c, m) + c
         # rows follow their owner cells' codes, so a point turned into a
         # later owner cell is a later row, and is not looked up
-        ask = np.flatnonzero(np.all(exact[:, cols], axis=1)
-                             & (_pack(cells[:, cols], table.depth + 1) <= owner))
-        found, pos = table.find(cells[ask][:, cols], fracs[ask][:, cols])
-        lower = found & (pos < source[ask])
+        ask = np.flatnonzero(_pack(turned // table.den, table.depth + 1) <= owner)
+        hit, pos = table.rows(turned[ask], _rotate(pts[ask], m))
+        ask = ask[hit]
+        lower = pos < source[ask]
         source[ask[lower]] = pos[lower]
         k[ask[lower]] = 4 - m  # the row's point is its source's turned 4 - m times
     return source, k
@@ -738,26 +741,25 @@ def _turn_sources(table: LatticeImages, domain: Domain, axis: np.ndarray, rows, 
 
 def _fill(build: _Build, a: int, b: int):
     """Write the images of table rows [a, b): copied from ``build.reuse``
-    where it holds the point with the same coordinate bits, the others from
-    one ``forward`` call, if any are left.  On a build with ``turn``, a row
-    whose point is a lower row's point turned (``_turn_sources``), and which
-    ``build.reuse`` lacks, is left for ``_turn``: (rows, source, k) of
-    those rows are returned."""
-    table, domain = build.table, build.boxset.domain
-    dim, den = domain.dim, table.den
-    axis = _lattice_axis(build.offsets, den)
-    owner, slot = np.divmod(table.keys[a:b], den**dim)
-    cell = unpack_codes(table.cells[owner], table.depth + 1, dim)
-    frac = np.stack(np.unravel_index(slot, (den,) * dim), axis=-1)
-    pts = _lattice_points(domain, table.depth, axis, cell, frac)
+    where it has a row at the point's index with the point's coordinate
+    bits, the others from one ``forward`` call, if any are left.  On a
+    build with ``turn``, a row whose point is a lower row's point turned
+    (``_turn_sources``), and which ``build.reuse`` lacks, is left for
+    ``_turn``: (rows, source, k) of those rows are returned."""
+    table = build.table
+    index = table.index(a, b)
+    pts = table.points(index)
     rows = np.arange(a, b)
     if build.reuse is not None:
-        found, pos = build.reuse.lookup(domain, table.depth, axis, cell, frac, pts)
-        table.images[rows[found]] = build.reuse.images[pos[found]]
-        rows, cell, frac, pts = rows[~found], cell[~found], frac[~found], pts[~found]
+        # a point lies on the coarser lattice when its index divides by 2^shift
+        shift = table.depth - build.reuse.depth
+        on = np.flatnonzero(~np.any(index & ((1 << shift) - 1), axis=1))
+        hit, pos = build.reuse.rows(index[on] >> shift, pts[on])
+        table.images[rows[on[hit]]] = build.reuse.images[pos]
+        rows, index, pts = (np.delete(v, on[hit], axis=0) for v in (rows, index, pts))
     source, k = rows, np.zeros(len(rows), dtype=np.int8)
     if build.turn:
-        source, k = _turn_sources(table, domain, axis, rows, cell, frac, pts)
+        source, k = _turn_sources(table, rows, index, pts)
     own = source == rows
     if np.any(own):
         table.images[rows[own]] = build.system.forward(pts[own])
@@ -766,13 +768,9 @@ def _fill(build: _Build, a: int, b: int):
 
 def _turn(build: _Build, rows: np.ndarray, source: np.ndarray, k: np.ndarray) -> None:
     """Write the image of each of ``rows``: its source row's image, already
-    written, turned k times, (-y, x), (-x, -y) or (y, -x) for k = 1, 2, 3.
-    A swap and sign flips, so the bits are exact."""
+    written, turned k times (``_rotate``), exact in the bits."""
     if len(rows):
-        img = build.table.images[source]
-        img = np.where((k % 2 == 1)[:, None], img[:, ::-1], img)
-        img *= _TURN_SIGNS[k]
-        build.table.images[rows] = img
+        build.table.images[rows] = _rotate(build.table.images[source], k)
 
 
 def _edges(build: _Build, lo: int, hi: int):
@@ -810,8 +808,7 @@ def _chunk_edges(build: _Build, codes: np.ndarray):
     system, table, depth = build.system, build.table, build.boxset.depth
     domain, dim = build.boxset.domain, build.boxset.domain.dim
     B, S = len(codes), len(build.offsets)
-    keys = _sample_keys(domain, depth, codes, build.offsets, table.den, table.cells)
-    rows = np.searchsorted(table.keys, keys.reshape(B, S).T)
+    rows = table.sample_rows(codes, build.offsets)
     # one gather of whole rows, then one transposing copy: both are faster
     # than a gather from each strided column of the table
     img = np.ascontiguousarray(table.images.take(rows.ravel(), axis=0).T).reshape(dim, S, B)
@@ -991,22 +988,25 @@ def build_graph(
     carries a hint, else the empirical covering radius of the image sample
     grid.
 
-    A scan passes the table of one stage to the next through ``reuse``: the
-    ``lattice_images`` of a graph of the same system and sample count at
-    the same or a lower depth.  A point found there with the same
-    coordinate bits is not mapped again; the maps are batch-invariant, so
-    its image is the one a fresh call would give.  ``keep_images`` stores
-    this graph's table in ``lattice_images``; else the build drops it.
+    Images move between rows by one rule: a point takes the image of the
+    row at its index whose coordinate has its bits.  A scan passes the
+    table of one stage to the next through ``reuse``: the ``lattice_images``
+    of a graph of the same system and sample count at the same or a lower
+    depth, where a point whose index halves exactly asks at the halved
+    index.  The maps are batch-invariant, so a reused image is the one a
+    fresh call would give.  ``keep_images`` stores this graph's table in
+    ``lattice_images``; else the build drops it.
 
     A system whose ``quarter_turn`` is set, on a square centred on the
     origin with no periodic axis, has only one point of each orbit of its
     coordinate bits under R(x, y) = (-y, x) mapped: the orbit's lowest table
-    row.  Each other row takes that row's image turned as often as its point
-    is (``_turn_sources``, a chunk of rows at a time): a swap and sign
-    flips, exact in the bits.  So the graph has the bits of one from a full
-    map wherever ``forward`` commutes with R bit for bit, which holds where
-    numpy rounds complex products symmetrically (``MapSystem``);
-    tests/test_mapzoo.py checks it for nested_rings on the running host.
+    row.  Each other row asks at its index turned about the lattice centre,
+    and takes the image found there turned back (``_turn_sources``, a chunk
+    of rows at a time): a swap and sign flips, exact in the bits.  So the
+    graph has the bits of one from a full map wherever ``forward`` commutes
+    with R bit for bit, which holds where numpy rounds complex products
+    symmetrically (``MapSystem``); tests/test_mapzoo.py checks it for
+    nested_rings on the running host.
 
     With ``workers`` > 1 a pool of processes forked from the caller fills
     the table, then enumerates the chunks' edges, in no more processes than

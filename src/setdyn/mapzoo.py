@@ -12,7 +12,7 @@ inverse fall back to a safeguarded Newton solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,7 +64,6 @@ class MapSystem:
     lipschitz_hint: float | None = None
     sample_region: Domain | None = None
     quarter_turn: bool = False
-    extras: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -340,16 +339,15 @@ def _build_nested_rings(params: dict) -> MapSystem:
     )
 
 
+def _normal_form(params: dict) -> flows.NormalFormParams:
+    """The normal form that nf_timeq advances, from its merged parameters."""
+    return flows.NormalFormParams(
+        q=params["q"], p=params["p"], mu=params["mu"], delta=params["delta"], B=params["B"],
+        C=params["C"], omega=(params["omega1"], params["omega2"], params["omega3"]))
+
+
 def _build_nf_timeq(params: dict) -> MapSystem:
-    nf = flows.NormalFormParams(
-        q=params["q"],
-        p=params["p"],
-        mu=params["mu"],
-        delta=params["delta"],
-        B=params["B"],
-        C=params["C"],
-        omega=(params["omega1"], params["omega2"], params["omega3"]),
-    )
+    nf = _normal_form(params)
     step = params["step"]
     radius = params["radius"]
     if not (0 < step <= 0.5):
@@ -397,7 +395,6 @@ def _build_nf_timeq(params: dict) -> MapSystem:
             "range": (-half, half),
         },
         sample_region=Domain((-half, -half), (half, half), (False, False)),
-        extras={"normal_form": nf},
     )
 
 

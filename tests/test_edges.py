@@ -29,7 +29,7 @@ from setdyn.boxdyn import (
     initial_cover,
     unpack_codes,
 )
-from setdyn.errors import NumericsError
+from setdyn.errors import ConfigError, NumericsError
 
 SYSTEMS = mapzoo.list_systems()
 
@@ -516,6 +516,14 @@ def _mapped_points(system, boxset, samples, index):
     return _turn_orbits(_lattice_coordinates(system.domain, boxset.depth, samples, index))
 
 
+def _table(boxset, samples):
+    """The lattice table of a box set's samples, with its images unwritten."""
+    offsets = boxdyn._sample_offsets(boxset.domain.dim, samples)
+    chunks = [(lo, min(lo + boxdyn._CHUNK_BOXES, boxset.count))
+              for lo in range(0, boxset.count, boxdyn._CHUNK_BOXES)]
+    return boxdyn._lattice_table(boxset, chunks, offsets, boxdyn._lattice_den(samples))[0]
+
+
 def _per_box_pad(system, boxset, samples):
     if system.lipschitz_hint is None:
         return _reference_pad(system, boxset, samples)
@@ -602,16 +610,11 @@ def test_lattice_coordinates_move_only_on_far_faces(name, samples):
         old = domain.wrap(cover.lower_corners()[:, None, :] + offsets * h)
         # each box's samples as the build's fill step gives them to the
         # identity map, which writes them into the table unchanged
-        den = boxdyn._lattice_den(samples)
-        chunks = [(lo, min(lo + boxdyn._CHUNK_BOXES, cover.count))
-                  for lo in range(0, cover.count, boxdyn._CHUNK_BOXES)]
-        table, _ = boxdyn._lattice_table(cover, chunks, offsets, den)
+        table = _table(cover, samples)
         build = boxdyn._Build(identity, cover, 0.0, samples, offsets, table, None)
         boxdyn._fill(build, 0, len(table.keys))
         pts = table.images
-        rows = np.searchsorted(table.keys, boxdyn._sample_keys(domain, depth, cover.codes,
-                                                               offsets, den, table.cells))
-        new = pts[rows].reshape(old.shape)
+        new = pts[table.sample_rows(cover.codes, offsets).T]
         if name != "nf_timeq":
             assert np.array_equal(new.view(np.int64), old.view(np.int64))
             continue
@@ -650,6 +653,77 @@ def test_workers_fill_the_same_lattice_table(name):
         a, b = one.lattice_images, two.lattice_images
         assert np.array_equal(a.keys, b.keys) and np.array_equal(a.cells, b.cells)
         assert a.images.tobytes() == b.images.tobytes()
+
+
+@pytest.mark.parametrize("samples", [2, 3, 4])
+def test_lattice_rows_match_a_brute_force_dict(samples):
+    # a sparse table on nf_timeq's square: h = 0.6/2^5 is not exact in
+    # binary, and the centre index has the coordinate 0.0.  Every index of
+    # the grid is asked for, some of them with a coordinate turned to -0.0
+    # or moved by one ulp; a point is found when its index is a row and its
+    # coordinate has that row's bits
+    domain, depth = mapzoo.make_system("nf_timeq", {}).domain, 5
+    cover = initial_cover(domain, depth)
+    keep = np.random.default_rng(samples).random(cover.count) < 0.3
+    sparse = BoxSet(domain, depth, cover.codes[keep])
+    table = _table(sparse, samples)
+    index = table.index(0, len(table.keys))
+    assert len(index) == len(_lattice_set(sparse, samples))
+    assert set(map(tuple, index.tolist())) == _lattice_set(sparse, samples)
+    coords = _lattice_coordinates(domain, depth, samples, index)
+    assert table.points(index).tobytes() == coords.tobytes()
+    truth = {tuple(i): (row, tuple(c)) for row, (i, c)
+             in enumerate(zip(index.tolist(), coords.view(np.int64).tolist()))}
+
+    n = boxdyn._lattice_den(samples) << depth
+    grid = np.stack(np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij"),
+                    axis=-1).reshape(-1, 2)
+    pts = _lattice_coordinates(domain, depth, samples, grid)
+    rng = np.random.default_rng(0)
+    zero = pts[:, 0] == 0.0
+    pts[zero & (rng.random(len(pts)) < 0.5), 0] = -0.0
+    off = ~zero & (rng.random(len(pts)) < 0.2)
+    pts[off, 1] = np.nextafter(pts[off, 1], np.inf)
+    keys = list(map(tuple, grid.tolist()))
+    want = [(p, truth[i][0]) for p, (i, c) in enumerate(zip(keys, pts.view(np.int64).tolist()))
+            if i in truth and truth[i][1] == tuple(c)]
+    hit, row = table.rows(grid, pts)
+    assert list(zip(hit.tolist(), row.tolist())) == want
+    # each way to miss occurs: a -0.0 where the row has 0.0, one ulp off a
+    # row's coordinate, and an index that is no row
+    found = set(hit.tolist())
+    rowed = np.array([i in truth for i in keys])
+    for miss in (zero & np.signbit(pts[:, 0]) & rowed, off & rowed, ~rowed):
+        assert np.any(miss) and found.isdisjoint(np.flatnonzero(miss).tolist())
+
+
+def test_reuse_takes_only_divisible_indices_with_the_same_bits():
+    # a depth-6 build reuses a sparse depth-4 table, two halvings apart, on
+    # nf_timeq's square, where h is not exact in binary.  A point's image is
+    # reused when its index divides by 4, the quarter index is a row there,
+    # and the coordinate has the same bits at both depths
+    system = mapzoo.make_system("nf_timeq", {"step": 0.05})
+    domain = system.domain
+    cover = initial_cover(domain, 4)
+    coarse = BoxSet(domain, 4, cover.codes[np.random.default_rng(4).random(cover.count) < 0.5])
+    fine = initial_cover(domain, 6)
+    eps = domain.max_box_width(6)
+    table = build_graph(system, coarse, eps, 3, keep_images=True).lattice_images
+    counted, calls = _counted(system)
+    graph = build_graph(counted, fine, eps, 3, reuse=table, keep_images=True)
+
+    index = np.array(sorted(_lattice_set(fine, 3)), dtype=np.int64)
+    divisible = np.all(index % 4 == 0, axis=1)
+    rows = _lattice_set(coarse, 3)
+    present = np.array([tuple(i) in rows for i in (index >> 2).tolist()])
+    here = _lattice_coordinates(domain, 6, 3, index)
+    there = _lattice_coordinates(domain, 4, 3, index >> 2)
+    same = np.all(here.view(np.int64) == there.view(np.int64), axis=1)
+    assert sum(calls) == len(index) - np.count_nonzero(divisible & present & same)
+    assert np.any(divisible & present & ~same) and np.any(~divisible & present)
+    alone = build_graph(system, fine, eps, 3, keep_images=True)
+    _assert_same(graph, (alone.indptr, alone.indices))
+    assert graph.lattice_images.images.tobytes() == alone.lattice_images.images.tobytes()
 
 
 def _scan_oracle_counts(system, depths, samples, bitwise):
@@ -785,3 +859,26 @@ def test_lattice_keys_fit_in_int64_on_the_deepest_sampled_grid():
     # at samples 4 the depth-29 graph keeps a table too
     wide = build_graph(system, coarse, eps, samples_per_axis=4, keep_images=True)
     assert len(wide.lattice_images.keys) == len(_lattice_set(coarse, 4))
+
+
+def test_lattice_indices_must_fit_in_int64():
+    # the largest lattice index an axis is den << depth, reached on a
+    # non-periodic top face.  At depth 60 a 1-D set fits it with 5 samples
+    # (den 4, 2^62), and a build there reuses every other point of a
+    # depth-59 table; with 6 samples (den 10) it overflows
+    line = Domain((0.0,), (1.0,), (False,))
+    system = mapzoo.MapSystem(name="identity", params={}, domain=line, forward=lambda pts: pts,
+                              lipschitz_hint=1.0)
+    top = 1 << 59
+    coarse = BoxSet(line, 59, np.arange(top - 3, top))
+    table = build_graph(system, coarse, 0.0, samples_per_axis=5, keep_images=True).lattice_images
+    fine = coarse.subdivide()
+    counted, calls = _counted(system)
+    graph = build_graph(counted, fine, 0.0, samples_per_axis=5, reuse=table, keep_images=True)
+    assert calls == [12] and len(graph.lattice_images.keys) == 25
+    assert graph.lattice_images.index(24, 25).tolist() == [[1 << 62]]
+    _assert_same(graph, _reference_graph(system, fine, 0.0, 5))
+    with pytest.raises(ConfigError, match="overflow an int64 at depth 60"):
+        boxdyn.check_build(line, 60, 0.0, 6, 1)
+    with pytest.raises(ConfigError, match="overflow"):
+        build_graph(system, fine, 0.0, samples_per_axis=6)

@@ -208,12 +208,12 @@ def _reference_maps(system):
     if system.name == "nested_rings":
         field, rmax = mapzoo._rings_field, mapzoo._RINGS_RMAX
     else:
-        field, rmax = flows.nf_rhs(system.extras["normal_form"]), system.params["radius"]
+        field, rmax = flows.nf_rhs(mapzoo._normal_form(system.params)), system.params["radius"]
     fwd = _reference_clamped_map(field, 1.0, step, rmax)
     bwd = _reference_clamped_map(field, -1.0, step, rmax)
     if system.name == "nested_rings":
         return fwd, bwd
-    ang = system.extras["normal_form"].rotation_angle
+    ang = mapzoo._normal_form(system.params).rotation_angle
     rot = complex(math.cos(ang), math.sin(ang))
     return (lambda z: rot * fwd(z)), (lambda z: bwd(rot.conjugate() * z))
 
@@ -247,7 +247,7 @@ def test_per_point_time_matches_scalar_time_blocks(name, n):
     if name == "nested_rings":
         field, rmax = mapzoo._rings_field, mapzoo._RINGS_RMAX
     else:
-        field, rmax = flows.nf_rhs(system.extras["normal_form"]), system.params["radius"]
+        field, rmax = flows.nf_rhs(mapzoo._normal_form(system.params)), system.params["radius"]
     flow = mapzoo._clamped_time_map(field, 0.05, rmax)
     pts = _domain_points(system, 2 * n, seed=n)
     z = pts[..., 0] + 1j * pts[..., 1]
@@ -324,7 +324,7 @@ def test_nf_timeq_fixes_origin():
 
 def test_nf_timeq_respects_parameter_overrides():
     system = mapzoo.make_system("nf_timeq", {"mu": 0.02, "q": 7})
-    nf = system.extras["normal_form"]
+    nf = mapzoo._normal_form(system.params)
     assert nf.mu == 0.02 and nf.q == 7
 
 
