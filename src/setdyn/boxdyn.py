@@ -28,7 +28,8 @@ without a global dedupe.
 
 Samples are points of one lattice shared by neighbouring boxes: a box's
 edge and corner samples are also samples of the boxes next to it.  A
-sample's coordinate comes from its integer lattice index, cell*den + frac
+box's samples are one integer grid of lattice steps (``_sample_grid``),
+and a sample's coordinate comes from its lattice index, cell*den + frac
 an axis, so a shared point is the same double in every box.  A graph
 build finds the distinct lattice points of its whole box set once, as one
 table (``LatticeImages``), maps each of them once, and gives each chunk's
@@ -56,6 +57,9 @@ import numpy as np
 from .errors import BudgetError, ConfigError, NumericsError
 
 BOX_BUDGET = 2**26
+# points one setting may ask for: a graph build's samples, the orbit points
+# of a noisy run, a portrait or a trap, or verify's samples
+POINT_BUDGET = 2**30
 # below 2^31, so a graph's int32 CSR holds every edge offset
 EDGE_BUDGET = 2**30
 
@@ -369,6 +373,12 @@ def point_codes(domain: Domain, depth: int, pts: np.ndarray) -> np.ndarray:
     return pack_coords(idx, depth, domain.dim)
 
 
+def check_points(n: int, what: str) -> None:
+    """Raise, before they are allocated, when ``n`` points exceed ``POINT_BUDGET``."""
+    if n > POINT_BUDGET:
+        raise BudgetError(f"{n} {what} exceed budget {POINT_BUDGET}")
+
+
 def _check_box_count(n: int, budget: int = _MAX_BOXES) -> None:
     if n > budget:
         raise BudgetError(f"{n} boxes exceed budget {budget}")
@@ -381,9 +391,9 @@ def check_build(domain: Domain, depth: int, epsilon: float, samples_per_axis: in
     """Raise, before anything is allocated, when a graph build over boxes of
     ``domain`` at ``depth`` cannot run: box codes or sample owner cells (a
     bit more an axis) that overflow an int64, an epsilon below 0 or not
-    finite, fewer than 2 samples an axis, fewer than 1 worker, or a largest
-    lattice index an axis, den << depth (``LatticeImages``), that overflows
-    an int64."""
+    finite, fewer than 2 samples an axis, fewer than 1 worker, a box's
+    sample grid beyond ``POINT_BUDGET``, or a largest lattice index an
+    axis, den << depth (``_sample_grid``), that overflows an int64."""
     _check_depth(domain, depth)
     if (depth + 1) * domain.dim > 63:
         raise ConfigError(f"depth {depth} too large to sample for dim {domain.dim}")
@@ -392,7 +402,8 @@ def check_build(domain: Domain, depth: int, epsilon: float, samples_per_axis: in
     if samples_per_axis < 2 or workers < 1:
         raise ConfigError(f"samples must be >= 2 and workers >= 1, "
                           f"got {samples_per_axis} and {workers}")
-    if _lattice_den(samples_per_axis) << depth > np.iinfo(np.int64).max:
+    check_points(samples_per_axis**domain.dim, "sample points in one box")
+    if _sample_grid(domain.dim, samples_per_axis)[1] << depth > np.iinfo(np.int64).max:
         raise ConfigError(f"lattice indices of {samples_per_axis} samples an axis overflow an "
                           f"int64 at depth {depth}")
 
@@ -543,29 +554,23 @@ def _transpose_csr(indptr: np.ndarray, indices: np.ndarray):
     return out_ptr, out
 
 
-def _sample_offsets(dim: int, samples_per_axis: int) -> np.ndarray:
-    """Fractional sample positions inside a box: uniform grid with corners,
-    plus the center when the grid has no middle point."""
-    axis = np.linspace(0.0, 1.0, samples_per_axis)
-    grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    if samples_per_axis % 2 == 0:
-        grid = np.concatenate([grid, np.full((1, dim), 0.5)], axis=0)
-    return grid
-
-
-def _lattice_den(samples_per_axis: int) -> int:
-    """Lattice steps per cell on one axis: k-1 for k samples when k is odd,
-    2(k-1) when k is even, so the centre of an even grid is a lattice point."""
-    return (samples_per_axis - 1) * (1 if samples_per_axis % 2 else 2)
-
-
-def _lattice_axis(offsets: np.ndarray, den: int) -> np.ndarray:
-    """The offset of each lattice fraction 0..den-1 of a cell, with the
-    bits of ``offsets``."""
-    steps = np.rint(offsets * den).astype(np.int64)
-    axis = np.zeros(den)
-    axis[steps[steps < den]] = offsets[steps < den]
-    return axis
+def _sample_grid(dim: int, samples_per_axis: int):
+    """(steps, den, offsets) of a box's grid of k = ``samples_per_axis``
+    samples an axis, corners included, and the centre when k is even.  A
+    cell is den lattice steps an axis, k-1 for odd k and 2(k-1) for even k,
+    so an even grid's centre is a step.  ``steps`` (S, dim) holds each
+    sample's steps from its box's corner, axis 0 slowest, then the centre;
+    ``offsets`` (den + 1,) each step's offset in a cell: ``np.linspace``'s
+    value, 0.5 at the centre, 0 where no sample lies."""
+    stride = 1 if samples_per_axis % 2 else 2
+    den = (samples_per_axis - 1) * stride
+    steps = _unit_offsets(dim, samples_per_axis) * stride
+    offsets = np.zeros(den + 1)
+    offsets[::stride] = np.linspace(0.0, 1.0, samples_per_axis)
+    if stride == 2:
+        steps = np.concatenate([steps, np.full((1, dim), den // 2)])
+        offsets[den // 2] = 0.5
+    return steps, den, offsets
 
 
 def _owner_codes(domain: Domain, depth: int, codes: np.ndarray) -> np.ndarray:
@@ -577,14 +582,13 @@ def _owner_codes(domain: Domain, depth: int, codes: np.ndarray) -> np.ndarray:
     return _pack(owners % ((1 << depth) + np.logical_not(domain.periodic)), depth + 1)
 
 
-def _sample_keys(domain: Domain, depth: int, codes: np.ndarray, offsets: np.ndarray, den: int,
+def _sample_keys(domain: Domain, depth: int, codes: np.ndarray, steps: np.ndarray, den: int,
                  cells: np.ndarray) -> np.ndarray:
     """The key (see ``LatticeImages``) of each sample of each box in turn
-    (B*S,).  The sample at offset o of box c has the lattice index
-    c*den + o*den per axis: it lies in the owner cell c + (o == 1), at the
-    fraction o*den mod den there."""
+    (B*S,).  The sample m ``steps`` (S, dim) from box c has the lattice
+    index c*den + m per axis: it lies in the owner cell c + (m == den), at
+    the fraction m mod den there."""
     dim = domain.dim
-    steps = np.rint(offsets * den).astype(np.int64)  # (S, dim)
     up = steps // den
     rank = np.searchsorted(cells, _owner_codes(domain, depth, codes))
     return (rank[:, np.ravel_multi_index(tuple(up.T), (2,) * dim)] * den**dim
@@ -599,13 +603,14 @@ class LatticeImages:
     key is r*den^dim + f, for the rank r of its owner cell among ``cells``,
     the set's sorted owner codes (``_owner_codes``), and its fraction slot
     f, so it fits in int64 at every depth.  ``keys`` is sorted and
-    duplicate-free, ``images`` (P, dim) follows it, and ``axis`` holds the
-    offset of each fraction (``_lattice_axis``)."""
+    duplicate-free, and ``images`` (P, dim) follows it.  ``steps``, ``den``
+    and ``offsets`` are the sample grid it was built with (``_sample_grid``)."""
 
     domain: Domain
     depth: int
+    steps: np.ndarray
     den: int
-    axis: np.ndarray
+    offsets: np.ndarray
     cells: np.ndarray
     keys: np.ndarray
     images: np.ndarray
@@ -618,12 +623,12 @@ class LatticeImages:
         return cell * self.den + np.stack(np.unravel_index(slot, (self.den,) * dim), axis=-1)
 
     def points(self, index: np.ndarray) -> np.ndarray:
-        """Coordinates lo + cell*h + axis[frac]*h of lattice indices (P, dim)
+        """Coordinates lo + cell*h + offsets[frac]*h of lattice indices (P, dim)
         of this depth, with (cell, frac) = divmod(index, den); every stage
         of a scan computes a point's coordinate with this one formula."""
         cell, frac = np.divmod(index, self.den)
         h = self.domain.box_width(self.depth)
-        return (np.asarray(self.domain.lower) + cell * h) + self.axis[frac] * h
+        return (np.asarray(self.domain.lower) + cell * h) + self.offsets[frac] * h
 
     def rows(self, index: np.ndarray, pts: np.ndarray):
         """(hit, row): the positions among lattice indices ``index`` (P, dim)
@@ -641,10 +646,10 @@ class LatticeImages:
         found = (self.cells[rank] == owner) & (self.keys[row] == key)
         return hit[found], row[found]
 
-    def sample_rows(self, codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """The rows (S, B) of the samples at ``offsets`` (S, dim) of the boxes
-        ``codes`` (B,); every sample is a row."""
-        keys = _sample_keys(self.domain, self.depth, codes, offsets, self.den, self.cells)
+    def sample_rows(self, codes: np.ndarray) -> np.ndarray:
+        """The rows (S, B) of the samples of the boxes ``codes`` (B,) of the
+        table's set; every sample is a row."""
+        keys = _sample_keys(self.domain, self.depth, codes, self.steps, self.den, self.cells)
         return np.searchsorted(self.keys, keys.reshape(len(codes), -1).T)
 
 
@@ -662,26 +667,27 @@ def _off_heap(n: int, dtype) -> np.ndarray:
                          dtype=dtype, count=n)
 
 
-def _lattice_table(boxset: BoxSet, chunks, offsets: np.ndarray, den: int):
-    """(table, ends): the keys of a box set's distinct sample lattice points,
-    with room for their images, and for each chunk the number of table rows
-    that it and the chunks before it need.  Keys follow the owner cells'
-    codes, so the rows one chunk adds are little more than the points of its
-    own boxes.  Samples are marked in den^dim slots an owner, a chunk at a
-    time."""
+def _lattice_table(boxset: BoxSet, chunks, samples_per_axis: int):
+    """(table, ends): the keys of a box set's distinct sample lattice points
+    on the grid of ``samples_per_axis`` samples an axis, with room for
+    their images, and for each chunk the number of table rows that it and
+    the chunks before it need.  Keys follow the owner cells' codes, so the
+    rows one chunk adds are little more than the points of its own boxes.
+    Samples are marked in den^dim slots an owner, a chunk at a time."""
     domain, depth, codes = boxset.domain, boxset.depth, boxset.codes
+    steps, den, offsets = _sample_grid(domain.dim, samples_per_axis)
     cells = _unique(np.concatenate([_unique(_owner_codes(domain, depth, codes[lo:hi]))
                                     for lo, hi in chunks]))
     mark = np.zeros(len(cells) * den**domain.dim, dtype=bool)
     last = []
     for lo, hi in chunks:
-        sample = _sample_keys(domain, depth, codes[lo:hi], offsets, den, cells)
+        sample = _sample_keys(domain, depth, codes[lo:hi], steps, den, cells)
         mark[sample] = True
         last.append(sample.max())
     keys = np.flatnonzero(mark)
     images = _off_heap(len(keys) * domain.dim, float).reshape(-1, domain.dim)
     ends = np.searchsorted(keys, np.maximum.accumulate(last), side="right")
-    return LatticeImages(domain, depth, den, _lattice_axis(offsets, den), cells, keys, images), ends
+    return LatticeImages(domain, depth, steps, den, offsets, cells, keys, images), ends
 
 
 @dataclass(frozen=True)
@@ -693,7 +699,6 @@ class _Build:
     boxset: BoxSet
     epsilon: float
     samples_per_axis: int
-    offsets: np.ndarray
     table: LatticeImages
     reuse: LatticeImages | None
     turn: bool = False
@@ -807,8 +812,8 @@ def _chunk_edges(build: _Build, codes: np.ndarray):
     """
     system, table, depth = build.system, build.table, build.boxset.depth
     domain, dim = build.boxset.domain, build.boxset.domain.dim
-    B, S = len(codes), len(build.offsets)
-    rows = table.sample_rows(codes, build.offsets)
+    B, S = len(codes), len(table.steps)
+    rows = table.sample_rows(codes)
     # one gather of whole rows, then one transposing copy: both are faster
     # than a gather from each strided column of the table
     img = np.ascontiguousarray(table.images.take(rows.ravel(), axis=0).T).reshape(dim, S, B)
@@ -956,13 +961,28 @@ def _call(task):
     return fn(_worker_build, a, b)
 
 
-def _run(build: _Build, pool, fn, bounds):
-    """fn(build, a, b) for each (a, b) of ``bounds``, in order: lazily one
-    at a time, or submitted all at once to ``pool``, whose generator cancels
-    the tasks not yet started when it is closed."""
-    if pool is None:
-        return (fn(build, a, b) for a, b in bounds)
-    return pool.map(_call, [(fn, a, b) for a, b in bounds])
+def _parts(build: _Build, chunks, ends, procs: int):
+    """Yield each chunk's ``_edges`` in chunk order, after filling and
+    turning table rows in the order ``build_graph`` states, in one process
+    or in a pool of ``procs``.  Closing the generator cancels the pool's
+    pending tasks and drops the build."""
+    fills = itertools.pairwise([0, *ends.tolist()])
+    if procs == 1:
+        for (a, b), (lo, hi) in zip(fills, chunks):
+            _turn(build, *_fill(build, a, b))
+            yield _edges(build, lo, hi)
+        return
+    # imported here: the process pool module costs every command ~17 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not Python 3.14's default forkserver: a forked worker gets the
+    # build as it is, closures and shared table included, unpickled
+    with ProcessPoolExecutor(procs, multiprocessing.get_context("fork"),
+                             _keep_build, (build,)) as pool:
+        for left in pool.map(_call, [(_fill, a, b) for a, b in fills]):
+            _turn(build, *left)
+        yield from pool.map(_call, [(_edges, lo, hi) for lo, hi in chunks])
 
 
 def build_graph(
@@ -977,12 +997,12 @@ def build_graph(
     """Build the epsilon-transition graph of a map over a box set on the
     system's own domain, with settings that pass ``check_build``.
 
-    Each box is sampled on a uniform grid (corners and center included).
-    The samples are shared lattice points: the build finds the distinct
-    points of the whole set once, as one ``LatticeImages`` table, and maps
-    each of them once: each chunk of boxes maps, in one ``forward`` call,
-    the points that no chunk before it needed, and takes its samples'
-    images from the table.  An edge b -> b' is added whenever the
+    Each box is sampled on the grid of ``_sample_grid``: a uniform grid
+    with corners, and the centre when ``samples_per_axis`` is even, given
+    as integer lattice steps.  The samples are shared lattice points: the
+    build finds the distinct points of the whole set once, as one
+    ``LatticeImages`` table that keeps the grid, and maps each of them
+    once.  An edge b -> b' is added whenever the
     max-metric ball of radius epsilon + pad around a sampled image point
     meets b'.  pad is lipschitz_hint * max_box_width / 2 when the system
     carries a hint, else the empirical covering radius of the image sample
@@ -1008,16 +1028,23 @@ def build_graph(
     symmetrically (``MapSystem``); tests/test_mapzoo.py checks it for
     nested_rings on the running host.
 
-    With ``workers`` > 1 a pool of processes forked from the caller fills
-    the table, then enumerates the chunks' edges, in no more processes than
-    chunks: a set of one chunk builds in the calling process.  A row's
-    source is never a later row, so the caller turns chunk j's rows once
-    the fills of chunk j and the chunks before it are done: the pool hands
-    the fill tasks' results back in order.  Each worker
-    keeps the build as forked: ``system`` as passed, so any system builds in
-    parallel, and the table, whose images live in a shared memory map.  So a
-    task is a function and the integer bounds of its table rows or boxes.  A
-    box's edges are the union of its samples' cell rectangles, clipped on
+    The build runs chunk by chunk in one order (``_parts``): a chunk's fill
+    maps, in one ``forward`` call, the table rows that no chunk before it
+    needed and ``reuse`` lacks; its turn writes the turned images of those
+    rows, whose sources are never later rows; its edge step reads its
+    samples' images.  In one process each chunk runs all three before the
+    next, so the edge total, checked against ``EDGE_BUDGET`` after every
+    chunk, stops the mapping.  With ``workers`` > 1 a pool of processes
+    forked from the caller, no more than chunks, runs every fill, then
+    every edge task, and the caller turns each fill's rows as it comes
+    back, in order.  Each worker keeps the build as forked: ``system`` as
+    passed, so any system builds in parallel, and the table, whose images
+    live in a shared memory map.  So a task is a function and the integer
+    bounds of its table rows or boxes.  The generator is closed, and the
+    pool shut down, before the CSR is assembled, so the table is freed
+    there unless ``keep_images``.
+
+    A box's edges are the union of its samples' cell rectangles, clipped on
     non-periodic axes and wrapped on periodic ones (see the module
     docstring).  Chunks of boxes are disjoint in source box and each one's
     edges come out sorted, so the CSR needs no global dedupe: each chunk
@@ -1027,9 +1054,7 @@ def build_graph(
     it is copied.  The array's pages become resident only as they are
     written, so the build holds the graph and about one chunk more, never
     the graph twice, and no other array of whole-graph length is made.
-    The edge total is checked against ``EDGE_BUDGET`` after every chunk,
-    without a pool before the points that only later chunks need are
-    mapped.  Output is independent of ``workers`` and of ``reuse``.
+    Output is independent of ``workers`` and of ``reuse``.
     """
     if boxset.domain != system.domain:
         raise ConfigError("the box set lies on another domain than the system's")
@@ -1045,51 +1070,29 @@ def build_graph(
         raise ConfigError("a system with a quarter turn needs a square domain centred on the "
                           "origin, with no periodic axis")
 
-    offsets = _sample_offsets(dim, samples_per_axis)
-    den = _lattice_den(samples_per_axis)
-    if reuse is not None and (reuse.den != den or reuse.depth > depth):
-        raise ConfigError("lattice images come from another sample count or a deeper grid")
     n = boxset.count
     chunks = [(lo, min(lo + _CHUNK_BOXES, n)) for lo in range(0, n, _CHUNK_BOXES)]
+    check_points(n * samples_per_axis**dim, "sample points")
+    table, ends = _lattice_table(boxset, chunks, samples_per_axis)
+    if reuse is not None and (reuse.den != table.den or reuse.depth > depth):
+        raise ConfigError("lattice images come from another sample count or a deeper grid")
 
     # the empirical pad is reported from the spreads of up to 256 boxes
     # spaced evenly over the set
     probe = np.linspace(0, n - 1, min(n, 256)).astype(np.int64)
     dst_parts, count_parts, spreads = [], [], []
     total = 0
-    table, ends = _lattice_table(boxset, chunks, offsets, den)
-    build = _Build(system, boxset, epsilon, samples_per_axis, offsets, table, reuse, turn)
-    procs = min(workers, len(chunks))
-    pool = None
-    if procs > 1:
-        # imported here: the process pool module costs every command ~17 ms
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not Python 3.14's default forkserver: a forked worker gets the
-        # build as it is, closures and shared table included, unpickled
-        pool = ProcessPoolExecutor(procs, multiprocessing.get_context("fork"),
-                                   _keep_build, (build,))
-    with pool or contextlib.nullcontext():
-        # fills come back in order, so when chunk j's rows are turned the
-        # fills of chunk j and the chunks before it, which hold every source
-        # of those rows, are done
-        filled = (_turn(build, *left)
-                  for left in _run(build, pool, _fill, itertools.pairwise([0, *ends.tolist()])))
-        if pool is not None:
-            filled = list(filled)  # the table is whole before an edge task reads it
-        parts = _run(build, pool, _edges, chunks)
-        # closing the generator on a budget error cancels the pool's pending tasks
-        with contextlib.closing(parts):
-            # without a pool, chunk j's rows are filled just before its edges
-            for (lo, hi), _, (dst, degrees, spread) in zip(chunks, filled, parts):
-                if spread is not None:
-                    spreads.append(spread[probe[(probe >= lo) & (probe < hi)] - lo])
-                total += len(dst)
-                if total > EDGE_BUDGET:
-                    raise BudgetError(f"{total} edges exceed budget {EDGE_BUDGET}")
-                dst_parts.append(dst)
-                count_parts.append(degrees)
+    build = _Build(system, boxset, epsilon, samples_per_axis, table, reuse, turn)
+    parts = _parts(build, chunks, ends, min(workers, len(chunks)))
+    with contextlib.closing(parts):
+        for (lo, hi), (dst, degrees, spread) in zip(chunks, parts):
+            if spread is not None:
+                spreads.append(spread[probe[(probe >= lo) & (probe < hi)] - lo])
+            total += len(dst)
+            if total > EDGE_BUDGET:
+                raise BudgetError(f"{total} edges exceed budget {EDGE_BUDGET}")
+            dst_parts.append(dst)
+            count_parts.append(degrees)
     images = table if keep_images else None
     del table, build, dst
     # each part is dropped once copied, so the pages of the index array
@@ -1101,7 +1104,9 @@ def build_graph(
         indices[at : at + len(part)] = part
         at += len(part)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(count_parts), out=indptr[1:])
+    for (lo, hi), degrees in zip(chunks, count_parts):
+        np.cumsum(degrees, out=indptr[lo + 1 : hi + 1])
+        indptr[lo + 1 : hi + 1] += indptr[lo]
 
     # pad recorded for diagnostics and tolerance scaling.  The Lipschitz
     # value rounds as L*h/k here and as L*(h/k) in _chunk_edges; the two can

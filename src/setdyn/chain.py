@@ -53,6 +53,7 @@ from .boxdyn import (
     build_graph,
     check_build,
     check_cover,
+    check_points,
     initial_cover,
     point_codes,
 )
@@ -470,7 +471,8 @@ def check_schedule(domain, schedule, samples_per_axis: int, workers: int) -> Non
     """Reject a schedule before any graph is built: a stage whose build
     ``check_build`` rejects, depths that decrease, since a stage's absorbing
     sets are checked against the previous stage's refined to its own depth,
-    or a depth whose full cover of ``domain`` exceeds the box budget."""
+    or a depth whose full cover of ``domain`` exceeds the box budget or
+    whose samples exceed the point budget."""
     for depth, eps in schedule:
         check_build(domain, depth, eps, samples_per_axis, workers)
     depths = [d for d, _ in schedule]
@@ -479,6 +481,7 @@ def check_schedule(domain, schedule, samples_per_axis: int, workers: int) -> Non
                           "at least as deep as the one before")
     for depth in depths:
         check_cover(domain, depth)
+        check_points(samples_per_axis**domain.dim << depth * domain.dim, "sample points")
 
 
 def core_scan(
@@ -658,6 +661,7 @@ def noisy_attractor(
         raise ConfigError(f"noise amplitude must be finite and >= 0, got {noise!r}")
     domain = system.domain
     _check_depth(domain, depth)
+    check_points(n_steps * n_trials, "orbit points")
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     skip = int(BURN_IN * n_steps)
     kicks = np.empty((n_steps, n_trials, system.dim))

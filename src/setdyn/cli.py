@@ -31,7 +31,8 @@ import numpy as np
 from . import chain, flows, mapzoo
 # build_graph is unused here but stays a module attribute: perfbench/traced.py
 # wraps cli.build_graph by name
-from .boxdyn import BoxSet, _check_depth, build_graph, save_boxset, write_pgm, write_pgm_heat  # noqa: F401
+from .boxdyn import (BoxSet, _check_depth, build_graph, check_points, save_boxset,  # noqa: F401
+                     write_pgm, write_pgm_heat)
 from .errors import BudgetError, ConfigError, NumericsError, SetdynError
 
 ATTRACTOR_SHADE = 64
@@ -132,7 +133,10 @@ def _check_cover(args, domain) -> None:
 
 
 def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output directory {args.out}: {e}") from e
     return args.out
 
 
@@ -290,6 +294,8 @@ def cmd_core_scan(args) -> int:
         if trap["depth"] is None:
             trap["depth"] = schedule[-1][0]
         _check_depth(system.domain, trap["depth"])
+        # each way records every orbit's box at every step
+        check_points(2 * (trap["n_orbits"] + 1) * (trap["n_steps"] + 1), "trap orbit points")
     out = _out_dir(args)
 
     cert = chain.core_scan(system, target, schedule, samples_per_axis=args.samples,
@@ -358,6 +364,7 @@ def cmd_portrait(args) -> int:
     D, beta, n_orbits = args.D, args.beta, args.orbits
     if n_orbits < 0:
         raise ConfigError(f"orbits must be >= 0, got {n_orbits}")
+    check_points(n_orbits * (flows._step_grid(args.T, args.step)[0] + 1), "orbit points")
 
     # everything is computed before --out is made, so a bad setting leaves
     # no partial output behind
@@ -400,6 +407,7 @@ def cmd_verify(args) -> int:
     n_samples, seed = args.samples, args.seed
     if n_samples < 1:
         raise ConfigError(f"samples must be >= 1, got {n_samples}")
+    check_points(n_samples, "sample points")
     out = _out_dir(args)
 
     doc: dict = {

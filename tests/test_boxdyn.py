@@ -392,6 +392,18 @@ def test_graph_edge_budget_checked_after_each_chunk(monkeypatch):
     assert len(calls) == 1
 
 
+def test_graph_point_budget_counts_the_samples_of_the_set(monkeypatch):
+    # 10 boxes of 3 x 3 samples hold 90 points, 11 hold 99; the check comes
+    # before the lattice table is made
+    system = mapzoo.make_system("cat_map", {})
+    codes = initial_cover(system.domain, 3).codes
+    monkeypatch.setattr(boxdyn, "POINT_BUDGET", 90)
+    build_graph(system, BoxSet(system.domain, 3, codes[:10]), 0.1, samples_per_axis=3)
+    monkeypatch.setattr(boxdyn, "_lattice_table", lambda *args: pytest.fail("table made"))
+    with pytest.raises(BudgetError, match="99 sample points"):
+        build_graph(system, BoxSet(system.domain, 3, codes[:11]), 0.1, samples_per_axis=3)
+
+
 def test_transition_graph_narrows_to_int32(graph_from_edges):
     g = graph_from_edges(3, [(0, 1), (1, 2), (2, 0), (2, 2)])  # int64 arrays
     assert g.indptr.dtype == g.indices.dtype == np.int32

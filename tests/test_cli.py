@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import setdyn
-from setdyn import cli, flows
+from setdyn import boxdyn, cli, flows
 from setdyn.errors import NumericsError
 
 
@@ -321,6 +321,55 @@ def test_box_budget_exit_3_before_any_output(argv, tmp_path, capsys):
     assert _run(*argv, "--out", str(out)) == 3
     assert "budget exceeded:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, cfg, what", [
+    (("classify", "--system", "cat_map", "--depth", "3", "--samples", "11"), None,
+     "121 sample points in one box"),
+    (("classify", "--system", "cat_map", "--depth", "3", "--samples", "3"), None,
+     "576 sample points"),
+    (("core-scan", "--system", "cat_map", "--schedule", "2:0.1,3:0.1", "--samples", "3"), None,
+     "144 sample points"),
+    (("core-scan", "--samples", "2"),
+     {**_TRAP_SCAN, "schedule": [[2, 0.1]], "trap": {**_TRAP_SCAN["trap"], "n_orbits": 16}},
+     "102 trap orbit points"),
+    (("merge-scan", *_MERGE, "--depth", "3", "--samples", "3"), None, "576 sample points"),
+    ((*_NOISY, "--steps", "51"), None, "102 orbit points"),
+    (("verify", "--system", "cat_map", "--samples", "101"), None, "101 sample points"),
+    (("portrait", "--T", "1", "--orbits", "1"), None, "1001 orbit points"),
+    (("portrait", "--T", "0.001", "--orbits", "51"), None, "102 orbit points"),
+], ids=["classify 121 samples in one box", "classify 576 samples in the cover",
+        "core-scan 144 samples in the d2 cover", "core-scan trap 2 x 17 x 3 points",
+        "merge-scan 576 samples in the cover", "noisy 51 x 2 steps", "verify 101 samples",
+        "portrait 1001 states", "portrait 51 x 2 states"])
+def test_point_budget_exit_3_before_any_output(argv, cfg, what, tmp_path, capsys, monkeypatch):
+    # the budget is lowered to 100 points: a setting past the real one asks
+    # for more memory than a test may allocate if the check came too late
+    monkeypatch.setattr(boxdyn, "POINT_BUDGET", 100)
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = (*argv, "--config", str(path))
+    out = tmp_path / "out"
+    assert _run(*argv, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == f"budget exceeded: {what} exceed budget 100\n"
+    assert not out.exists()
+    # 50 steps of 2 trials are 100 points, at the budget
+    assert _run(*_NOISY, "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("argv", [("classify", "--system", "cat_map", "--depth", "3"), _NOISY],
+                         ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys, monkeypatch):
+    # classify makes --out before its graph, noisy after its orbits
+    monkeypatch.setattr(cli.chain, "cover_graph", lambda *a, **k: pytest.fail("graph built"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert _run(*argv, "--out", str(blocker / "sub")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot make output directory")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

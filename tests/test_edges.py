@@ -14,6 +14,7 @@ coordinate from its integer lattice index.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -45,13 +46,25 @@ def _eval_chunk(system, chunk_coords: np.ndarray, depth: int, samples: int):
     (cell, m) = divmod(index, den) and o' the offset of m/den in the grid.
     """
     domain = system.domain
-    offsets = boxdyn._sample_offsets(domain.dim, samples)
+    offsets = _float_grid(domain.dim, samples)
     den = samples - 1 if samples % 2 else 2 * (samples - 1)
     index = chunk_coords[:, None, :] * den + np.rint(offsets * den).astype(np.int64)
     pts = _lattice_coordinates(domain, depth, samples, index)
     B, S, dim = pts.shape
     flat = domain.wrap(pts.reshape(-1, dim))
     return np.asarray(system.forward(flat), dtype=float).reshape(B, S, dim)
+
+
+def _float_grid(dim: int, samples: int) -> np.ndarray:
+    """A box's sample offsets (S, dim) as floats: ``np.linspace``'s grid
+    with corners, axis 0 slowest, then the centre when ``samples`` is
+    even.  The oracles build it here, so that they do not read the build's
+    integer grid."""
+    axis = np.linspace(0.0, 1.0, samples)
+    grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    if samples % 2 == 0:
+        grid = np.concatenate([grid, np.full((1, dim), 0.5)])
+    return grid
 
 
 def _image_spread(domain, img: np.ndarray) -> np.ndarray:
@@ -67,7 +80,7 @@ def _lattice_coordinates(domain, depth: int, samples: int, index: np.ndarray) ->
     """Coordinates lo + cell*h + o'*h of lattice indices (..., dim), with
     (cell, m) = divmod(index, den) and o' the offset of m/den in the grid."""
     h = domain.box_width(depth)
-    offsets = boxdyn._sample_offsets(domain.dim, samples)
+    offsets = _float_grid(domain.dim, samples)
     den = samples - 1 if samples % 2 else 2 * (samples - 1)
     cell, m = np.divmod(index, den)
     offset_of = np.zeros(den)
@@ -477,7 +490,7 @@ def _lattice_sets_per_chunk(boxset, samples):
     taken modulo the period on periodic axes."""
     den = samples - 1 if samples % 2 else 2 * (samples - 1)
     steps = [tuple(int(round(o * den)) for o in row)
-             for row in boxdyn._sample_offsets(boxset.domain.dim, samples)]
+             for row in _float_grid(boxset.domain.dim, samples)]
     period = [den << boxset.depth if per else None for per in boxset.domain.periodic]
     coords = boxset.coords().tolist()
     return [
@@ -518,10 +531,9 @@ def _mapped_points(system, boxset, samples, index):
 
 def _table(boxset, samples):
     """The lattice table of a box set's samples, with its images unwritten."""
-    offsets = boxdyn._sample_offsets(boxset.domain.dim, samples)
     chunks = [(lo, min(lo + boxdyn._CHUNK_BOXES, boxset.count))
               for lo in range(0, boxset.count, boxdyn._CHUNK_BOXES)]
-    return boxdyn._lattice_table(boxset, chunks, offsets, boxdyn._lattice_den(samples))[0]
+    return boxdyn._lattice_table(boxset, chunks, samples)[0]
 
 
 def _per_box_pad(system, boxset, samples):
@@ -563,7 +575,7 @@ def test_forward_maps_each_shared_point_once_per_build(case):
     if case == "nf_timeq_full":
         # 17,028 when each chunk mapped its own points, seams twice
         assert (len(calls), sum(calls)) == (4, 16641)
-    assert sum(calls) < boxset.count * len(boxdyn._sample_offsets(2, samples))
+    assert sum(calls) < boxset.count * len(_float_grid(2, samples))
     # the same graph as from each box's own samples, mapped without sharing
     _assert_same(graph, _reference_graph(system, boxset, epsilon, samples))
     assert graph.pad == _per_box_pad(system, boxset, samples)
@@ -603,7 +615,7 @@ def test_lattice_coordinates_move_only_on_far_faces(name, samples):
     system = mapzoo.make_system(name, {})
     identity = dataclasses.replace(system, forward=lambda pts: pts)
     domain = system.domain
-    offsets = boxdyn._sample_offsets(domain.dim, samples)
+    offsets = _float_grid(domain.dim, samples)
     for depth in (3, 6, 8):
         cover = initial_cover(domain, depth)
         h = domain.box_width(depth)
@@ -611,10 +623,10 @@ def test_lattice_coordinates_move_only_on_far_faces(name, samples):
         # each box's samples as the build's fill step gives them to the
         # identity map, which writes them into the table unchanged
         table = _table(cover, samples)
-        build = boxdyn._Build(identity, cover, 0.0, samples, offsets, table, None)
+        build = boxdyn._Build(identity, cover, 0.0, samples, table, None)
         boxdyn._fill(build, 0, len(table.keys))
         pts = table.images
-        new = pts[table.sample_rows(cover.codes, offsets).T]
+        new = pts[table.sample_rows(cover.codes).T]
         if name != "nf_timeq":
             assert np.array_equal(new.view(np.int64), old.view(np.int64))
             continue
@@ -622,6 +634,20 @@ def test_lattice_coordinates_move_only_on_far_faces(name, samples):
         assert np.any(moved)
         assert not np.any(moved & (offsets != 1.0))
         assert np.all(np.abs(new - old) <= np.spacing(domain.widths))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sample_grid_is_the_float_grid_in_lattice_steps(dim):
+    # the build's integer grid names the float grid's points in the same
+    # order, den steps a cell, and its offsets have np.linspace's bits
+    for samples in range(2, 12):
+        grid = _float_grid(dim, samples)
+        den = samples - 1 if samples % 2 else 2 * (samples - 1)
+        steps, got, offsets = boxdyn._sample_grid(dim, samples)
+        assert got == den and steps.dtype == np.int64
+        assert np.array_equal(steps, np.rint(grid * den))
+        assert offsets[steps].tobytes() == grid.tobytes()
+        assert not np.any(offsets[~np.isin(np.arange(den + 1), steps)])
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +681,35 @@ def test_workers_fill_the_same_lattice_table(name):
         assert a.images.tobytes() == b.images.tobytes()
 
 
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_build_frees_its_table_before_the_csr_unless_kept(monkeypatch, workers, keep):
+    # the CSR index array is the last off-heap array the calling process
+    # makes; by then a table not kept is gone, with and without a pool
+    system = mapzoo.make_system("cat_map", {})
+    cover = initial_cover(system.domain, 6)
+    tables, made = [], []
+    lattice_table, off_heap = boxdyn._lattice_table, boxdyn._off_heap
+
+    def table_of(*args):
+        table, ends = lattice_table(*args)
+        tables.append(weakref.ref(table))
+        return table, ends
+
+    def recorded(n, dtype):
+        made.append((n, [ref() is not None for ref in tables]))
+        return off_heap(n, dtype)
+
+    monkeypatch.setattr(boxdyn, "_lattice_table", table_of)
+    monkeypatch.setattr(boxdyn, "_off_heap", recorded)
+    graph = build_graph(system, cover, 0.05, 3, workers=workers, keep_images=keep)
+    assert made[-1] == (graph.n_edges, [keep])
+    assert (graph.lattice_images is not None) == keep
+    if workers == 1:
+        # each chunk's edges are made while the table is alive
+        assert all(alive == [True] for _, alive in made[1:-1]) and len(made) == 6
+
+
 @pytest.mark.parametrize("samples", [2, 3, 4])
 def test_lattice_rows_match_a_brute_force_dict(samples):
     # a sparse table on nf_timeq's square: h = 0.6/2^5 is not exact in
@@ -675,7 +730,7 @@ def test_lattice_rows_match_a_brute_force_dict(samples):
     truth = {tuple(i): (row, tuple(c)) for row, (i, c)
              in enumerate(zip(index.tolist(), coords.view(np.int64).tolist()))}
 
-    n = boxdyn._lattice_den(samples) << depth
+    n = (samples - 1 if samples % 2 else 2 * (samples - 1)) << depth
     grid = np.stack(np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij"),
                     axis=-1).reshape(-1, 2)
     pts = _lattice_coordinates(domain, depth, samples, grid)
