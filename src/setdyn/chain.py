@@ -393,7 +393,7 @@ class StageResult:
     gap_tol: float
     ok: bool
     reason: str
-    core_boxes: BoxSet
+    core: BoxSet
     fwd_absorbing: BoxSet
     bwd_absorbing: BoxSet
     nested_fwd: bool
@@ -536,7 +536,7 @@ def core_scan(
         t_code = int(point_codes(system.domain, depth, target)[0])
         t_idx = int(g.boxset.indices_of(np.array([t_code]))[0])
         s = int(dec.scc_id[t_idx])
-        core_boxes = dec.scc_boxes(s)
+        core = dec.scc_boxes(s)
         recurrent = bool(dec.recurrent_scc[s])
         terminal = bool(dec.terminal[s])
         init = bool(dec.initial[s])
@@ -589,7 +589,7 @@ def core_scan(
                 gap_tol=gap_tol,
                 ok=ok,
                 reason=reason,
-                core_boxes=core_boxes,
+                core=core,
                 fwd_absorbing=fwd_abs,
                 bwd_absorbing=bwd_abs,
                 nested_fwd=nested_fwd,
@@ -718,6 +718,25 @@ class TrapReport:
         return bool(self.boxset.contains_codes(c)[0])
 
 
+def check_trap(system, seed_radius: float, bound_radius: float, n_orbits: int, n_steps: int,
+               depth: int) -> None:
+    """Reject a trap setting before any orbit runs: radii other than
+    0 < seed_radius < bound_radius, n_orbits below 0, n_steps below 1, a
+    depth the domain cannot encode, orbit points past the point budget, or
+    a system without an inverse."""
+    if not (0 < seed_radius < bound_radius):
+        raise ConfigError("need 0 < seed_radius < bound_radius")
+    if n_orbits < 0:
+        raise ConfigError(f"n_orbits must be >= 0, got {n_orbits}")
+    if n_steps < 1:
+        raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
+    _check_depth(system.domain, depth)
+    # each way records every orbit's box at every step
+    check_points(2 * (n_orbits + 1) * (n_steps + 1), "trap orbit points")
+    if system.inverse is None:
+        raise ConfigError(f"system {system.name!r} has no inverse")
+
+
 def trapped_absorbing_domain(
     system,
     center,
@@ -747,10 +766,7 @@ def trapped_absorbing_domain(
     call when the system has one, else with ``forward`` and ``inverse``;
     the orbits are the same bits either way.
     """
-    if not (0 < seed_radius < bound_radius):
-        raise ConfigError("need 0 < seed_radius < bound_radius")
-    if system.inverse is None:
-        raise ConfigError(f"system {system.name!r} has no inverse")
+    check_trap(system, seed_radius, bound_radius, n_orbits, n_steps, depth)
     center = np.asarray(center, dtype=float).reshape(1, -1)
     rng = np.random.default_rng(seed)
     # uniform in the ball: direction times radius with the right density

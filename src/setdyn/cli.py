@@ -13,6 +13,17 @@ flag on the command line wins and a key that names no flag of the command
 is a configuration error.  Outputs are deterministic byte-for-byte for a
 fixed config and seed, independent of --workers.
 
+Every JSON report is written by one rule from the result it reports
+(``_doc``): its keys are the result's dataclass fields, each box set is
+written as its summary (depth, count, volume fraction, bounding box), and
+the few keys that are no field (the command's name and settings, counts,
+``passed`` flags) are added beside them.  The schemas in ``schemas/``
+reject any key they do not name.
+
+Every setting, ``--out`` included, is checked before a command computes:
+``noisy`` and ``portrait`` make ``--out`` only after their compute, so a
+bad setting leaves nothing behind, but check first that it can be made.
+
 Exit codes: 0 success, 2 invalid configuration, 3 budget exceeded,
 4 numerical failure.
 """
@@ -21,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -31,8 +43,8 @@ import numpy as np
 from . import chain, flows, mapzoo
 # build_graph is unused here but stays a module attribute: perfbench/traced.py
 # wraps cli.build_graph by name
-from .boxdyn import (BoxSet, _check_depth, build_graph, check_points, save_boxset,  # noqa: F401
-                     write_pgm, write_pgm_heat)
+from .boxdyn import (BoxSet, build_graph, check_points, save_boxset, write_pgm,  # noqa: F401
+                     write_pgm_heat)
 from .errors import BudgetError, ConfigError, NumericsError, SetdynError
 
 ATTRACTOR_SHADE = 64
@@ -132,6 +144,18 @@ def _check_cover(args, domain) -> None:
                          args.samples, args.workers)
 
 
+def _check_out(args) -> None:
+    """Reject an --out that cannot be made before a command computes what
+    it writes there: the nearest existing ancestor of --out (or --out
+    itself) must be a directory this process may write."""
+    path = os.path.abspath(args.out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot make output directory {args.out}: "
+                          f"{path} is not a writable directory")
+
+
 def _out_dir(args) -> str:
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -172,17 +196,19 @@ def _boxset_summary(bs: BoxSet) -> dict:
     }
 
 
-def _scc_summary(item: chain.RecurrentSCC) -> dict:
-    return {
-        "scc": item.scc,
-        "size": item.boxes.count,
-        "dissipative": item.dissipative,
-        "boxes": _boxset_summary(item.boxes),
-    }
-
-
-def _finite_or_none(x: float):
-    return float(x) if math.isfinite(x) else None
+def _doc(x):
+    """A result as JSON, by one rule applied all the way down: a dataclass
+    becomes the dict of its fields, a BoxSet its summary, a tuple or list a
+    list, a complex number [re, im]; anything else is kept."""
+    if isinstance(x, BoxSet):
+        return _boxset_summary(x)
+    if dataclasses.is_dataclass(x):
+        return {f.name: _doc(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (tuple, list)):
+        return [_doc(v) for v in x]
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +225,14 @@ def cmd_classify(args) -> int:
     graph = chain.cover_graph(system, depth, args.epsilon, samples, args.workers)
     report = chain.classify(graph)
 
-    doc = {
-        "command": "classify",
-        "system": system.name,
-        "params": system.params,
-        "depth": depth,
-        "epsilon": graph.epsilon,
-        "samples_per_axis": samples,
-        "n_boxes": report.n_boxes,
-        "n_edges": graph.n_edges,
-        "n_scc": report.n_scc,
-        "pad": graph.pad,
-        "classification": report.classification,
-        "overlap_jaccard": report.overlap_jaccard,
-        "attractors": [_scc_summary(a) for a in report.attractors],
-        "repellers": [_scc_summary(r) for r in report.repellers],
-        "full_attractor": _boxset_summary(report.full_attractor),
-        "full_repeller": _boxset_summary(report.full_repeller),
-        # the prolongations equal the full sets (see chain.classify)
-        "ruelle_attractor": _boxset_summary(report.full_attractor),
-        "ruelle_repeller": _boxset_summary(report.full_repeller),
-    }
+    doc = _doc(report)
+    for scc in doc["attractors"] + doc["repellers"]:
+        scc["size"] = scc["boxes"]["count"]
+    doc.update(command="classify", system=system.name, params=system.params, depth=depth,
+               epsilon=graph.epsilon, samples_per_axis=samples, n_edges=graph.n_edges,
+               pad=graph.pad,
+               # the prolongations equal the full sets (see chain.classify)
+               ruelle_attractor=doc["full_attractor"], ruelle_repeller=doc["full_repeller"])
     _write_json(os.path.join(out, "report.json"), doc)
 
     if system.dim == 2:
@@ -239,47 +252,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _stage_doc(st: chain.StageResult) -> dict:
-    return {
-        "depth": st.depth,
-        "epsilon": st.epsilon,
-        "pad": st.pad,
-        "n_boxes": st.n_boxes,
-        "n_edges": st.n_edges,
-        "target_code": st.target_code,
-        "target_scc_size": st.core_boxes.count,
-        "recurrent": st.recurrent,
-        "terminal": st.terminal,
-        "initial": st.initial,
-        "gap": _finite_or_none(st.gap),
-        "gap_tol": st.gap_tol,
-        "ok": st.ok,
-        "reason": st.reason,
-        "nested_fwd": st.nested_fwd,
-        "nested_bwd": st.nested_bwd,
-        "core": _boxset_summary(st.core_boxes),
-        "fwd_absorbing": _boxset_summary(st.fwd_absorbing),
-        "bwd_absorbing": _boxset_summary(st.bwd_absorbing),
-        "new_attractors": [_boxset_summary(b) for b in st.new_attractors],
-        "new_repellers": [_boxset_summary(b) for b in st.new_repellers],
-    }
-
-
-def _trap_doc(rep: chain.TrapReport) -> dict:
-    return {
-        "direction": rep.direction,
-        "center": list(rep.center),
-        "seed_radius": rep.seed_radius,
-        "bound_radius": rep.bound_radius,
-        "max_radius": rep.max_radius,
-        "bounded": rep.bounded,
-        "contains_center": rep.contains_center,
-        "n_orbits": rep.n_orbits,
-        "n_steps": rep.n_steps,
-        "boxes": _boxset_summary(rep.boxset),
-    }
-
-
 def cmd_core_scan(args) -> int:
     system = _make_system(args)
     schedule = args.schedule
@@ -293,35 +265,31 @@ def cmd_core_scan(args) -> int:
                 "center": _domain_point(args.trap.center or target, system, "trap center")}
         if trap["depth"] is None:
             trap["depth"] = schedule[-1][0]
-        _check_depth(system.domain, trap["depth"])
-        # each way records every orbit's box at every step
-        check_points(2 * (trap["n_orbits"] + 1) * (trap["n_steps"] + 1), "trap orbit points")
+        chain.check_trap(system, trap["seed_radius"], trap["bound_radius"], trap["n_orbits"],
+                         trap["n_steps"], trap["depth"])
     out = _out_dir(args)
 
     cert = chain.core_scan(system, target, schedule, samples_per_axis=args.samples,
                            workers=args.workers)
-    doc = {
-        "command": "core_scan",
-        "system": cert.system,
-        "params": cert.params,
-        "target": list(cert.target),
-        "schedule": [[d, e] for d, e in cert.schedule],
-        "gap_factor": chain.GAP_FACTOR,
-        "core_persistent": cert.core_persistent,
-        "n_attractor_witnesses": cert.n_attractor_witnesses,
-        "n_repeller_witnesses": cert.n_repeller_witnesses,
-        "attractor_witnesses": [
-            {"depth": b.depth, "boxes": _boxset_summary(b)} for b in cert.attractor_witnesses
-        ],
-        "repeller_witnesses": [
-            {"depth": b.depth, "boxes": _boxset_summary(b)} for b in cert.repeller_witnesses
-        ],
-        "stages": [_stage_doc(st) for st in cert.stages],
-    }
+    doc = _doc(cert)
+    for st, st_doc in zip(cert.stages, doc["stages"]):
+        # JSON has no infinity: a gap between empty sides is null
+        st_doc["gap"] = st.gap if math.isfinite(st.gap) else None
+        st_doc["target_scc_size"] = st.core.count
+    doc.update(command="core_scan", gap_factor=chain.GAP_FACTOR,
+               n_attractor_witnesses=cert.n_attractor_witnesses,
+               n_repeller_witnesses=cert.n_repeller_witnesses,
+               attractor_witnesses=[{"depth": w["depth"], "boxes": w}
+                                    for w in doc["attractor_witnesses"]],
+               repeller_witnesses=[{"depth": w["depth"], "boxes": w}
+                                   for w in doc["repeller_witnesses"]])
 
     if args.trap:
-        fwd, bwd = chain.trapped_absorbing_domain(system, **trap)
-        doc["trap"] = {"forward": _trap_doc(fwd), "backward": _trap_doc(bwd)}
+        doc["trap"] = {}
+        for rep in chain.trapped_absorbing_domain(system, **trap):
+            side = doc["trap"][rep.direction] = _doc(rep)
+            side["boxes"] = side.pop("boxset")
+            side["contains_center"] = rep.contains_center
 
     _write_json(os.path.join(out, "certificate.json"), doc)
     for side, wits in (("att", cert.attractor_witnesses), ("rep", cert.repeller_witnesses)):
@@ -368,6 +336,7 @@ def cmd_portrait(args) -> int:
 
     # everything is computed before --out is made, so a bad setting leaves
     # no partial output behind
+    _check_out(args)
     equilibria = []
     for eq in flows.equilibria(D, beta):
         e1, e2 = eq.eigenvalues
@@ -410,58 +379,29 @@ def cmd_verify(args) -> int:
     check_points(n_samples, "sample points")
     out = _out_dir(args)
 
-    doc: dict = {
-        "command": "verify",
-        "system": system.name,
-        "params": system.params,
-        "n_samples": n_samples,
-    }
-
+    doc = {"command": "verify", "system": system.name, "params": system.params,
+           "n_samples": n_samples, "reversibility": None, "inverse_roundtrip": None}
     if system.involution is not None and system.inverse is not None:
         rep = revcore.verify_reversibility(system, n_samples=n_samples, seed=seed)
-        doc["reversibility"] = {
-            "max_residual": rep.max_residual,
-            "involution_residual": rep.involution_residual,
-            "tol": rep.tol,
-            "passed": rep.passed,
-        }
-    else:
-        doc["reversibility"] = None
-
+        doc["reversibility"] = {**_doc(rep), "passed": rep.passed}
     if system.inverse is not None:
         inv = mapzoo.check_inverse_consistency(system, n_samples=n_samples, seed=seed)
-        doc["inverse_roundtrip"] = {
-            "max_error": inv.max_error,
-            "tol": inv.tol,
-            "passed": inv.passed,
-        }
-    else:
-        doc["inverse_roundtrip"] = None
+        doc["inverse_roundtrip"] = {**_doc(inv), "passed": inv.passed}
+
+    def point(p, **keys) -> dict:
+        # a point's multipliers are written among its own keys
+        p_doc = _doc(p)
+        multipliers = p_doc.pop("multipliers")
+        return {**p_doc, **multipliers, **keys}
 
     if system.dim == 1:
-        doc["fixed_points"] = [
-            {
-                "location": list(fp.location),
-                "residual": fp.residual,
-                "kind": fp.multipliers.kind,
-                "eigenvalues": [[e.real, e.imag] for e in fp.multipliers.eigenvalues],
-            }
-            for fp in revcore.find_fixed_points(system)
-        ]
+        # a 1-d multiplier has no partner to pair with
+        doc["fixed_points"] = [{k: v for k, v in point(fp).items() if k != "max_pairing_error"}
+                               for fp in revcore.find_fixed_points(system)]
 
     if system.involution is not None and system.involution_fixed is not None:
         scan = revcore.find_symmetric_fixed_points(system)
-        doc["symmetric_points"] = [
-            {
-                "location": list(p.location),
-                "period": 1,
-                "residual": p.residual,
-                "kind": p.multipliers.kind,
-                "eigenvalues": [[e.real, e.imag] for e in p.multipliers.eigenvalues],
-                "max_pairing_error": p.multipliers.max_pairing_error,
-            }
-            for p in scan.points
-        ]
+        doc["symmetric_points"] = [point(p, period=1) for p in scan.points]
         doc["degenerate_scan"] = scan.degenerate
 
     if system.name == "periodic_spot":
@@ -469,16 +409,8 @@ def cmd_verify(args) -> int:
         eps = float(system.params["epsilon"])
         theta = math.acos(1.0 - q * eps)
         try:
-            spot = revcore.periodic_spot_check(q, theta, n_samples=n_samples, seed=seed)
-            doc["spot_check"] = {
-                "q": spot.q,
-                "theta": spot.theta,
-                "epsilon": spot.epsilon,
-                "k": spot.k,
-                "det_is_exactly_one": spot.det_is_exactly_one,
-                "power_residual": spot.power_residual,
-                "max_return_error": spot.max_return_error,
-            }
+            doc["spot_check"] = _doc(revcore.periodic_spot_check(q, theta, n_samples=n_samples,
+                                                                 seed=seed))
         except ConfigError as e:
             doc["spot_check"] = {"skipped": str(e)}
 
@@ -493,6 +425,7 @@ def cmd_noisy(args) -> int:
     depth = args.depth
 
     # noisy_attractor checks the settings, so --out is made only after it
+    _check_out(args)
     rep = chain.noisy_attractor(
         system, x0, args.noise, n_steps=args.steps, n_trials=args.trials, depth=depth,
         seed=args.seed,

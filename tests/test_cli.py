@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import setdyn
-from setdyn import boxdyn, cli, flows
+from setdyn import boxdyn, cli, flows, mapzoo
 from setdyn.errors import NumericsError
 
 
@@ -279,6 +280,10 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
     (("classify",), {"system": "cat_map", "depth": 3, "trap": _TRAP_SCAN["trap"]}),
     (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "n_step": 3}}),
     (("core-scan",), {**_TRAP_SCAN, "trap": [0.1, 2.0]}),
+    (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "seed_radius": 2.0}}),
+    (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "seed_radius": 3.0}}),
+    (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "n_orbits": -3}}),
+    (("core-scan",), {**_TRAP_SCAN, "trap": {**_TRAP_SCAN["trap"], "n_steps": 0}}),
 ], ids=["config steps abc", "noisy seed -1", "verify seed -1", "portrait seed -1",
         "core-scan trap seed -1", "core-scan trap without seed_radius",
         "core-scan trap center [NaN, 0]", "core-scan trap center [0, 0, 0]", "core-scan schedule 4:abc", "merge-scan values 0.1,x",
@@ -298,7 +303,8 @@ _MERGE = ("--system", "nested_rings", "--sweep-param", "step", "--values", "0.02
         "classify seed", "merge-scan seed", "portrait system", "portrait param",
         "portrait workers", "verify workers", "classify dep", "config smaples", "config dep",
         "config depth 3.0", "config classify seed", "config config", "config classify trap",
-        "core-scan trap n_step", "core-scan trap list"])
+        "core-scan trap n_step", "core-scan trap list", "core-scan trap radii equal",
+        "core-scan trap radii reversed", "core-scan trap n_orbits -3", "core-scan trap n_steps 0"])
 def test_bad_settings_exit_2(argv, cfg, tmp_path, capsys):
     if cfg is not None:
         path = tmp_path / "cfg.json"
@@ -359,11 +365,15 @@ def test_point_budget_exit_3_before_any_output(argv, cfg, what, tmp_path, capsys
     assert _run(*_NOISY, "--out", str(out)) == 0
 
 
-@pytest.mark.parametrize("argv", [("classify", "--system", "cat_map", "--depth", "3"), _NOISY],
+@pytest.mark.parametrize("argv", [("classify", "--system", "cat_map", "--depth", "3"), _NOISY,
+                                  ("portrait", "--T", "1", "--orbits", "2")],
                          ids=lambda argv: argv[0])
 def test_unwritable_out_exits_2(argv, tmp_path, capsys, monkeypatch):
-    # classify makes --out before its graph, noisy after its orbits
+    # classify makes --out before its graph; noisy and portrait make it after
+    # their orbits, but check before them that it can be made
     monkeypatch.setattr(cli.chain, "cover_graph", lambda *a, **k: pytest.fail("graph built"))
+    monkeypatch.setattr(cli.chain, "noisy_attractor", lambda *a, **k: pytest.fail("orbits run"))
+    monkeypatch.setattr(cli.flows, "integrate", lambda *a, **k: pytest.fail("orbits run"))
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert _run(*argv, "--out", str(blocker / "sub")) == 2
@@ -434,6 +444,65 @@ def test_verify_without_involution_reports_null(tmp_path):
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["reversibility"] is None
     assert doc["inverse_roundtrip"]["passed"] is True
+
+
+@pytest.mark.parametrize("system", mapzoo.list_systems())
+def test_every_verify_report_validates(system, tmp_path):
+    assert _run("verify", "--system", system, "--samples", "20", "--out", str(tmp_path)) == 0
+    jsonschema.validate(json.loads((tmp_path / "verify.json").read_text()),
+                        _schema("verify_report.schema.json"))
+
+
+def test_report_schemas_reject_stray_keys(tmp_path):
+    # every object of every report but the free-form params is closed: one
+    # stray key anywhere fails validation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_TRAP_SCAN))
+    jobs = [(("classify", "--system", "cat_map", "--depth", "2"), "report.json",
+             "classify_report"),
+            (("core-scan", "--config", str(cfg)), "certificate.json", "core_certificate"),
+            (("verify", "--system", "periodic_spot", "--samples", "5"), "verify.json",
+             "verify_report"),
+            (("verify", "--system", "cubic_interval", "--samples", "5"), "verify.json",
+             "verify_report")]
+    for i, (argv, name, kind) in enumerate(jobs):
+        out = tmp_path / str(i)
+        assert _run(*argv, "--out", str(out)) == 0
+        doc = json.loads((out / name).read_text())
+        schema = _schema(f"{kind}.schema.json")
+        jsonschema.validate(doc, schema)
+        objects = [doc]
+        for obj in objects:
+            objects += [v for k, v in obj.items() if isinstance(v, dict) and k != "params"]
+            objects += [v for vals in obj.values() if isinstance(vals, list)
+                        for v in vals if isinstance(v, dict)]
+            obj["stray"] = 0
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(doc, schema)
+            del obj["stray"]
+        assert len(objects) > 3
+
+
+def test_doc_writes_a_result_by_one_rule():
+    @dataclasses.dataclass
+    class Inner:
+        boxes: boxdyn.BoxSet
+        eigenvalues: tuple
+
+    @dataclasses.dataclass
+    class Outer:
+        inner: Inner
+        items: list
+        name: str
+        params: dict
+
+    bs = boxdyn.BoxSet(mapzoo.make_system("cat_map").domain, 2, np.array([0, 5]))
+    summary = {"depth": 2, "count": 2, "volume_fraction": 0.125,
+               "bbox": [[0.0, 0.0], [0.5, 0.5]]}
+    assert cli._boxset_summary(bs) == summary
+    doc = cli._doc(Outer(Inner(bs, (1.5, 2 - 3j)), [bs, (1, 0.5j)], "x", {"a": 1.0}))
+    assert doc == {"inner": {"boxes": summary, "eigenvalues": [1.5, [2.0, -3.0]]},
+                   "items": [summary, [1, [0.0, 0.5]]], "name": "x", "params": {"a": 1.0}}
 
 
 def test_portrait_writes_three_csvs(tmp_path):
